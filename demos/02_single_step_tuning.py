@@ -34,11 +34,11 @@ print(f"secant search     : alpha* = {rec_s.alpha_star:+.12e}  "
       f"({rec_s.g_evals} defect evaluations)")
 print(f"agreement         : {abs(rec_b.alpha_star - rec_s.alpha_star):.2e}")
 
-# re-step at the root: the energy is conserved to tolerance, the angular
-# momentum automatically (symplecticity), and the stages satisfy the
+# the search's step at the root: the energy is conserved to tolerance, the
+# angular momentum automatically (symplecticity), and the stages satisfy the
 # quasi-collocation identities of the perturbed method
 alpha = rec_b.alpha_star
-g, result = sp.energy_defect(system, 2, 1, ic.y0, h, alpha, cfg)
+g, result = rec_b.g_residual, rec_b.step
 L = system.quadratic_invariants[0].fn
 print(f"\nat alpha*: dH = {g:+.2e},  dL = {float(L(result.y1) - L(ic.y0)):+.2e}")
 

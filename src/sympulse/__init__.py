@@ -37,6 +37,7 @@ from .conserve import (
     AlphaSearchConfig,
     AlphaSolveRecord,
     NoRootError,
+    SearchBudgetError,
     StageSolveError,
     energy_defect,
     level_grid,
@@ -71,6 +72,7 @@ __all__ = [
     "PerturbationSpec",
     "QuadratureRule",
     "RunSpec",
+    "SearchBudgetError",
     "SingularPotentialError",
     "StageSolveError",
     "StepConfig",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -20,13 +21,14 @@ import numpy as np
 from . import __version__
 from .conserve import AlphaSearchConfig, NoRootError, StageSolveError, level_grid
 from .experiments import (
+    METHODS,
     IntegrationError,
     RunSpec,
     convergence_table,
     integrate,
     resolve_perturb_index,
 )
-from .problems import SingularPotentialError, get_problem
+from .problems import PROBLEMS, SingularPotentialError, get_problem
 from .stepper import SOLVERS, StepConfig
 from .tableau import MAX_STAGES, PerturbationSpec, butcher, gauss_quadrature
 
@@ -49,15 +51,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_stepsize(token):
-    """A stepsize literal: plain float or an exact power of two like 2^-5."""
+    """A finite stepsize literal: plain float or an exact power of two like 2^-5."""
     token = token.strip()
     m = _POW2.match(token)
     if m:
         return 2.0 ** int(m.group(1))
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise UsageError(f"cannot parse stepsize {token!r}") from None
+    if not math.isfinite(value):
+        raise UsageError(f"value must be finite, got {token!r}")
+    return value
 
 
 def parse_value_list(text):
@@ -135,18 +140,13 @@ def _add_tolerance_flags(p):
 
 
 def _add_problem_flags(p):
-    p.add_argument(
-        "--problem", required=True, choices=("kepler", "quartic", "henon-heiles", "harmonic")
-    )
+    p.add_argument("--problem", required=True, choices=tuple(PROBLEMS))
     p.add_argument("--e", type=float, default=None, help="Kepler eccentricity (default 0.6)")
     p.add_argument("--y0", type=parse_y0, default=None, help="start state override v1,v2,...")
 
 
 def _add_method_flags(p):
-    p.add_argument(
-        "--method", choices=("gauss", "fixed-alpha", "ep-gauss", "ep-gauss-type2"),
-        default="ep-gauss",
-    )
+    p.add_argument("--method", choices=METHODS, default="ep-gauss")
     p.add_argument("--stages", type=int, default=2)
     p.add_argument("--perturb-index", type=int, default=None)
     p.add_argument("--alpha", type=float, default=0.0, help="value for --method fixed-alpha")
@@ -396,9 +396,9 @@ def _run_levelmap(ns):
     h_values = parse_value_list(ns.h_list)
     alpha_values = parse_value_list(ns.alpha_list)
     system, ic = get_problem(ns.problem, e=ns.e, y0=ns.y0)
-    index = ns.perturb_index if ns.perturb_index is not None else max(ns.stages - 1, 1)
     if ns.stages < 2:
         raise UsageError("levelmap needs at least 2 stages")
+    index = resolve_perturb_index("ep-gauss", ns.stages, ns.perturb_index)
     G, failures = level_grid(
         system,
         ns.stages,

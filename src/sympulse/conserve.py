@@ -10,18 +10,20 @@ strategies are provided: `bisection` brackets the sign change by geometric
 expansion from a small seed and narrows the bracket with Brent's method down
 to machine width; `secant` iterates the secant method warm-started from the
 previous step's root, safeguarded by a fall-back to the bracketing search.
-Quadratic Hamiltonians make g vanish identically; that degeneracy is
-detected and reported instead of searched.
+Either way each probe is one stage solve, warm-started from the converged
+probe nearest in alpha, and the probe at the root is the step the caller
+accepts.  Quadratic Hamiltonians make g vanish identically; that degeneracy
+is detected and reported instead of searched.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .stepper import StepConfig, step
+from .stepper import StepConfig, StepResult, step
 from .tableau import PerturbationSpec, butcher, gauss_quadrature
 
 
@@ -38,6 +40,10 @@ class StageSolveError(RuntimeError):
 class NoRootError(RuntimeError):
     """No sign change of the energy defect was found up to bracket_max.
     Usually means the stepsize is too large for this state."""
+
+
+class SearchBudgetError(RuntimeError):
+    """The per-step root search used up `max_g_evals` defect evaluations."""
 
 
 @dataclass(frozen=True)
@@ -87,19 +93,25 @@ class AlphaSearchConfig:
 @dataclass(frozen=True)
 class AlphaSolveRecord:
     """Outcome of one per-step search: the root, its residual, the cost, the
-    bracket that produced it (None for secant convergence) and whether the
-    defect sat at round-off for every probed value (quadratic Hamiltonian)."""
+    bracket that produced it (None for secant convergence), whether the
+    defect sat at round-off for every probed value (quadratic Hamiltonian),
+    and the converged step at the root, which is the step to accept."""
 
     alpha_star: float
     g_residual: float
     g_evals: int
     bracket: tuple[float, float] | None
     degenerate: bool
+    step: StepResult = field(compare=False, repr=False)
 
 
-def energy_defect(system, s, perturb_index, y0, h, alpha, cfg: StepConfig):
+def energy_defect(
+    system, s, perturb_index, y0, h, alpha, cfg: StepConfig, guess=None, energy0=None
+):
     """One step at perturbation `alpha`; returns (H(y1) - H(y0), StepResult).
 
+    This is one stage solve, warm-started from the stages `guess` when given
+    (see `step`).  `energy0` is H(y0) when the caller already has it.
     Raises StageSolveError if the stage iteration does not converge.
     """
     if cfg.h != h:
@@ -107,7 +119,7 @@ def energy_defect(system, s, perturb_index, y0, h, alpha, cfg: StepConfig):
     tableau = butcher(
         gauss_quadrature(s), PerturbationSpec.single(s, perturb_index, alpha)
     )
-    result = step(system, tableau, y0, cfg)
+    result = step(system, tableau, y0, cfg, guess)
     if not result.converged:
         raise StageSolveError(
             f"stage iteration failed at alpha={alpha!r}, h={h!r} "
@@ -115,7 +127,9 @@ def energy_defect(system, s, perturb_index, y0, h, alpha, cfg: StepConfig):
             result=result,
             alpha=alpha,
         )
-    g = float(system.energy(result.y1) - system.energy(y0))
+    if energy0 is None:
+        energy0 = system.energy(y0)
+    g = float(system.energy(result.y1) - energy0)
     return g, result
 
 
@@ -132,10 +146,17 @@ def solve_alpha(
 ) -> AlphaSolveRecord:
     """Find the perturbation value that conserves the energy over one step.
 
+    Every probe of the search is one `energy_defect` evaluation, that is one
+    stage solve.  The first probe (alpha = 0) starts from y0; every later one
+    starts from the stages of the converged probe nearest in alpha.  The
+    returned record carries the probe at the root as `step`, so the caller
+    accepts that step instead of solving it again.
+
     `alpha_hint` warm-starts the secant strategy (typically the previous
     step's root).  `energy_target`, when given, replaces H(y0) as the value
     the step must reproduce, letting long integrations pin every state to the
-    initial energy instead of accumulating per-step round-off.
+    initial energy instead of accumulating per-step round-off.  Raises
+    SearchBudgetError when the search needs more than `max_g_evals` probes.
     """
     if h == 0.0:
         raise ValueError("stepsize must be nonzero")
@@ -145,15 +166,21 @@ def solve_alpha(
     gtol = search_cfg.g_tol * max(1.0, abs(h0))
     budget = search_cfg.max_g_evals
     evals = 0
+    probes = {}  # alpha -> StepResult of every converged probe
 
     def g(alpha):
         nonlocal evals
         if evals >= budget:
-            raise RuntimeError(
+            raise SearchBudgetError(
                 f"alpha search exceeded max_g_evals={search_cfg.max_g_evals}"
             )
         evals += 1
-        defect, _ = energy_defect(system, s, perturb_index, y0, h, alpha, step_cfg)
+        guess = None
+        if probes:
+            guess = probes[min(probes, key=lambda a: abs(a - alpha))].stages
+        defect, probes[alpha] = energy_defect(
+            system, s, perturb_index, y0, h, alpha, step_cfg, guess, h0
+        )
         return defect + offset
 
     seed = search_cfg.seed(h, r=s - perturb_index)
@@ -165,17 +192,16 @@ def solve_alpha(
     floor = 64.0 * np.finfo(float).eps * max(1.0, abs(h0))
     if abs(g0) <= floor:
         if abs(g(seed)) <= floor and abs(g(-seed)) <= floor:
-            return AlphaSolveRecord(0.0, g0, evals, None, True)
+            return AlphaSolveRecord(0.0, g0, evals, None, True, probes[0.0])
 
     if search_cfg.strategy == "secant":
         record = _secant(g, g0, seed, search_cfg, gtol, alpha_hint)
         if record is not None:
-            return AlphaSolveRecord(
-                record[0], record[1], evals, None, False
-            )
+            alpha, res = record
+            return AlphaSolveRecord(alpha, res, evals, None, False, probes[alpha])
     lo, hi, glo, ghi = _expand_bracket(g, g0, seed, search_cfg, h, y0)
     alpha, res = _bracketed_root(g, lo, hi, glo, ghi, search_cfg)
-    return AlphaSolveRecord(alpha, res, evals, (lo, hi), False)
+    return AlphaSolveRecord(alpha, res, evals, (lo, hi), False, probes[alpha])
 
 
 def _secant(g, g_at_zero, seed, cfg, gtol, hint):

@@ -10,14 +10,19 @@ the band containing all per-step roots, scaled by the predicted power of h.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
 from . import problems as problems_mod
-from .conserve import AlphaSearchConfig, NoRootError, StageSolveError, solve_alpha
+from .conserve import (
+    AlphaSearchConfig,
+    NoRootError,
+    SearchBudgetError,
+    StageSolveError,
+    solve_alpha,
+)
 from .stepper import StepConfig, step
 from .tableau import PerturbationSpec, butcher, gauss_quadrature
 
@@ -66,6 +71,9 @@ class RunSpec:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+        for name in ("h", "t0", "t_end"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.t_end <= self.t0:
             raise ValueError("t_end must exceed t0")
         if self.h <= 0.0:
@@ -132,8 +140,9 @@ def _step_grid(t0, t_end, h):
 
 
 def integrate(spec: RunSpec) -> TrajectoryRecord:
-    """Run one integration; energy-tuned methods re-solve each step at the
-    located root and pin the target to the initial energy of the run."""
+    """Run one integration.  Energy-tuned methods accept, as each step, the
+    stage solve that the root search made at the located root, and pin the
+    search's target to the initial energy of the run."""
     system, ic = problems_mod.get_problem(spec.problem, e=spec.e, y0=spec.y0)
     y = np.asarray(ic.y0, float)
     t = spec.t0
@@ -143,7 +152,6 @@ def integrate(spec: RunSpec) -> TrajectoryRecord:
     n_full, remainder, partial = _step_grid(spec.t0, spec.t_end, spec.h)
     n_steps = n_full + (1 if partial else 0)
     index = spec.resolved_perturb_index()
-    q = gauss_quadrature(spec.s)
     fixed_tableau = None
     if not spec.tunes_alpha:
         pert = (
@@ -151,7 +159,7 @@ def integrate(spec: RunSpec) -> TrajectoryRecord:
             if spec.method == "gauss"
             else PerturbationSpec.single(spec.s, index, spec.alpha)
         )
-        fixed_tableau = butcher(q, pert)
+        fixed_tableau = butcher(gauss_quadrature(spec.s), pert)
 
     times = np.empty(n_steps + 1)
     states = np.empty((n_steps + 1, system.dim))
@@ -190,18 +198,22 @@ def integrate(spec: RunSpec) -> TrajectoryRecord:
                 g_evals[k] = record.g_evals
                 # warm-start the next step only if it runs at the same h
                 hint = alpha_k if k + 1 < n_full else None
-                tab = butcher(q, PerturbationSpec.single(spec.s, index, alpha_k))
+                result = record.step
             else:
                 alpha_k = spec.alpha if spec.method == "fixed-alpha" else 0.0
-                tab = fixed_tableau
-            result = step(system, tab, y, cfg)
-            if not result.converged:
-                raise StageSolveError(
-                    f"stage iteration failed (residual {result.stage_residual:.3e})",
-                    result=result,
-                    alpha=alpha_k,
-                )
-        except (StageSolveError, NoRootError, problems_mod.SingularPotentialError) as exc:
+                result = step(system, fixed_tableau, y, cfg)
+                if not result.converged:
+                    raise StageSolveError(
+                        f"stage iteration failed (residual {result.stage_residual:.3e})",
+                        result=result,
+                        alpha=alpha_k,
+                    )
+        except (
+            StageSolveError,
+            NoRootError,
+            SearchBudgetError,
+            problems_mod.SingularPotentialError,
+        ) as exc:
             raise IntegrationError(
                 f"step {k} at t={t!r} failed: {exc}", k, t, y.copy()
             ) from exc
@@ -289,21 +301,15 @@ def convergence_table(
     """Global error, observed order and root-band statistics per stepsize.
 
     `h_list` must be strictly decreasing.  `reference` may be the exact end
-    state; by default it is computed via `reference_state`.  Rows may be
-    evaluated concurrently by setting the SYMPULSE_THREADS environment
-    variable; assembly order is fixed either way.
+    state; by default it is computed via `reference_state`.
     """
     h_list = [float(h) for h in h_list]
     if any(h2 >= h1 for h1, h2 in zip(h_list, h_list[1:])):
         raise ValueError("h_list must be strictly decreasing")
-    if reference is None:
-        reference = reference_state(problem, t_end, min(h_list), e=e, y0=y0)
-    reference = np.asarray(reference, float)
-    index = resolve_perturb_index(method, s, perturb_index) if method != "gauss" else None
-    r = s - index if index is not None else 1
-
-    def run_one(h):
-        spec = RunSpec(
+    # build every run's spec first, so that bad inputs fail before the
+    # reference is computed
+    specs = [
+        RunSpec(
             problem=problem,
             method=method,
             s=s,
@@ -317,16 +323,14 @@ def convergence_table(
             search=search if search is not None else AlphaSearchConfig(),
             step_cfg=step_cfg,
         )
-        return integrate(spec)
-
-    threads = int(os.environ.get("SYMPULSE_THREADS", "1"))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(run_one, h_list))
-    else:
-        records = [run_one(h) for h in h_list]
+        for h in h_list
+    ]
+    if reference is None:
+        reference = reference_state(problem, t_end, min(h_list), e=e, y0=y0)
+    reference = np.asarray(reference, float)
+    index = resolve_perturb_index(method, s, perturb_index) if method != "gauss" else None
+    r = s - index if index is not None else 1
+    records = [integrate(spec) for spec in specs]
 
     rows = []
     previous_error = None

@@ -97,8 +97,16 @@ def _initial_stages(system, tableau, y0, cfg):
     return Y
 
 
-def step(system, tableau, y0, cfg: StepConfig) -> StepResult:
+def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     """Advance one step of the implicit RK method defined by `tableau`.
+
+    `guess`, an (s, n) array, replaces `cfg.stage_guess` as the starting
+    stages: typically the converged stages of a nearby tableau from the same
+    y0.  A solve started from it takes one more sweep after its residual
+    first meets `stage_tol`.  The error left at that point depends on where
+    the guess came from, and the extra sweep shrinks it by the contraction
+    factor, so that y1 varies smoothly with the tableau however it was
+    started.
 
     Non-convergence is reported through the `converged` flag, not raised;
     domain errors from the vector field propagate (except for transient
@@ -113,8 +121,9 @@ def step(system, tableau, y0, cfg: StepConfig) -> StepResult:
     scale = 1.0 + np.max(np.abs(y0))
     tol = cfg.stage_tol
 
-    Y = _initial_stages(system, tableau, y0, cfg)
+    Y = _initial_stages(system, tableau, y0, cfg) if guess is None else guess
     F = system.vector_field(Y)
+    polish = guess is not None
 
     newton = cfg.solver == "simplified_newton"
     jac_point = y0
@@ -132,10 +141,12 @@ def step(system, tableau, y0, cfg: StepConfig) -> StepResult:
         history.append(res)
         if res <= tol:
             converged = True
-            break
-        if newton and (not np.isfinite(res) or res > 1e8 * scale):
+            if not polish:
+                break
+            polish = False
+        elif newton and (not np.isfinite(res) or res > 1e8 * scale):
             break  # Newton is diverging; report failure instead of burning iterations
-        if len(history) > _STALL_WINDOW and history[-1] > 0.5 * history[-1 - _STALL_WINDOW]:
+        elif len(history) > _STALL_WINDOW and history[-1] > 0.5 * history[-1 - _STALL_WINDOW]:
             if not newton:
                 newton = True
                 M = None

@@ -218,17 +218,41 @@ def gauss_core(s: int) -> np.ndarray:
     return X
 
 
+def _affine_parts(q):
+    """The Gauss tableau A0 = P core P^{-1} and the unit perturbations
+    D_j = P W_j P^{-1}, j = 1..s-1, stored at position j - 1."""
+    basis = legendre_basis(q)
+    A0 = _frozen(basis.P @ gauss_core(q.s) @ basis.Pinv)
+    D = tuple(
+        _frozen(basis.P @ PerturbationSpec.single(q.s, j, 1.0).matrix @ basis.Pinv)
+        for j in range(1, q.s)
+    )
+    return A0, D
+
+
+@lru_cache(maxsize=MAX_STAGES + 2)
+def _cached_affine_parts(s):
+    return _affine_parts(gauss_quadrature(s))
+
+
 def butcher(q: QuadratureRule, pert: PerturbationSpec) -> ButcherTableau:
-    """Assemble the (possibly perturbed) tableau A = P (core + W) P^{-1}."""
+    """Assemble the (possibly perturbed) tableau A = P (core + W) P^{-1}.
+
+    W is linear in the perturbation values, so A = A0 + sum_j v_j D_j is
+    built from the Gauss tableau A0 and the unit perturbations D_j, which
+    are computed once per stage count for the standard quadrature rules.
+    """
     if pert.s != q.s:
         raise ValueError(f"perturbation built for s={pert.s}, quadrature has s={q.s}")
-    basis = legendre_basis(q)
-    A = basis.P @ (gauss_core(q.s) + pert.matrix) @ basis.Pinv
-    if pert.is_zero:
-        order = 2 * q.s
-    else:
-        order = 2 * min(j for j, v in pert.entries if v != 0.0)
-    return ButcherTableau(quadrature=q, A=_frozen(A), perturbation=pert, order=order)
+    A0, D = _cached_affine_parts(q.s) if q is gauss_quadrature(q.s) else _affine_parts(q)
+    A = A0
+    order = 2 * q.s
+    for j, v in pert.entries:
+        if v != 0.0:
+            A = A + v * D[j - 1]
+            order = min(order, 2 * j)
+    A.setflags(write=False)
+    return ButcherTableau(quadrature=q, A=A, perturbation=pert, order=order)
 
 
 def defect_weights(q: QuadratureRule, index: int | None = None) -> np.ndarray:

@@ -34,6 +34,11 @@ class TestParsing:
         with pytest.raises(UsageError):
             parse_value_list(text)
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "0.1,nan", "inf:0.1", "0:nan:3"])
+    def test_rejects_non_finite_values(self, text):
+        with pytest.raises(UsageError, match="finite"):
+            parse_value_list(text)
+
 
 class TestTableauCommand:
     def test_csv_matches_library(self, capsys):
@@ -125,6 +130,17 @@ class TestIntegrateCommand:
         assert code == 2
         assert "step 0" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--t-end", "inf"], ["--h", "nan", "--t-end", "1"], ["--t0", "nan", "--t-end", "1"]],
+    )
+    def test_non_finite_input_usage_error(self, capsys, flags):
+        code, out, err = run_capture(capsys, ["integrate", "--problem", "kepler"] + flags)
+        assert code == 1
+        assert out == ""
+        assert "must be finite" in err
+        assert "Traceback" not in err
+
     def test_unknown_problem_usage_error(self, capsys):
         code, _, _ = run_capture(
             capsys, ["integrate", "--problem", "threebody", "--h", "0.1"]
@@ -185,6 +201,23 @@ class TestLevelmapCommand:
             capsys, ["levelmap", "--problem", "kepler", "--stages", "1"]
         )
         assert code == 1
+
+    def test_non_finite_grid_usage_error(self, capsys):
+        code, out, err = run_capture(
+            capsys, ["levelmap", "--problem", "kepler", "--h-list", "nan"]
+        )
+        assert code == 1
+        assert out == ""
+        assert "must be finite" in err
+
+    def test_default_index_is_the_last_coupling(self, capsys):
+        code, out, _ = run_capture(
+            capsys,
+            ["levelmap", "--problem", "kepler", "--stages", "3",
+             "--h-list", "0.1", "--alpha-list", "0:0.001:2"],
+        )
+        assert code == 0
+        assert "# perturb_index = 2" in out.splitlines()
 
 
 class TestTopLevel:

@@ -1,12 +1,11 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
-from sympulse import conserve
+from sympulse import conserve, experiments
 from sympulse.conserve import (
     AlphaSearchConfig,
     NoRootError,
+    SearchBudgetError,
     StageSolveError,
     energy_defect,
     level_grid,
@@ -14,7 +13,7 @@ from sympulse.conserve import (
 )
 from sympulse.experiments import RunSpec, integrate
 from sympulse.problems import harmonic, kepler
-from sympulse.stepper import StepConfig
+from sympulse.stepper import StepConfig, step
 
 H5 = 2.0**-5
 
@@ -139,7 +138,11 @@ class TestSolveAlpha:
             )
             for _ in range(2)
         ]
-        assert dataclasses.asdict(records[0]) == dataclasses.asdict(records[1])
+        first, again = records
+        assert first == again  # every field but the accepted step
+        for name in ("y1", "stages", "stage_fields"):
+            assert np.array_equal(getattr(first.step, name), getattr(again.step, name))
+        assert first.step.iterations == again.step.iterations
 
     def test_no_root_error(self):
         system, ic = kepler(0.6)
@@ -152,7 +155,7 @@ class TestSolveAlpha:
     def test_eval_budget_enforced(self):
         system, ic = kepler(0.6)
         cfg = AlphaSearchConfig(strategy="bisection", max_g_evals=3)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(SearchBudgetError):
             solve_alpha(system, 2, 1, ic.y0, H5, cfg, StepConfig(h=H5))
 
     def test_zero_stepsize_rejected(self):
@@ -186,6 +189,31 @@ class TestSolveAlpha:
         assert fast.g_evals.mean() <= 12.0
         assert slow.g_evals.mean() >= 30.0
         assert fast.delta / H5**2 == pytest.approx(slow.delta / H5**2, rel=1e-6)
+
+    def test_each_defect_evaluation_is_one_stage_solve(self, monkeypatch):
+        # the root's probe is the accepted step: a tuned run solves no stage
+        # system outside the search
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(conserve, "step", counted)
+        monkeypatch.setattr(experiments, "step", counted)
+        spec = RunSpec(problem="kepler", method="ep-gauss", s=2, h=H5, t_end=0.5, e=0.6)
+        traj = integrate(spec)
+        assert len(calls) == int(traj.g_evals.sum())
+        assert traj.g_evals.min() >= 2
+
+    def test_accepted_step_is_the_root_probe(self):
+        system, ic = kepler(0.6)
+        record = solve_alpha(
+            system, 2, 1, ic.y0, H5, AlphaSearchConfig(), StepConfig(h=H5)
+        )
+        assert record.step.converged
+        g = float(system.energy(record.step.y1) - system.energy(ic.y0))
+        assert g == record.g_residual
 
     def test_energy_target_offsets_root(self):
         # pinning the target to a slightly different energy shifts the root

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sympulse.conserve import AlphaSearchConfig
+from sympulse.conserve import AlphaSearchConfig, SearchBudgetError
 from sympulse.experiments import (
     IntegrationError,
     RunSpec,
@@ -22,6 +22,21 @@ class TestRunSpec:
             RunSpec(problem="kepler", method="gauss", s=2, h=0.1, t_end=0.0)
         with pytest.raises(ValueError):
             RunSpec(problem="kepler", method="gauss", s=2, h=-0.1, t_end=1.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"h": float("nan")},
+            {"h": float("inf")},
+            {"t_end": float("inf")},
+            {"t_end": float("nan")},
+            {"t0": float("-inf")},
+        ],
+    )
+    def test_non_finite_inputs_rejected(self, kwargs):
+        base = {"problem": "kepler", "method": "gauss", "s": 2, "h": 0.1, "t_end": 1.0}
+        with pytest.raises(ValueError, match="finite"):
+            RunSpec(**{**base, **kwargs})
 
     def test_perturb_index_defaults(self):
         assert resolve_perturb_index("ep-gauss", 3) == 2
@@ -83,6 +98,18 @@ class TestIntegrate:
         assert err.value.step_index == 0
         assert err.value.state.shape == (4,)
 
+    def test_search_budget_carries_step_context(self):
+        spec = RunSpec(
+            problem="kepler", method="ep-gauss", s=2, h=2**-5, t_end=1.0, e=0.6,
+            search=AlphaSearchConfig(max_g_evals=3),
+        )
+        with pytest.raises(IntegrationError) as err:
+            integrate(spec)
+        assert isinstance(err.value.__cause__, SearchBudgetError)
+        assert err.value.step_index == 0
+        assert err.value.time == 0.0
+        assert "max_g_evals=3" in str(err.value)
+
 
 class TestReferenceState:
     def test_kepler_is_exact(self):
@@ -132,13 +159,6 @@ class TestConvergenceTable:
             e=0.6,
         )
         assert rows[0].e_h < 1e-5
-
-    def test_threaded_rows_match_sequential(self, monkeypatch):
-        args = ("kepler", "gauss", 2, [2**-4, 2**-5], 1.0)
-        sequential = convergence_table(*args, e=0.6)
-        monkeypatch.setenv("SYMPULSE_THREADS", "2")
-        threaded = convergence_table(*args, e=0.6)
-        assert sequential == threaded
 
 
 class TestEnergyDefectOrder:

@@ -76,6 +76,28 @@ class TestStep:
         np.testing.assert_allclose(a.y1, b.y1, rtol=0, atol=1e-12)
         assert b.iterations <= a.iterations
 
+    def test_warm_start_reaches_the_cold_step(self):
+        # stages converged at a nearby alpha seed the solve at another one
+        system, ic = kepler(0.6)
+        cfg = StepConfig(h=2**-5)
+        near = step(system, make_tableau(2, 1, 1e-4), ic.y0, cfg)
+        tab = make_tableau(2, 1, 3e-4)
+        cold = step(system, tab, ic.y0, cfg)
+        warm = step(system, tab, ic.y0, cfg, guess=near.stages)
+        assert warm.converged
+        assert warm.iterations < cold.iterations
+        bound = 4 * np.finfo(float).eps * (1.0 + np.max(np.abs(ic.y0)))
+        assert np.max(np.abs(warm.y1 - cold.y1)) <= bound
+
+    def test_warm_start_takes_one_sweep_past_tolerance(self):
+        # a guess that already solves the stage equations still gets one
+        # more sweep before the step returns
+        tab = make_tableau(2)
+        y0 = np.array([0.3, -0.8])
+        res = step(CONSTANT_H, tab, y0, StepConfig(h=0.5), guess=np.tile(y0, (2, 1)))
+        assert res.converged
+        assert res.iterations == 2
+
     def test_non_convergence_is_flagged_not_raised(self):
         system, ic = kepler(0.6)
         tab = make_tableau(2)

@@ -222,6 +222,19 @@ class TestButcher:
             tab = butcher(q, PerturbationSpec.single(3, 2, alpha))
             np.testing.assert_allclose(tab.A, base + alpha * direction, atol=1e-13)
 
+    @pytest.mark.parametrize("s", range(2, 9))
+    def test_affine_assembly_matches_transformed_core(self, s):
+        # reference: the tableau transformed back from the perturbed core,
+        # A = P (core + W) P^{-1}, built afresh for every value
+        q = gauss_quadrature(s)
+        basis = legendre_basis(q)
+        rng = np.random.default_rng(99 + s)
+        for index in range(1, s):
+            for alpha in rng.uniform(-0.5, 0.5, 10):
+                pert = PerturbationSpec.single(s, index, alpha)
+                reference = basis.P @ (gauss_core(s) + pert.matrix) @ basis.Pinv
+                assert np.max(np.abs(butcher(q, pert).A - reference)) <= 1e-15
+
     def test_order_bookkeeping(self):
         q = gauss_quadrature(3)
         assert butcher(q, PerturbationSpec.none(3)).order == 6
