@@ -70,6 +70,12 @@ class AlphaSearchConfig:
     def __post_init__(self):
         if self.strategy not in ("bisection", "secant"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        for name in (
+            "g_tol", "alpha_tol", "bracket_seed", "bracket_growth", "bracket_max", "secant_warm"
+        ):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if min(self.g_tol, self.alpha_tol) <= 0.0:
             raise ValueError("tolerances must be positive")
         if self.max_g_evals < 3:

@@ -71,7 +71,7 @@ class RunSpec:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        for name in ("h", "t0", "t_end"):
+        for name in ("h", "t0", "t_end", "alpha"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.t_end <= self.t0:
@@ -99,10 +99,13 @@ class RunSpec:
 class TrajectoryRecord:
     """States and diagnostics of one run; arrays share the step axis.
 
-    `energy_error[k]` is H(y_k) - H(y_0); `alpha_trace[k]`, `g_evals[k]` and
-    `stage_iters[k]` describe step k (one entry per step).  When the interval
-    is not an integer multiple of h the trailing partial step is flagged and
-    excluded from the root-band statistics.
+    `energy_error[k]` is H(y_k) - H(y_0); `alpha_trace[k]`, `g_evals[k]`,
+    `g_residual[k]` and `stage_iters[k]` describe step k (one entry per
+    step).  `g_residual[k]` is the energy defect the root search left at its
+    root, measured against H(y_0), so it agrees with `energy_error[k + 1]` to
+    round-off; it is 0.0 for methods that do not tune alpha.  When the
+    interval is not an integer multiple of h the trailing partial step is
+    flagged and excluded from the root-band statistics.
     """
 
     spec: RunSpec
@@ -112,6 +115,7 @@ class TrajectoryRecord:
     invariant_errors: dict
     alpha_trace: np.ndarray
     g_evals: np.ndarray
+    g_residual: np.ndarray
     stage_iters: np.ndarray
     partial_final: bool
 
@@ -169,6 +173,7 @@ def integrate(spec: RunSpec) -> TrajectoryRecord:
     }
     alpha_trace = np.empty(n_steps)
     g_evals = np.zeros(n_steps, dtype=int)
+    g_residual = np.zeros(n_steps)
     stage_iters = np.zeros(n_steps, dtype=int)
 
     times[0] = t
@@ -177,10 +182,15 @@ def integrate(spec: RunSpec) -> TrajectoryRecord:
     for name in inv0:
         invariant_errors[name][0] = 0.0
 
+    # one StepConfig per distinct step size: the full steps and the partial one
+    full_cfg = spec.make_step_cfg()
+    last_cfg = spec.make_step_cfg(remainder) if partial else full_cfg
     hint = None
     for k in range(n_steps):
-        h = spec.h if k < n_full else remainder
-        cfg = spec.make_step_cfg(h)
+        if k < n_full:
+            h, cfg = spec.h, full_cfg
+        else:
+            h, cfg = remainder, last_cfg
         try:
             if spec.tunes_alpha:
                 record = solve_alpha(
@@ -196,6 +206,7 @@ def integrate(spec: RunSpec) -> TrajectoryRecord:
                 )
                 alpha_k = record.alpha_star
                 g_evals[k] = record.g_evals
+                g_residual[k] = record.g_residual
                 # warm-start the next step only if it runs at the same h
                 hint = alpha_k if k + 1 < n_full else None
                 result = record.step
@@ -235,6 +246,7 @@ def integrate(spec: RunSpec) -> TrajectoryRecord:
         invariant_errors=invariant_errors,
         alpha_trace=alpha_trace,
         g_evals=g_evals,
+        g_residual=g_residual,
         stage_iters=stage_iters,
         partial_final=partial,
     )

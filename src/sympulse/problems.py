@@ -1,8 +1,12 @@
 """Benchmark Hamiltonian systems: energy, gradient and canonical vector field.
 
 State vectors are laid out as y = (q_1..q_m, p_1..p_m); the canonical flow is
-q' = dH/dp, p' = -dH/dq.  Energy and gradient callables broadcast over leading
-axes so that a whole block of stage vectors can be evaluated in one call.
+f = J grad H, that is q' = dH/dp, p' = -dH/dq.  Each problem supplies its
+energy and one fused kernel for the flow, which fills a single output array
+with no gradient temporary; the gradient is derived from the flow exactly,
+grad H = -J f (a copy and a negation), so no problem keeps two copies of its
+derivative.  Both callables broadcast over leading axes so that a whole block
+of stage vectors can be evaluated in one call.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ class HamiltonianSystem:
     name: str
     m: int
     energy: Callable[[np.ndarray], np.ndarray]
-    gradient: Callable[[np.ndarray], np.ndarray]
+    flow: Callable[[np.ndarray], np.ndarray]
     quadratic_invariants: tuple[Invariant, ...] = ()
 
     @property
@@ -41,13 +45,19 @@ class HamiltonianSystem:
         return 2 * self.m
 
     def vector_field(self, y):
-        """f(y) = J grad H(y) with J the canonical structure matrix."""
-        g = self.gradient(y)
-        f = np.empty_like(g)
+        """f(y) = J grad H(y) with J the canonical structure matrix.  Every
+        stage solve evaluates the flow through this method."""
+        return self.flow(y)
+
+    def gradient(self, y):
+        """grad H(y) = -J f(y): the flow's halves swapped, the new first
+        half negated."""
+        f = self.flow(y)
+        g = np.empty_like(f)
         m = self.m
-        f[..., :m] = g[..., m:]
-        f[..., m:] = -g[..., :m]
-        return f
+        np.negative(f[..., m:], out=g[..., :m])
+        g[..., m:] = f[..., :m]
+        return g
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,32 +83,33 @@ def kepler(e: float = 0.6):
     if not 0.0 <= e < 1.0:
         raise ValueError(f"eccentricity must be in [0, 1), got {e}")
 
-    def _radius(y):
-        q = y[..., :2]
-        r = np.sqrt(np.sum(q * q, axis=-1))
-        if np.any(r < SINGULARITY_RADIUS):
+    def _radius(q):
+        r = np.sqrt((q * q).sum(-1))
+        if r.min() < SINGULARITY_RADIUS:
             raise SingularPotentialError(
                 f"state within {SINGULARITY_RADIUS} of the gravitational singularity"
             )
         return r
 
     def energy(y):
-        r = _radius(y)
+        r = _radius(y[..., :2])
         p = y[..., 2:]
-        return 0.5 * np.sum(p * p, axis=-1) - 1.0 / r
+        return 0.5 * (p * p).sum(-1) - 1.0 / r
 
-    def gradient(y):
-        r = _radius(y)
-        g = np.empty_like(y)
-        g[..., :2] = y[..., :2] / r[..., None] ** 3
-        g[..., 2:] = y[..., 2:]
-        return g
+    def flow(y):
+        # p' = -q / r^3, with the sign folded into the divisor (exact)
+        q = y[..., :2]
+        r = _radius(q)
+        f = np.empty_like(y)
+        f[..., :2] = y[..., 2:]
+        np.divide(q, -r[..., None] ** 3, out=f[..., 2:])
+        return f
 
     system = HamiltonianSystem(
         name="kepler",
         m=2,
         energy=energy,
-        gradient=gradient,
+        flow=flow,
         quadratic_invariants=(ANGULAR_MOMENTUM,),
     )
     y0 = np.array([1.0 - e, 0.0, 0.0, np.sqrt((1.0 + e) / (1.0 - e))])
@@ -115,22 +126,24 @@ def quartic(y0=(1.2, 0.0, 0.3, 1.4)):
     """
 
     def energy(y):
-        q2 = np.sum(y[..., :2] ** 2, axis=-1)
-        p2 = np.sum(y[..., 2:] ** 2, axis=-1)
+        q2 = (y[..., :2] ** 2).sum(-1)
+        p2 = (y[..., 2:] ** 2).sum(-1)
         return 0.5 * p2 + q2 * q2
 
-    def gradient(y):
-        q2 = np.sum(y[..., :2] ** 2, axis=-1)
-        g = np.empty_like(y)
-        g[..., :2] = 4.0 * y[..., :2] * q2[..., None]
-        g[..., 2:] = y[..., 2:]
-        return g
+    def flow(y):
+        # p' = -4 q |q|^2, with the sign folded into the factor (exact)
+        q = y[..., :2]
+        q2 = (q ** 2).sum(-1)
+        f = np.empty_like(y)
+        f[..., :2] = y[..., 2:]
+        np.multiply(-4.0 * q, q2[..., None], out=f[..., 2:])
+        return f
 
     system = HamiltonianSystem(
         name="quartic",
         m=2,
         energy=energy,
-        gradient=gradient,
+        flow=flow,
         quadratic_invariants=(ANGULAR_MOMENTUM,),
     )
     return system, InitialCondition(y0=np.asarray(y0, float), label="quartic")
@@ -146,21 +159,20 @@ def henon_heiles():
 
     def energy(y):
         q1, q2 = y[..., 0], y[..., 1]
-        p2 = np.sum(y[..., 2:] ** 2, axis=-1)
+        p2 = (y[..., 2:] ** 2).sum(-1)
         u = 0.5 * (q1 * q1 + q2 * q2) + q1 * q1 * q2 - q2 ** 3 / 3.0
         return 0.5 * p2 + u
 
-    def gradient(y):
+    def flow(y):
         q1, q2 = y[..., 0], y[..., 1]
-        g = np.empty_like(y)
-        g[..., 0] = q1 + 2.0 * q1 * q2
-        g[..., 1] = q2 + q1 * q1 - q2 * q2
-        g[..., 2:] = y[..., 2:]
-        return g
+        f = np.empty_like(y)
+        f[..., :2] = y[..., 2:]
+        f[..., 2] = q1 + 2.0 * q1 * q2
+        f[..., 3] = q2 + q1 * q1 - q2 * q2
+        np.negative(f[..., 2:], out=f[..., 2:])
+        return f
 
-    system = HamiltonianSystem(
-        name="henon-heiles", m=2, energy=energy, gradient=gradient
-    )
+    system = HamiltonianSystem(name="henon-heiles", m=2, energy=energy, flow=flow)
     y0 = np.array([0.0, 0.0, np.sqrt(0.3), 0.0])
     return system, InitialCondition(y0=y0, label="henon-heiles")
 
@@ -170,12 +182,15 @@ def harmonic():
     symplectic Runge-Kutta method conserves it exactly."""
 
     def energy(y):
-        return 0.5 * np.sum(y * y, axis=-1)
+        return 0.5 * (y * y).sum(-1)
 
-    def gradient(y):
-        return y.copy()
+    def flow(y):
+        f = np.empty_like(y)
+        f[..., :1] = y[..., 1:]
+        np.negative(y[..., :1], out=f[..., 1:])
+        return f
 
-    system = HamiltonianSystem(name="harmonic", m=1, energy=energy, gradient=gradient)
+    system = HamiltonianSystem(name="harmonic", m=1, energy=energy, flow=flow)
     return system, InitialCondition(y0=np.array([1.0, 0.0]), label="harmonic")
 
 

@@ -10,6 +10,7 @@ when the fixed-point increment stalls, and can be selected outright.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,9 @@ class StepConfig:
     stage_guess: str = "from_y0"
 
     def __post_init__(self):
+        for name in ("h", "stage_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.h == 0.0:
             raise ValueError("stepsize must be nonzero")
         if self.stage_tol <= 0.0:
@@ -91,7 +95,8 @@ def _fd_jacobian(system, y):
 
 
 def _initial_stages(system, tableau, y0, cfg):
-    Y = np.tile(y0, (tableau.s, 1))
+    Y = np.empty((tableau.s, y0.size))
+    Y[...] = y0
     if cfg.stage_guess == "extrapolated":
         Y = Y + cfg.h * tableau.c[:, None] * system.vector_field(y0)
     return Y
@@ -118,7 +123,7 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     s = tableau.s
     n = y0.size
     h = cfg.h
-    scale = 1.0 + np.max(np.abs(y0))
+    scale = 1.0 + np.abs(y0).max()
     tol = cfg.stage_tol
 
     Y = _initial_stages(system, tableau, y0, cfg) if guess is None else guess
@@ -132,16 +137,18 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     history = []
     iterations = 0
     converged = False
+    residual = None  # the residual of (Y, F) once the loop has stopped on it
 
     while iterations < cfg.max_iters:
         iterations += 1
-        AF = A @ F
-        defect = Y - y0 - h * AF
-        res = np.max(np.abs(defect)) / scale
+        hAF = h * (A @ F)
+        defect = Y - y0 - hAF
+        res = np.abs(defect).max() / scale
         history.append(res)
         if res <= tol:
             converged = True
             if not polish:
+                residual = res
                 break
             polish = False
         elif newton and (not np.isfinite(res) or res > 1e8 * scale):
@@ -163,10 +170,10 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
                 M = np.eye(s * n) - h * np.kron(A, _fd_jacobian(system, jac_point))
             Y = Y - np.linalg.solve(M, defect.ravel()).reshape(s, n)
         else:
-            Y = y0 + h * AF
+            Y = y0 + hAF
         try:
             F = system.vector_field(Y)
-            bad = not np.all(np.isfinite(F))
+            bad = not np.isfinite(F).all()
         except SingularPotentialError:
             if newton:
                 raise
@@ -182,7 +189,8 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
             Y = _initial_stages(system, tableau, y0, cfg)
             F = system.vector_field(Y)
 
-    residual = np.max(np.abs(Y - y0 - h * (A @ F))) / scale
+    if residual is None:
+        residual = np.abs(Y - y0 - h * (A @ F)).max() / scale
     converged = bool(converged and np.isfinite(residual) and residual <= tol)
     y1 = y0 + h * (b @ F)
     return StepResult(

@@ -132,7 +132,16 @@ class TestIntegrateCommand:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--t-end", "inf"], ["--h", "nan", "--t-end", "1"], ["--t0", "nan", "--t-end", "1"]],
+        [
+            ["--t-end", "inf"],
+            ["--h", "nan", "--t-end", "1"],
+            ["--t0", "nan", "--t-end", "1"],
+            # solver and search settings are checked where they are configured
+            ["--t-end", "1", "--stage-tol", "nan"],
+            ["--t-end", "1", "--stage-tol", "inf"],
+            ["--t-end", "1", "--g-tol", "nan", "--alpha-strategy", "secant"],
+            ["--t-end", "1", "--method", "fixed-alpha", "--alpha", "nan"],
+        ],
     )
     def test_non_finite_input_usage_error(self, capsys, flags):
         code, out, err = run_capture(capsys, ["integrate", "--problem", "kepler"] + flags)

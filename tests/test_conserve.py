@@ -35,6 +35,15 @@ class TestAlphaSearchConfig:
         with pytest.raises(ValueError):
             AlphaSearchConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name",
+        ["g_tol", "alpha_tol", "bracket_seed", "bracket_growth", "bracket_max", "secant_warm"],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_settings_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            AlphaSearchConfig(**{name: value})
+
     def test_seed_defaults_to_ten_h_squared(self):
         cfg = AlphaSearchConfig()
         assert cfg.seed(0.01) == pytest.approx(10 * 0.01**2)

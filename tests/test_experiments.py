@@ -12,6 +12,7 @@ from sympulse.experiments import (
     resolve_perturb_index,
 )
 from sympulse.problems import kepler_reference
+from sympulse.stepper import StepConfig
 
 
 class TestRunSpec:
@@ -31,6 +32,7 @@ class TestRunSpec:
             {"t_end": float("inf")},
             {"t_end": float("nan")},
             {"t0": float("-inf")},
+            {"method": "fixed-alpha", "alpha": float("nan")},
         ],
     )
     def test_non_finite_inputs_rejected(self, kwargs):
@@ -77,6 +79,7 @@ class TestIntegrate:
         )
         traj = integrate(spec)
         np.testing.assert_array_equal(traj.alpha_trace, 1e-3)
+        np.testing.assert_array_equal(traj.g_residual, 0.0)  # no search ran
         assert np.max(np.abs(traj.invariant_errors["L"])) <= 1e-12
 
     def test_partial_final_step(self):
@@ -87,6 +90,44 @@ class TestIntegrate:
         assert traj.times[-1] == pytest.approx(1.03, abs=1e-15)
         assert traj.times[-2] == pytest.approx(1.0, abs=1e-15)
         assert traj.full_step_alphas.size == 4
+
+    @pytest.mark.parametrize("method", ["gauss", "ep-gauss"])
+    def test_partial_final_step_has_its_own_step_config(self, monkeypatch, method):
+        # the full steps share one StepConfig; the shortened last step gets
+        # one of its own, with the run's solver settings and its own h
+        import sympulse.conserve as conserve_mod
+        import sympulse.experiments as experiments_mod
+
+        seen = []
+        for module in (conserve_mod, experiments_mod):
+            original = module.step
+
+            def spy(system, tab, y0, cfg, guess=None, _original=original):
+                seen.append(cfg)
+                return _original(system, tab, y0, cfg, guess)
+
+            monkeypatch.setattr(module, "step", spy)
+        spec = RunSpec(
+            problem="quartic", method=method, s=2, h=0.25, t_end=1.03,
+            step_cfg=StepConfig(h=0.25, stage_tol=1e-13),
+        )
+        traj = integrate(spec)
+        assert traj.partial_final
+        full, last = seen[0], seen[-1]
+        assert {id(cfg) for cfg in seen} == {id(full), id(last)}
+        assert full.h == 0.25
+        assert last.h == pytest.approx(0.03, abs=1e-15)
+        assert last.stage_tol == 1e-13
+
+    def test_g_residual_is_the_energy_error_after_each_step(self):
+        spec = RunSpec(problem="kepler", method="ep-gauss", s=2, h=2**-5, t_end=2.0, e=0.6)
+        traj = integrate(spec)
+        assert traj.g_residual.shape == traj.g_evals.shape
+        # the search pins each step to H(y_0): its residual at the root is
+        # the energy error the step leaves, up to the round-off of H
+        ulp = np.spacing(0.5)
+        assert np.max(np.abs(traj.g_residual - traj.energy_error[1:])) <= 4 * ulp
+        assert np.max(np.abs(traj.g_residual)) <= spec.search.g_tol
 
     def test_failure_carries_step_context(self):
         spec = RunSpec(

@@ -83,6 +83,46 @@ class TestCommonStructure:
             np.testing.assert_array_equal(fields[k], system.vector_field(y))
 
 
+def reference_flow(name, y):
+    """The flow (dH/dp, -dH/dq) written out from each Hamiltonian, operation
+    for operation, as the reference the fused kernels must reproduce bit for
+    bit."""
+    q, p = (y[..., :1], y[..., 1:]) if name == "harmonic" else (y[..., :2], y[..., 2:])
+    if name == "kepler":
+        r = np.sqrt(np.sum(q * q, axis=-1))
+        dq = q / r[..., None] ** 3
+    elif name == "quartic":
+        dq = 4.0 * q * np.sum(q**2, axis=-1)[..., None]
+    elif name == "henon-heiles":
+        q1, q2 = y[..., 0], y[..., 1]
+        dq = np.stack([q1 + 2.0 * q1 * q2, q2 + q1 * q1 - q2 * q2], axis=-1)
+    else:
+        dq = q.copy()
+    return np.concatenate([p, -dq], axis=-1)
+
+
+class TestFlowKernel:
+    @pytest.mark.parametrize("shape", [(), (3,), (5, 3)])
+    @pytest.mark.parametrize("name", sorted(ALL_SYSTEMS))
+    def test_flow_is_the_canonical_formula_bit_for_bit(self, name, shape):
+        system, _ = ALL_SYSTEMS[name]()
+        n = int(np.prod(shape))
+        y = sample_states(name, n).reshape(shape + (system.dim,))
+        f = system.vector_field(y)
+        assert f.shape == y.shape
+        np.testing.assert_array_equal(f, reference_flow(name, y))
+
+    @pytest.mark.parametrize("name", sorted(ALL_SYSTEMS))
+    def test_gradient_is_minus_J_times_the_flow(self, name):
+        system, _ = ALL_SYSTEMS[name]()
+        y = sample_states(name, 6).reshape(2, 3, system.dim)
+        f = system.vector_field(y)
+        m = system.m
+        np.testing.assert_array_equal(
+            system.gradient(y), np.concatenate([-f[..., m:], f[..., :m]], axis=-1)
+        )
+
+
 class TestKepler:
     def test_start_state_energy_and_momentum(self):
         system, ic = kepler(0.6)

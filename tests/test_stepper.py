@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ CONSTANT_H = HamiltonianSystem(
     name="constant",
     m=1,
     energy=lambda y: np.zeros(y.shape[:-1]),
-    gradient=lambda y: np.zeros_like(y),
+    flow=lambda y: np.zeros_like(y),
 )
 
 
@@ -33,6 +35,10 @@ class TestStepConfig:
             {"h": 0.1, "max_iters": 0},
             {"h": 0.1, "solver": "newton-krylov"},
             {"h": 0.1, "stage_guess": "previous"},
+            {"h": float("nan")},
+            {"h": float("inf")},
+            {"h": 0.1, "stage_tol": float("nan")},
+            {"h": 0.1, "stage_tol": float("inf")},
         ],
     )
     def test_validation(self, kwargs):
@@ -97,6 +103,41 @@ class TestStep:
         res = step(CONSTANT_H, tab, y0, StepConfig(h=0.5), guess=np.tile(y0, (2, 1)))
         assert res.converged
         assert res.iterations == 2
+
+    @pytest.mark.parametrize("guess", ["from_y0", "extrapolated"])
+    def test_cold_step_makes_one_field_call_per_sweep(self, guess):
+        # the first sweep evaluates the initial stages, every later one the
+        # update of the sweep before; the converged exit evaluates nothing more
+        system, ic = kepler(0.6)
+        calls = []
+
+        def counted(y):
+            calls.append(1)
+            return system.flow(y)
+
+        wrapped = dataclasses.replace(system, flow=counted)
+        cfg = StepConfig(h=2**-5, stage_guess=guess)
+        res = step(wrapped, make_tableau(2, 1, 1e-3), ic.y0, cfg)
+        assert res.converged
+        extra = 1 if guess == "extrapolated" else 0  # f(y0) for the extrapolation
+        assert len(calls) == res.iterations + extra
+
+    @pytest.mark.parametrize("start", ["cold", "warm", "out_of_budget"])
+    def test_stage_residual_is_the_residual_of_the_returned_stages(self, start):
+        system, ic = kepler(0.6)
+        tab = make_tableau(3, 2, 1e-3)
+        cfg = StepConfig(h=2**-5)
+        guess = None
+        if start == "warm":
+            guess = step(system, make_tableau(3, 2, 2e-3), ic.y0, cfg).stages
+        elif start == "out_of_budget":
+            cfg = StepConfig(h=2**-5, stage_tol=1e-30, max_iters=4)
+        res = step(system, tab, ic.y0, cfg, guess)
+        assert res.converged == (start != "out_of_budget")
+        F = system.vector_field(res.stages)
+        fresh = np.max(np.abs(res.stages - ic.y0 - cfg.h * (tab.A @ F)))
+        assert res.stage_residual == fresh / (1.0 + np.max(np.abs(ic.y0)))
+        np.testing.assert_array_equal(res.stage_fields, F)
 
     def test_non_convergence_is_flagged_not_raised(self):
         system, ic = kepler(0.6)
