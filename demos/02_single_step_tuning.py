@@ -3,7 +3,8 @@
 
 A single step of the perturbed method from the Kepler perihelion: scan the
 energy defect g(alpha) = H(y1(alpha)) - H(y0), watch it change sign, locate
-the root with both search strategies, and verify the quasi-collocation
+the root with the bracketed search (a geometric scan for the sign change,
+then Brent's method down to machine width), and verify the quasi-collocation
 structure of the stage interpolant at the tuned value.
 """
 
@@ -24,21 +25,17 @@ for alpha in (-2e-4, -1e-4, 0.0, 5e-5, 1e-4, 2e-4):
     g, _ = sp.energy_defect(system, 2, 1, ic.y0, h, alpha, cfg)
     print(f"  alpha={alpha:+.1e}   g={g:+.3e}")
 
-rec_b = sp.solve_alpha(system, 2, 1, ic.y0, h,
-                       sp.AlphaSearchConfig(strategy="bisection"), cfg)
-rec_s = sp.solve_alpha(system, 2, 1, ic.y0, h,
-                       sp.AlphaSearchConfig(strategy="secant"), cfg)
-print(f"\nbracketed search  : alpha* = {rec_b.alpha_star:+.12e}  "
-      f"({rec_b.g_evals} defect evaluations)")
-print(f"secant search     : alpha* = {rec_s.alpha_star:+.12e}  "
-      f"({rec_s.g_evals} defect evaluations)")
-print(f"agreement         : {abs(rec_b.alpha_star - rec_s.alpha_star):.2e}")
+rec = sp.solve_alpha(system, 2, 1, ic.y0, h, sp.AlphaSearchConfig(), cfg)
+lo, hi = rec.bracket
+print(f"\nroot              : alpha* = {rec.alpha_star:+.12e}")
+print(f"cost              : {rec.g_evals} defect evaluations (one stage solve each)")
+print(f"scanned bracket   : [{lo:+.6e}, {hi:+.6e}]")
 
 # the search's step at the root: the energy is conserved to tolerance, the
 # angular momentum automatically (symplecticity), and the stages satisfy the
 # quasi-collocation identities of the perturbed method
-alpha = rec_b.alpha_star
-g, result = rec_b.g_residual, rec_b.step
+alpha = rec.alpha_star
+g, result = rec.g_residual, rec.step
 L = system.quadratic_invariants[0].fn
 print(f"\nat alpha*: dH = {g:+.2e},  dL = {float(L(result.y1) - L(ic.y0)):+.2e}")
 

@@ -13,7 +13,7 @@ import numpy as np
 import sympulse as sp
 
 H = 2.0**-5
-SEARCH = sp.AlphaSearchConfig(strategy="bisection")
+SEARCH = sp.AlphaSearchConfig()
 
 print("integrating [0, 50] at h=2^-5 ...")
 tuned = sp.integrate(sp.RunSpec(

@@ -13,7 +13,7 @@ Runtime: a couple of minutes (every row is a full [0, 50] integration).
 
 import sympulse as sp
 
-SEARCH = sp.AlphaSearchConfig(strategy="bisection")
+SEARCH = sp.AlphaSearchConfig()
 
 
 def show(title, rows, power):

@@ -33,7 +33,7 @@ print("wrote defect_level_map.csv")
 roots = []
 for h in h_values:
     rec = sp.solve_alpha(system, 2, 1, ic.y0, float(h),
-                         sp.AlphaSearchConfig(strategy="bisection"),
+                         sp.AlphaSearchConfig(),
                          StepConfig(h=float(h)))
     roots.append(rec.alpha_star)
 print("zero curve alpha*(h)/h^2 spans "

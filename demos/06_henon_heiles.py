@@ -16,7 +16,7 @@ import sympulse as sp
 print("integrating [0, 500] at h = 0.25 ...")
 tuned = sp.integrate(sp.RunSpec(
     problem="henon-heiles", method="ep-gauss-type2", s=3, h=0.25, t_end=500.0,
-    search=sp.AlphaSearchConfig(strategy="bisection"),
+    search=sp.AlphaSearchConfig(),
 ))
 plain = sp.integrate(sp.RunSpec(
     problem="henon-heiles", method="gauss", s=3, h=0.25, t_end=500.0,

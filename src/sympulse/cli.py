@@ -129,13 +129,9 @@ def _add_tolerance_flags(p):
     p.add_argument("--stage-tol", type=float, default=1e-14, help="stage-equation tolerance")
     p.add_argument("--stage-solver", choices=SOLVERS, default="fixed_point")
     p.add_argument(
-        "--alpha-strategy", choices=("bisection", "secant"), default="bisection",
-        help="per-step root search: bracketed Brent search or warm-started secant",
-    )
-    p.add_argument("--g-tol", type=float, default=1e-13, help="energy-defect tolerance")
-    p.add_argument(
         "--bracket-seed", type=float, default=None,
-        help="first probe of the bracket scan (default 10*h^2, capped)",
+        help="first probe of the scan that brackets the per-step root before "
+        "Brent's method narrows it (default 10*h^(2r), capped)",
     )
 
 
@@ -211,11 +207,7 @@ def _header(pairs):
 
 
 def _search_config(ns):
-    return AlphaSearchConfig(
-        strategy=ns.alpha_strategy,
-        g_tol=ns.g_tol,
-        bracket_seed=ns.bracket_seed,
-    )
+    return AlphaSearchConfig(bracket_seed=ns.bracket_seed)
 
 
 def _step_config(ns, h):
@@ -225,6 +217,8 @@ def _step_config(ns, h):
 def _run_tableau(ns):
     if not 1 <= ns.stages <= MAX_STAGES:
         raise UsageError(f"--stages must be in 1..{MAX_STAGES}")
+    if not math.isfinite(ns.alpha):
+        raise UsageError(f"--alpha must be finite, got {ns.alpha!r}")
     index = ns.perturb_index
     if index is None:
         index = ns.stages - 1 if ns.stages > 1 else None
@@ -309,8 +303,6 @@ def _run_integrate(ns):
             ("t_end", t_end),
             ("stage_tol", ns.stage_tol),
             ("stage_solver", ns.stage_solver),
-            ("alpha_strategy", ns.alpha_strategy),
-            ("g_tol", ns.g_tol),
             ("bracket_seed", ns.bracket_seed),
             ("partial_final", str(record.partial_final).lower()),
         ]
@@ -377,8 +369,6 @@ def _run_converge(ns):
             ("t_end", t_end),
             ("stage_tol", ns.stage_tol),
             ("stage_solver", ns.stage_solver),
-            ("alpha_strategy", ns.alpha_strategy),
-            ("g_tol", ns.g_tol),
             ("bracket_seed", ns.bracket_seed),
             ("error_norm", "euclidean"),
         ]

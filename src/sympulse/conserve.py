@@ -5,15 +5,14 @@ For one step of size h from y0, the energy defect
     g(alpha) = H(y1(alpha)) - H(y0)
 
 is a smooth scalar function of the perturbation parameter with a root
-alpha* = O(h^{2r}) near zero (r = s - perturbed index).  Two search
-strategies are provided: `bisection` brackets the sign change by geometric
-expansion from a small seed and narrows the bracket with Brent's method down
-to machine width; `secant` iterates the secant method warm-started from the
-previous step's root, safeguarded by a fall-back to the bracketing search.
-Either way each probe is one stage solve, warm-started from the converged
-probe nearest in alpha, and the probe at the root is the step the caller
-accepts.  Quadratic Hamiltonians make g vanish identically; that degeneracy
-is detected and reported instead of searched.
+alpha* = O(h^{2r}) near zero (r = s - perturbed index).  The search
+brackets the sign change by a geometric scan from a small seed and narrows
+the bracket with Brent's method down to machine width, so the located root
+is the sign-change point of the computed defect.  Each probe is one stage
+solve, warm-started from the converged probe nearest in alpha, and the probe
+at the root is the step the caller accepts.  Quadratic Hamiltonians make g
+vanish identically; that degeneracy is detected and reported instead of
+searched.
 """
 
 from __future__ import annotations
@@ -43,41 +42,33 @@ class NoRootError(RuntimeError):
 
 
 class SearchBudgetError(RuntimeError):
-    """The per-step root search used up `max_g_evals` defect evaluations."""
+    """Narrowing a found bracket used up `max_g_evals` defect evaluations."""
 
 
 @dataclass(frozen=True)
 class AlphaSearchConfig:
     """Settings for the per-step root search on the energy defect.
 
-    `g_tol` is scaled internally by max(1, |H(y0)|); `alpha_tol` is an
-    absolute bracket width.  `bracket_seed` defaults to 10 h^{2r} (the
-    natural magnitude of the root for the perturbed index), capped at
-    bracket_max / 8.  `secant_warm`, when set, fixes the second secant
-    iterate of the first step; by default the search warm-starts from the
-    previous step's root when the caller provides one.
+    `alpha_tol` is an absolute bracket width.  `bracket_seed` defaults to
+    10 h^{2r} (the natural magnitude of the root for the perturbed index),
+    capped at bracket_max / 8.  The bracket scan's cost is fixed by its
+    geometry (seed, growth, bracket_max, and an inward floor near alpha_tol);
+    `max_g_evals` bounds the evaluations that narrow a found bracket.
     """
 
-    strategy: str = "bisection"
-    g_tol: float = 1e-13
     alpha_tol: float = 1e-16
     max_g_evals: int = 80
     bracket_seed: float | None = None
     bracket_growth: float = 2.0
     bracket_max: float = 0.5
-    secant_warm: float | None = None
 
     def __post_init__(self):
-        if self.strategy not in ("bisection", "secant"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        for name in (
-            "g_tol", "alpha_tol", "bracket_seed", "bracket_growth", "bracket_max", "secant_warm"
-        ):
+        for name in ("alpha_tol", "bracket_seed", "bracket_growth", "bracket_max"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if min(self.g_tol, self.alpha_tol) <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if self.alpha_tol <= 0.0:
+            raise ValueError("alpha_tol must be positive")
         if self.max_g_evals < 3:
             raise ValueError("max_g_evals must allow at least 3 evaluations")
         if self.bracket_growth <= 1.0:
@@ -99,9 +90,10 @@ class AlphaSearchConfig:
 @dataclass(frozen=True)
 class AlphaSolveRecord:
     """Outcome of one per-step search: the root, its residual, the cost, the
-    bracket that produced it (None for secant convergence), whether the
-    defect sat at round-off for every probed value (quadratic Hamiltonian),
-    and the converged step at the root, which is the step to accept."""
+    bracket that produced it (None only when the step is degenerate), whether
+    the defect sat at round-off for every probed value (quadratic
+    Hamiltonian), and the converged step at the root, which is the step to
+    accept."""
 
     alpha_star: float
     g_residual: float
@@ -147,7 +139,6 @@ def solve_alpha(
     h,
     search_cfg: AlphaSearchConfig,
     step_cfg: StepConfig,
-    alpha_hint: float | None = None,
     energy_target: float | None = None,
 ) -> AlphaSolveRecord:
     """Find the perturbation value that conserves the energy over one step.
@@ -158,19 +149,18 @@ def solve_alpha(
     returned record carries the probe at the root as `step`, so the caller
     accepts that step instead of solving it again.
 
-    `alpha_hint` warm-starts the secant strategy (typically the previous
-    step's root).  `energy_target`, when given, replaces H(y0) as the value
-    the step must reproduce, letting long integrations pin every state to the
-    initial energy instead of accumulating per-step round-off.  Raises
-    SearchBudgetError when the search needs more than `max_g_evals` probes.
+    `energy_target`, when given, replaces H(y0) as the value the step must
+    reproduce, letting long integrations pin every state to the initial
+    energy instead of accumulating per-step round-off.  Raises NoRootError
+    when the scan finds no sign change, and SearchBudgetError when narrowing
+    the bracket needs more than `max_g_evals` probes.
     """
     if h == 0.0:
         raise ValueError("stepsize must be nonzero")
     h0 = float(system.energy(y0))
     target = h0 if energy_target is None else float(energy_target)
     offset = h0 - target
-    gtol = search_cfg.g_tol * max(1.0, abs(h0))
-    budget = search_cfg.max_g_evals
+    budget = math.inf  # the scan is bounded by its geometry, not the budget
     evals = 0
     probes = {}  # alpha -> StepResult of every converged probe
 
@@ -200,63 +190,10 @@ def solve_alpha(
         if abs(g(seed)) <= floor and abs(g(-seed)) <= floor:
             return AlphaSolveRecord(0.0, g0, evals, None, True, probes[0.0])
 
-    if search_cfg.strategy == "secant":
-        record = _secant(g, g0, seed, search_cfg, gtol, alpha_hint)
-        if record is not None:
-            alpha, res = record
-            return AlphaSolveRecord(alpha, res, evals, None, False, probes[alpha])
     lo, hi, glo, ghi = _expand_bracket(g, g0, seed, search_cfg, h, y0)
+    budget = evals + search_cfg.max_g_evals
     alpha, res = _bracketed_root(g, lo, hi, glo, ghi, search_cfg)
     return AlphaSolveRecord(alpha, res, evals, (lo, hi), False, probes[alpha])
-
-
-def _secant(g, g_at_zero, seed, cfg, gtol, hint):
-    """Safeguarded secant iteration; returns (root, residual) or None to
-    request the bracketing fall-back.
-
-    Warm-started from the previous step's root: if that value still conserves
-    it is kept as is (consecutive steps track one root branch without drift);
-    otherwise the iteration accepts the first genuine secant update whose
-    residual is inside tolerance.  The displaced warm probe itself is never
-    accepted, and a jump far beyond the probe spacing (flat secant
-    denominator) gives up rather than risk hopping to a distant branch."""
-    warm = hint is not None and hint != 0.0
-    if warm:
-        x0, f0 = hint, None
-        x1 = 1.01 * hint + 1e-12
-    elif cfg.secant_warm is not None:
-        x0, f0 = 0.0, g_at_zero
-        x1 = cfg.secant_warm
-    else:
-        x0, f0 = 0.0, g_at_zero
-        x1 = seed
-    try:
-        if f0 is None:
-            f0 = g(x0)
-            if warm and abs(f0) <= gtol:
-                return x0, f0
-        f1 = g(x1)
-        grew = 0
-        for _ in range(24):
-            if f1 == f0:
-                return None
-            x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-            if not math.isfinite(x2) or abs(x2) > cfg.bracket_max:
-                return None
-            if abs(x2 - x1) > 0.1 * cfg.bracket_max:
-                return None  # flat-denominator jump; let the scan decide
-            f2 = g(x2)
-            if abs(f2) <= gtol:
-                return x2, f2
-            if abs(x2 - x1) <= cfg.alpha_tol:
-                return None  # stagnated above tolerance; let bisection decide
-            grew = grew + 1 if abs(f2) > abs(f1) else 0
-            if grew >= 3:
-                return None
-            x0, f0, x1, f1 = x1, f1, x2, f2
-    except StageSolveError:
-        return None
-    return None
 
 
 def _expand_bracket(g, g0, seed, cfg, h, y0):

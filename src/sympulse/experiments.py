@@ -185,7 +185,6 @@ def integrate(spec: RunSpec) -> TrajectoryRecord:
     # one StepConfig per distinct step size: the full steps and the partial one
     full_cfg = spec.make_step_cfg()
     last_cfg = spec.make_step_cfg(remainder) if partial else full_cfg
-    hint = None
     for k in range(n_steps):
         if k < n_full:
             h, cfg = spec.h, full_cfg
@@ -201,14 +200,11 @@ def integrate(spec: RunSpec) -> TrajectoryRecord:
                     h,
                     spec.search,
                     cfg,
-                    alpha_hint=hint,
                     energy_target=h0_energy,
                 )
                 alpha_k = record.alpha_star
                 g_evals[k] = record.g_evals
                 g_residual[k] = record.g_residual
-                # warm-start the next step only if it runs at the same h
-                hint = alpha_k if k + 1 < n_full else None
                 result = record.step
             else:
                 alpha_k = spec.alpha if spec.method == "fixed-alpha" else 0.0

@@ -13,7 +13,7 @@ import pytest
 import sympulse as sp
 from sympulse.stepper import StepConfig
 
-BISECT = sp.AlphaSearchConfig(strategy="bisection")
+BISECT = sp.AlphaSearchConfig()
 
 
 def report(criterion, ok, detail):

@@ -78,6 +78,13 @@ class TestTableauCommand:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_usage_error(self, capsys, alpha):
+        code, out, err = run_capture(capsys, ["tableau", "--stages", "2", "--alpha", alpha])
+        assert code == 1
+        assert out == ""
+        assert "must be finite" in err
+
 
 class TestIntegrateCommand:
     def test_harmonic_alpha_column_zero(self, capsys):
@@ -139,7 +146,7 @@ class TestIntegrateCommand:
             # solver and search settings are checked where they are configured
             ["--t-end", "1", "--stage-tol", "nan"],
             ["--t-end", "1", "--stage-tol", "inf"],
-            ["--t-end", "1", "--g-tol", "nan", "--alpha-strategy", "secant"],
+            ["--t-end", "1", "--bracket-seed", "nan"],
             ["--t-end", "1", "--method", "fixed-alpha", "--alpha", "nan"],
         ],
     )

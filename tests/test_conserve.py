@@ -22,8 +22,8 @@ class TestAlphaSearchConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"strategy": "newton"},
-            {"g_tol": 0.0},
+            {"alpha_tol": 0.0},
+            {"bracket_seed": 0.0},
             {"alpha_tol": -1e-16},
             {"max_g_evals": 2},
             {"bracket_growth": 1.0},
@@ -37,7 +37,7 @@ class TestAlphaSearchConfig:
 
     @pytest.mark.parametrize(
         "name",
-        ["g_tol", "alpha_tol", "bracket_seed", "bracket_growth", "bracket_max", "secant_warm"],
+        ["alpha_tol", "bracket_seed", "bracket_growth", "bracket_max"],
     )
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_settings_rejected(self, name, value):
@@ -84,20 +84,17 @@ class TestEnergyDefect:
 class TestSolveAlpha:
     def test_harmonic_is_degenerate(self):
         system, ic = harmonic()
-        for strategy in ("bisection", "secant"):
-            record = solve_alpha(
-                system, 2, 1, ic.y0, 0.1,
-                AlphaSearchConfig(strategy=strategy), StepConfig(h=0.1),
-            )
-            assert record.degenerate
-            assert record.alpha_star == 0.0
-            assert record.bracket is None
+        record = solve_alpha(
+            system, 2, 1, ic.y0, 0.1, AlphaSearchConfig(), StepConfig(h=0.1)
+        )
+        assert record.degenerate
+        assert record.alpha_star == 0.0
+        assert record.bracket is None
 
     def test_first_kepler_step_root(self):
         system, ic = kepler(0.6)
         record = solve_alpha(
-            system, 2, 1, ic.y0, H5, AlphaSearchConfig(strategy="bisection"),
-            StepConfig(h=H5),
+            system, 2, 1, ic.y0, H5, AlphaSearchConfig(), StepConfig(h=H5)
         )
         assert not record.degenerate
         assert record.alpha_star == pytest.approx(7.5214775e-05, rel=1e-5)
@@ -107,37 +104,14 @@ class TestSolveAlpha:
 
     def test_root_restores_conservation(self):
         system, ic = kepler(0.6)
-        cfg = AlphaSearchConfig(strategy="bisection")
-        record = solve_alpha(system, 2, 1, ic.y0, H5, cfg, StepConfig(h=H5))
+        record = solve_alpha(
+            system, 2, 1, ic.y0, H5, AlphaSearchConfig(), StepConfig(h=H5)
+        )
         g, res = energy_defect(
             system, 2, 1, ic.y0, H5, record.alpha_star, StepConfig(h=H5)
         )
         assert res.converged
-        assert abs(g) <= 2 * cfg.g_tol * max(1.0, 0.5)
-
-    def test_strategies_agree(self):
-        system, ic = kepler(0.6)
-        a = solve_alpha(
-            system, 2, 1, ic.y0, H5, AlphaSearchConfig(strategy="bisection"),
-            StepConfig(h=H5),
-        )
-        b = solve_alpha(
-            system, 2, 1, ic.y0, H5, AlphaSearchConfig(strategy="secant"),
-            StepConfig(h=H5),
-        )
-        assert abs(a.alpha_star - b.alpha_star) <= 1e-10
-        assert b.g_evals < a.g_evals
-
-    def test_warm_hint_short_circuits_near_root(self):
-        system, ic = kepler(0.6)
-        cfg = AlphaSearchConfig(strategy="secant")
-        first = solve_alpha(system, 2, 1, ic.y0, H5, cfg, StepConfig(h=H5))
-        again = solve_alpha(
-            system, 2, 1, ic.y0, H5, cfg, StepConfig(h=H5),
-            alpha_hint=first.alpha_star,
-        )
-        assert again.g_evals <= 2
-        assert abs(again.alpha_star - first.alpha_star) <= 1e-8
+        assert abs(g) <= 2 * 1e-13 * max(1.0, 0.5)
 
     def test_deterministic(self):
         system, ic = kepler(0.6)
@@ -155,15 +129,13 @@ class TestSolveAlpha:
 
     def test_no_root_error(self):
         system, ic = kepler(0.6)
-        cfg = AlphaSearchConfig(
-            strategy="bisection", bracket_seed=5e-10, bracket_max=1e-9
-        )
+        cfg = AlphaSearchConfig(bracket_seed=5e-10, bracket_max=1e-9)
         with pytest.raises(NoRootError):
             solve_alpha(system, 2, 1, ic.y0, H5, cfg, StepConfig(h=H5))
 
     def test_eval_budget_enforced(self):
         system, ic = kepler(0.6)
-        cfg = AlphaSearchConfig(strategy="bisection", max_g_evals=3)
+        cfg = AlphaSearchConfig(max_g_evals=3)
         with pytest.raises(SearchBudgetError):
             solve_alpha(system, 2, 1, ic.y0, H5, cfg, StepConfig(h=H5))
 
@@ -190,7 +162,7 @@ class TestSolveAlpha:
             return (lo, glo) if abs(glo) <= abs(ghi) else (hi, ghi)
 
         spec = RunSpec(problem="kepler", method="ep-gauss", s=2, h=H5, t_end=2.0, e=0.6)
-        assert spec.search.strategy == "bisection"
+        assert spec.search == AlphaSearchConfig()
         fast = integrate(spec)
         monkeypatch.setattr(conserve, "_bracketed_root", dichotomy)
         slow = integrate(spec)
@@ -227,7 +199,7 @@ class TestSolveAlpha:
     def test_energy_target_offsets_root(self):
         # pinning the target to a slightly different energy shifts the root
         system, ic = kepler(0.6)
-        cfg = AlphaSearchConfig(strategy="bisection")
+        cfg = AlphaSearchConfig()
         base = solve_alpha(system, 2, 1, ic.y0, H5, cfg, StepConfig(h=H5))
         shifted = solve_alpha(
             system, 2, 1, ic.y0, H5, cfg, StepConfig(h=H5),
@@ -237,7 +209,7 @@ class TestSolveAlpha:
         g, _ = energy_defect(
             system, 2, 1, ic.y0, H5, shifted.alpha_star, StepConfig(h=H5)
         )
-        assert abs(g - 1e-10) <= 2 * cfg.g_tol
+        assert abs(g - 1e-10) <= 2 * 1e-13
 
 
 class TestBracketedRoot:
@@ -275,14 +247,6 @@ class TestBracketedRoot:
         cfg = AlphaSearchConfig()
         assert conserve._bracketed_root(g, 0.0, 1.0, 0.0, 2.0, cfg) == (0.0, 0.0)
         assert conserve._bracketed_root(g, -1.0, 0.5, -3.0, 0.0, cfg) == (0.5, 0.0)
-
-    def test_root_ignores_residual_tolerance(self):
-        system, ic = kepler(0.6)
-        tight = solve_alpha(system, 2, 1, ic.y0, H5, AlphaSearchConfig(), StepConfig(h=H5))
-        loose = solve_alpha(
-            system, 2, 1, ic.y0, H5, AlphaSearchConfig(g_tol=1e-6), StepConfig(h=H5)
-        )
-        assert loose.alpha_star == tight.alpha_star
 
 
 class TestLevelGrid:
