@@ -2,10 +2,11 @@
 """One energy-tuned step, dissected.
 
 A single step of the perturbed method from the Kepler perihelion: scan the
-energy defect g(alpha) = H(y1(alpha)) - H(y0), watch it change sign, locate
-the root with the bracketed search (a geometric scan for the sign change,
-then Brent's method down to machine width), and verify the quasi-collocation
-structure of the stage interpolant at the tuned value.
+energy defect g(alpha) = H(y0 + D(alpha)) - H(y0), the energy change of the
+step's increment D, watch it change sign, locate the root with the bracketed
+search (a secant prediction of the sign change from g(0) and one probe near
+zero, then Brent's method on the predicted bracket), and verify the
+quasi-collocation structure of the stage interpolant at the tuned value.
 """
 
 import numpy as np
@@ -29,7 +30,7 @@ rec = sp.solve_alpha(system, 2, 1, ic.y0, h, sp.AlphaSearchConfig(), cfg)
 lo, hi = rec.bracket
 print(f"\nroot              : alpha* = {rec.alpha_star:+.12e}")
 print(f"cost              : {rec.g_evals} defect evaluations (one stage solve each)")
-print(f"scanned bracket   : [{lo:+.6e}, {hi:+.6e}]")
+print(f"predicted bracket : [{lo:+.6e}, {hi:+.6e}]")
 
 # the search's step at the root: the energy is conserved to tolerance, the
 # angular momentum automatically (symplecticity), and the stages satisfy the

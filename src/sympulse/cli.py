@@ -34,6 +34,9 @@ from .tableau import MAX_STAGES, PerturbationSpec, butcher, gauss_quadrature
 
 DEFAULT_T_END = {"kepler": 50.0, "quartic": 50.0, "harmonic": 50.0, "henon-heiles": 500.0}
 DEFAULT_H = {"henon-heiles": 0.25}
+# with s=2, ep-gauss meets a Henon-Heiles step at t=76 whose energy defect
+# has no sign change; s=3 finishes the default run
+DEFAULT_STAGES = {"henon-heiles": 3}
 
 _POW2 = re.compile(r"^2\^(-?\d+)$")
 
@@ -130,8 +133,9 @@ def _add_tolerance_flags(p):
     p.add_argument("--stage-solver", choices=SOLVERS, default="fixed_point")
     p.add_argument(
         "--bracket-seed", type=float, default=None,
-        help="first probe of the scan that brackets the per-step root before "
-        "Brent's method narrows it (default 10*h^(2r), capped)",
+        help="root scale of the per-step search: its secant prediction starts "
+        "1e-4 of it from zero, and its fallback scan starts at it "
+        "(default 10*h^(2r), capped)",
     )
 
 
@@ -143,7 +147,10 @@ def _add_problem_flags(p):
 
 def _add_method_flags(p):
     p.add_argument("--method", choices=METHODS, default="ep-gauss")
-    p.add_argument("--stages", type=int, default=2)
+    p.add_argument(
+        "--stages", type=int, default=None,
+        help="stage count (default 3 for henon-heiles, 2 otherwise)",
+    )
     p.add_argument("--perturb-index", type=int, default=None)
     p.add_argument("--alpha", type=float, default=0.0, help="value for --method fixed-alpha")
 
@@ -428,6 +435,8 @@ def run(argv=None) -> int:
     except UsageError as exc:
         print(f"sympulse: error: {exc}", file=sys.stderr)
         return 1
+    if ns.subcommand in ("integrate", "converge") and ns.stages is None:
+        ns.stages = DEFAULT_STAGES.get(ns.problem, 2)
     try:
         if ns.subcommand == "tableau":
             _run_tableau(ns)

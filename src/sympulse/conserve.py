@@ -1,29 +1,45 @@
 """Per-step tuning of the tableau perturbation for exact energy conservation.
 
-For one step of size h from y0, the energy defect
+For one step of size h from y0 with increment D(alpha) = h (b @ F), that is
+y1 = y0 + D, the energy defect
 
-    g(alpha) = H(y1(alpha)) - H(y0)
+    g(alpha) = H(y0 + D(alpha)) - H(y0)
 
-is a smooth scalar function of the perturbation parameter with a root
-alpha* = O(h^{2r}) near zero (r = s - perturbed index).  The search
-brackets the sign change by a geometric scan from a small seed and narrows
-the bracket with Brent's method down to machine width, so the located root
-is the sign-change point of the computed defect.  Each probe is one stage
-solve, warm-started from the converged probe nearest in alpha, and the probe
-at the root is the step the caller accepts.  Quadratic Hamiltonians make g
-vanish identically; that degeneracy is detected and reported instead of
-searched.
+is evaluated by each problem's cancellation-free `energy_increment` kernel,
+so its round-off scales with the increment, not with |H|, and g is smooth
+down to far below eps |H|.  Each step's target is its own start energy.  g
+has a root alpha* = O(h^{2r}) near zero (r = s - perturbed index).  The
+search probes g at 0 and at 1e-3 h^{2r}, takes secant steps through its
+latest two probes (each followed, when it does not change sign, by one probe
+half a secant step beyond it) until a probe changes sign, and narrows that
+bracket with Brent's method down to a width of alpha_tol h^{2r}, so the
+located root is the sign-change point of the computed defect.  Where the
+prediction fails, a geometric scan for the sign change takes over.  Each
+probe is one stage solve, warm-started from the converged probe nearest in
+alpha, and the probe at the root is the step the caller accepts.  Quadratic
+Hamiltonians make g vanish identically; that degeneracy is detected and
+reported instead of searched.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .stepper import StepConfig, StepResult, step
 from .tableau import PerturbationSpec, butcher, gauss_quadrature
+
+# the first probe after alpha = 0 lies this fraction of the seed (10 h^{2r})
+# from zero: close enough that the secant through it and g(0) lands near the
+# root, far enough that the two defects differ well above round-off
+_PROBE_FRACTION = 1e-4
+# a secant point that does not change sign is followed by one probe this
+# fraction of its secant step beyond it (0.02 to 0.5 cost the same)
+_OVERSHOOT = 0.5
+_SECANT_STEPS = 3
 
 
 class StageSolveError(RuntimeError):
@@ -42,21 +58,23 @@ class NoRootError(RuntimeError):
 
 
 class SearchBudgetError(RuntimeError):
-    """Narrowing a found bracket used up `max_g_evals` defect evaluations."""
+    """The search used up `max_g_evals` defect evaluations."""
 
 
 @dataclass(frozen=True)
 class AlphaSearchConfig:
     """Settings for the per-step root search on the energy defect.
 
-    `alpha_tol` is an absolute bracket width.  `bracket_seed` defaults to
-    10 h^{2r} (the natural magnitude of the root for the perturbed index),
-    capped at bracket_max / 8.  The bracket scan's cost is fixed by its
-    geometry (seed, growth, bracket_max, and an inward floor near alpha_tol);
-    `max_g_evals` bounds the evaluations that narrow a found bracket.
+    `alpha_tol` is relative to the root scale: the search stops on a bracket
+    of absolute width alpha_tol h^{2r}.  `bracket_seed` defaults to 10
+    h^{2r} (the natural magnitude of the root for the perturbed index),
+    capped at bracket_max / 8; the predicted probes stay within that cap.
+    `max_g_evals` bounds every probe except the one at alpha = 0 and those of
+    the fallback scan, whose cost is fixed by its geometry (seed, growth,
+    bracket_max, and an inward floor near the stop width).
     """
 
-    alpha_tol: float = 1e-16
+    alpha_tol: float = 1e-9
     max_g_evals: int = 80
     bracket_seed: float | None = None
     bracket_growth: float = 2.0
@@ -78,13 +96,18 @@ class AlphaSearchConfig:
         if self.bracket_seed is not None and not 0.0 < self.bracket_seed < self.bracket_max:
             raise ValueError("bracket_seed must lie in (0, bracket_max)")
 
+    @property
+    def reach(self):
+        """The largest |alpha| the seed and the predicted probes may take:
+        well inside bracket_max, so huge-h searches do not start at
+        unsolvable values."""
+        return 0.125 * self.bracket_max
+
     def seed(self, h, r=1):
-        # the root sits at O(h^{2r}); cap the first probe well inside
-        # bracket_max so huge-h searches do not start at unsolvable values
-        cap = 0.125 * self.bracket_max
+        # the root sits at O(h^{2r})
         if self.bracket_seed is not None:
-            return min(self.bracket_seed, cap)
-        return min(10.0 * abs(h) ** (2 * r), cap)
+            return min(self.bracket_seed, self.reach)
+        return min(10.0 * abs(h) ** (2 * r), self.reach)
 
 
 @dataclass(frozen=True)
@@ -103,14 +126,14 @@ class AlphaSolveRecord:
     step: StepResult = field(compare=False, repr=False)
 
 
-def energy_defect(
-    system, s, perturb_index, y0, h, alpha, cfg: StepConfig, guess=None, energy0=None
-):
-    """One step at perturbation `alpha`; returns (H(y1) - H(y0), StepResult).
+def energy_defect(system, s, perturb_index, y0, h, alpha, cfg: StepConfig, guess=None):
+    """One step at perturbation `alpha`; returns (H(y0 + D) - H(y0),
+    StepResult), where D is the step's increment, evaluated by the problem's
+    `energy_increment` kernel.
 
     This is one stage solve, warm-started from the stages `guess` when given
-    (see `step`).  `energy0` is H(y0) when the caller already has it.
-    Raises StageSolveError if the stage iteration does not converge.
+    (see `step`).  Raises StageSolveError if the stage iteration does not
+    converge.
     """
     if cfg.h != h:
         cfg = replace(cfg, h=h)
@@ -125,10 +148,7 @@ def energy_defect(
             result=result,
             alpha=alpha,
         )
-    if energy0 is None:
-        energy0 = system.energy(y0)
-    g = float(system.energy(result.y1) - energy0)
-    return g, result
+    return float(system.energy_increment(result.y0, result.increment)), result
 
 
 def solve_alpha(
@@ -139,7 +159,6 @@ def solve_alpha(
     h,
     search_cfg: AlphaSearchConfig,
     step_cfg: StepConfig,
-    energy_target: float | None = None,
 ) -> AlphaSolveRecord:
     """Find the perturbation value that conserves the energy over one step.
 
@@ -147,63 +166,108 @@ def solve_alpha(
     stage solve.  The first probe (alpha = 0) starts from y0; every later one
     starts from the stages of the converged probe nearest in alpha.  The
     returned record carries the probe at the root as `step`, so the caller
-    accepts that step instead of solving it again.
+    accepts that step instead of solving it again.  The search depends only
+    on (y0, h) and the settings.
 
-    `energy_target`, when given, replaces H(y0) as the value the step must
-    reproduce, letting long integrations pin every state to the initial
-    energy instead of accumulating per-step round-off.  Raises NoRootError
-    when the scan finds no sign change, and SearchBudgetError when narrowing
-    the bracket needs more than `max_g_evals` probes.
+    Raises NoRootError when no sign change is found, and SearchBudgetError
+    when the search needs more than `max_g_evals` counted probes.
     """
     if h == 0.0:
         raise ValueError("stepsize must be nonzero")
-    h0 = float(system.energy(y0))
-    target = h0 if energy_target is None else float(energy_target)
-    offset = h0 - target
-    budget = math.inf  # the scan is bounded by its geometry, not the budget
+    r = s - perturb_index
+    seed = search_cfg.seed(h, r)
+    width = search_cfg.alpha_tol * abs(h) ** (2 * r)
     evals = 0
+    counted = 0
     probes = {}  # alpha -> StepResult of every converged probe
 
-    def g(alpha):
-        nonlocal evals
-        if evals >= budget:
-            raise SearchBudgetError(
-                f"alpha search exceeded max_g_evals={search_cfg.max_g_evals}"
-            )
+    def g(alpha, count=True):
+        nonlocal evals, counted
+        if count:
+            if counted >= search_cfg.max_g_evals:
+                raise SearchBudgetError(
+                    f"alpha search exceeded max_g_evals={search_cfg.max_g_evals}"
+                )
+            counted += 1
         evals += 1
         guess = None
         if probes:
             guess = probes[min(probes, key=lambda a: abs(a - alpha))].stages
         defect, probes[alpha] = energy_defect(
-            system, s, perturb_index, y0, h, alpha, step_cfg, guess, h0
+            system, s, perturb_index, y0, h, alpha, step_cfg, guess
         )
-        return defect + offset
+        return defect
 
-    seed = search_cfg.seed(h, r=s - perturb_index)
-    g0 = g(0.0)
+    g0 = g(0.0, count=False)
     # a quadratic Hamiltonian is conserved for every perturbation value, so
     # its defect sits at round-off across the whole bracket; a defect that is
     # merely small (flat spot of a structured g) must still be root-searched,
     # or per-step root statistics would mix zeros with genuine roots
-    floor = 64.0 * np.finfo(float).eps * max(1.0, abs(h0))
+    floor = 64.0 * np.finfo(float).eps * max(1.0, abs(float(system.energy(y0))))
     if abs(g0) <= floor:
         if abs(g(seed)) <= floor and abs(g(-seed)) <= floor:
             return AlphaSolveRecord(0.0, g0, evals, None, True, probes[0.0])
 
-    lo, hi, glo, ghi = _expand_bracket(g, g0, seed, search_cfg, h, y0)
-    budget = evals + search_cfg.max_g_evals
-    alpha, res = _bracketed_root(g, lo, hi, glo, ghi, search_cfg)
+    bracket = _predicted_bracket(g, g0, seed, search_cfg.reach)
+    if bracket is None:
+        scan = partial(g, count=False)
+        bracket = _expand_bracket(scan, g0, seed, search_cfg, width, h, y0)
+    lo, hi, glo, ghi = bracket
+    alpha, res = _bracketed_root(g, lo, hi, glo, ghi, width)
     return AlphaSolveRecord(alpha, res, evals, (lo, hi), False, probes[alpha])
 
 
-def _expand_bracket(g, g0, seed, cfg, h, y0):
+def _predicted_bracket(g, g0, seed, reach):
+    """Secant prediction of the sign change of g.
+
+    Probes _PROBE_FRACTION * seed, then takes up to _SECANT_STEPS secant
+    steps through the latest two probes, each followed, when it does not
+    change sign, by one probe _OVERSHOOT of its step beyond it.  Returns the
+    first sign change as (lo, hi, g(lo), g(hi)), closed against the nearest
+    earlier probe, or None when the prediction fails: a secant point that is
+    not finite or lies beyond `reach`, a stage solve that fails, or no sign
+    change after the last step."""
+    sign0 = math.copysign(1.0, g0)
+    points = [(0.0, g0)]  # every probe so far; all carry the sign of g(0)
+
+    def close(x):
+        gx = g(x)
+        if gx == 0.0 or math.copysign(1.0, gx) != sign0:
+            xin, gin = min(points, key=lambda p: abs(p[0] - x))
+            return (xin, x, gin, gx) if xin < x else (x, xin, gx, gin)
+        points.append((x, gx))
+        return None
+
+    try:
+        found = close(_PROBE_FRACTION * seed)
+        for _ in range(_SECANT_STEPS):
+            if found is not None:
+                return found
+            (xa, ga), (xb, gb) = points[-2:]
+            if gb == ga:
+                return None
+            x = xb - gb * (xb - xa) / (gb - ga)
+            if not (math.isfinite(x) and abs(x) <= reach):
+                return None
+            found = close(x)
+            if found is None:
+                beyond = x + _OVERSHOOT * (x - xb)
+                if abs(beyond) > reach:
+                    return None
+                found = close(beyond)
+    except StageSolveError:
+        return None
+    return found
+
+
+def _expand_bracket(g, g0, seed, cfg, width, h, y0):
     """Scan +-seed * growth^k for a sign change against g(0); prefer the
     change nearest zero.  The inner endpoint is the last same-signed probe on
     that side (or 0).  A probe whose stage solve fails closes that side of
     the scan.  If the expansion exhausts without a sign change, the scan
-    turns inward (radii seed / growth^k): a defect lobe may cross zero and
-    return entirely inside the first probe radius.  Only when both sweeps
-    fail is the search declared rootless."""
+    turns inward (radii seed / growth^k, down to 16 stop widths): a defect
+    lobe may cross zero and return entirely inside the first probe radius.
+    Only when both sweeps fail is the search declared rootless."""
     sign0 = math.copysign(1.0, g0)
     inner = {1.0: (0.0, g0), -1.0: (0.0, g0)}
     alive = {1.0: True, -1.0: True}
@@ -235,7 +299,7 @@ def _expand_bracket(g, g0, seed, cfg, h, y0):
     alive = {1.0: True, -1.0: True}
     inner = {1.0: (0.0, g0), -1.0: (0.0, g0)}
     radius = seed / cfg.bracket_growth
-    floor = max(16.0 * cfg.alpha_tol, 1e-14)
+    floor = max(16.0 * width, 1e-14)
     while (alive[1.0] or alive[-1.0]) and radius >= floor:
         for side in (1.0, -1.0):
             if alive[side]:
@@ -246,18 +310,19 @@ def _expand_bracket(g, g0, seed, cfg, h, y0):
                     return found
         radius /= cfg.bracket_growth
 
+    state = ", ".join(repr(float(v)) for v in np.asarray(y0).ravel())
     raise NoRootError(
         f"no sign change of the energy defect within |alpha| <= {cfg.bracket_max} "
-        f"at h={h!r} from state {np.asarray(y0)!r}"
+        f"at h={h!r} from state [{state}]"
     )
 
 
-def _bracketed_root(g, lo, hi, glo, ghi, cfg):
+def _bracketed_root(g, lo, hi, glo, ghi, width):
     """Brent's method (Brent 1973, ch. 4) on a sign-change interval.
 
     Inverse quadratic or secant interpolation where it shrinks the bracket
     fast enough, a bisection step where it does not.  The search stops only
-    when the bracket is narrower than 2 eps |b| + alpha_tol (or on an exact
+    when the bracket is narrower than 2 eps |b| + width (or on an exact
     float zero), never on the residual, so the located root is the
     sign-change point of the computed defect, independent of how flat the
     defect is.  Every iterate stays inside [lo, hi]; returns (root, defect)
@@ -279,7 +344,7 @@ def _bracketed_root(g, lo, hi, glo, ghi, cfg):
             a, fa = b, fb
             b, fb = c, fc
             c, fc = a, fa
-        tol = 2.0 * eps * abs(b) + 0.5 * cfg.alpha_tol
+        tol = 2.0 * eps * abs(b) + 0.5 * width
         m = 0.5 * (c - b)
         if abs(m) <= tol or fb == 0.0:
             return b, fb

@@ -102,8 +102,10 @@ class TrajectoryRecord:
     `energy_error[k]` is H(y_k) - H(y_0); `alpha_trace[k]`, `g_evals[k]`,
     `g_residual[k]` and `stage_iters[k]` describe step k (one entry per
     step).  `g_residual[k]` is the energy defect the root search left at its
-    root, measured against H(y_0), so it agrees with `energy_error[k + 1]` to
-    round-off; it is 0.0 for methods that do not tune alpha.  When the
+    root: the increment H(y_k + D_k) - H(y_k) of step k, measured against the
+    step's own start energy, so it agrees with
+    `energy_error[k + 1] - energy_error[k]` to the round-off of H; it is 0.0
+    for methods that do not tune alpha.  When the
     interval is not an integer multiple of h the trailing partial step is
     flagged and excluded from the root-band statistics.
     """
@@ -145,8 +147,8 @@ def _step_grid(t0, t_end, h):
 
 def integrate(spec: RunSpec) -> TrajectoryRecord:
     """Run one integration.  Energy-tuned methods accept, as each step, the
-    stage solve that the root search made at the located root, and pin the
-    search's target to the initial energy of the run."""
+    stage solve that the root search made at the located root; each search
+    conserves the energy of the state it starts from."""
     system, ic = problems_mod.get_problem(spec.problem, e=spec.e, y0=spec.y0)
     y = np.asarray(ic.y0, float)
     t = spec.t0
@@ -192,16 +194,7 @@ def integrate(spec: RunSpec) -> TrajectoryRecord:
             h, cfg = remainder, last_cfg
         try:
             if spec.tunes_alpha:
-                record = solve_alpha(
-                    system,
-                    spec.s,
-                    index,
-                    y,
-                    h,
-                    spec.search,
-                    cfg,
-                    energy_target=h0_energy,
-                )
+                record = solve_alpha(system, spec.s, index, y, h, spec.search, cfg)
                 alpha_k = record.alpha_star
                 g_evals[k] = record.g_evals
                 g_residual[k] = record.g_residual

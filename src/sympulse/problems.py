@@ -7,10 +7,17 @@ with no gradient temporary; the gradient is derived from the flow exactly,
 grad H = -J f (a copy and a negation), so no problem keeps two copies of its
 derivative.  Both callables broadcast over leading axes so that a whole block
 of stage vectors can be evaluated in one call.
+
+Each problem also supplies `energy_increment(y, d) = H(y + d) - H(y)` for one
+state, written so that no O(|H|) terms cancel: its round-off scales with the
+increment, not with the energy (the kinetic part is d_p.(p + d_p/2) for every
+problem).  It works on Python floats, which for a 4-vector is cheaper than
+any numpy call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,12 +39,14 @@ class Invariant:
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianSystem:
-    """A canonical Hamiltonian system on R^{2m}."""
+    """A canonical Hamiltonian system on R^{2m}.  `energy_increment(y, d)`
+    returns H(y + d) - H(y) as a float for one state y and increment d."""
 
     name: str
     m: int
     energy: Callable[[np.ndarray], np.ndarray]
     flow: Callable[[np.ndarray], np.ndarray]
+    energy_increment: Callable[[np.ndarray, np.ndarray], float]
     quadratic_invariants: tuple[Invariant, ...] = ()
 
     @property
@@ -105,11 +114,25 @@ def kepler(e: float = 0.6):
         np.divide(q, -r[..., None] ** 3, out=f[..., 2:])
         return f
 
+    def energy_increment(y, d):
+        # r1 - r0 = (r1^2 - r0^2) / (r0 + r1), and -1/r1 + 1/r0 = (r1 - r0) / (r0 r1)
+        q1, q2, p1, p2 = y.tolist()
+        d1, d2, d3, d4 = d.tolist()
+        r0 = math.hypot(q1, q2)
+        r1 = math.hypot(q1 + d1, q2 + d2)
+        if min(r0, r1) < SINGULARITY_RADIUS:
+            raise SingularPotentialError(
+                f"state within {SINGULARITY_RADIUS} of the gravitational singularity"
+            )
+        dr = (d1 * (2.0 * q1 + d1) + d2 * (2.0 * q2 + d2)) / (r0 + r1)
+        return d3 * (p1 + 0.5 * d3) + d4 * (p2 + 0.5 * d4) + dr / (r0 * r1)
+
     system = HamiltonianSystem(
         name="kepler",
         m=2,
         energy=energy,
         flow=flow,
+        energy_increment=energy_increment,
         quadratic_invariants=(ANGULAR_MOMENTUM,),
     )
     y0 = np.array([1.0 - e, 0.0, 0.0, np.sqrt((1.0 + e) / (1.0 - e))])
@@ -139,11 +162,20 @@ def quartic(y0=(1.2, 0.0, 0.3, 1.4)):
         np.multiply(-4.0 * q, q2[..., None], out=f[..., 2:])
         return f
 
+    def energy_increment(y, d):
+        # with a = |q + d_q|^2 - |q|^2, the potential changes by a (2|q|^2 + a)
+        q1, q2, p1, p2 = y.tolist()
+        d1, d2, d3, d4 = d.tolist()
+        a = d1 * (2.0 * q1 + d1) + d2 * (2.0 * q2 + d2)
+        kinetic = d3 * (p1 + 0.5 * d3) + d4 * (p2 + 0.5 * d4)
+        return kinetic + a * (2.0 * (q1 * q1 + q2 * q2) + a)
+
     system = HamiltonianSystem(
         name="quartic",
         m=2,
         energy=energy,
         flow=flow,
+        energy_increment=energy_increment,
         quadratic_invariants=(ANGULAR_MOMENTUM,),
     )
     return system, InitialCondition(y0=np.asarray(y0, float), label="quartic")
@@ -172,7 +204,29 @@ def henon_heiles():
         np.negative(f[..., 2:], out=f[..., 2:])
         return f
 
-    system = HamiltonianSystem(name="henon-heiles", m=2, energy=energy, flow=flow)
+    def energy_increment(y, d):
+        # the cubic expanded: (q1 + d1)^2 (q2 + d2) - q1^2 q2
+        #   = q2 d1 (2 q1 + d1) + d2 (q1 + d1)^2, and
+        # ((q2 + d2)^3 - q2^3) / 3 = d2 (q2^2 + q2 d2 + d2^2 / 3)
+        q1, q2, p1, p2 = y.tolist()
+        d1, d2, d3, d4 = d.tolist()
+        e1 = q1 + d1
+        du = (
+            d1 * (q1 + 0.5 * d1)
+            + d2 * (q2 + 0.5 * d2)
+            + q2 * d1 * (2.0 * q1 + d1)
+            + d2 * e1 * e1
+            - d2 * (q2 * q2 + q2 * d2 + d2 * d2 / 3.0)
+        )
+        return d3 * (p1 + 0.5 * d3) + d4 * (p2 + 0.5 * d4) + du
+
+    system = HamiltonianSystem(
+        name="henon-heiles",
+        m=2,
+        energy=energy,
+        flow=flow,
+        energy_increment=energy_increment,
+    )
     y0 = np.array([0.0, 0.0, np.sqrt(0.3), 0.0])
     return system, InitialCondition(y0=y0, label="henon-heiles")
 
@@ -190,7 +244,13 @@ def harmonic():
         np.negative(y[..., :1], out=f[..., 1:])
         return f
 
-    system = HamiltonianSystem(name="harmonic", m=1, energy=energy, flow=flow)
+    def energy_increment(y, d):
+        (q, p), (dq, dp) = y.tolist(), d.tolist()
+        return dq * (q + 0.5 * dq) + dp * (p + 0.5 * dp)
+
+    system = HamiltonianSystem(
+        name="harmonic", m=1, energy=energy, flow=flow, energy_increment=energy_increment
+    )
     return system, InitialCondition(y0=np.array([1.0, 0.0]), label="harmonic")
 
 

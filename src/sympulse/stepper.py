@@ -19,7 +19,6 @@ from numpy.polynomial import polynomial as npoly
 from .problems import SingularPotentialError
 
 SOLVERS = ("fixed_point", "simplified_newton")
-STAGE_GUESSES = ("from_y0", "extrapolated")
 
 # fixed-point iteration hands over to simplified Newton when the increment
 # has not halved over this many iterations
@@ -40,7 +39,6 @@ class StepConfig:
     stage_tol: float = 1e-14
     max_iters: int = 100
     solver: str = "fixed_point"
-    stage_guess: str = "from_y0"
 
     def __post_init__(self):
         for name in ("h", "stage_tol"):
@@ -54,10 +52,6 @@ class StepConfig:
             raise ValueError("max_iters must be at least 1")
         if self.solver not in SOLVERS:
             raise ValueError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
-        if self.stage_guess not in STAGE_GUESSES:
-            raise ValueError(
-                f"stage_guess must be one of {STAGE_GUESSES}, got {self.stage_guess!r}"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,12 +59,14 @@ class StepResult:
     """Accepted state, internal stages and solver diagnostics for one step.
 
     `y0` and `h` anchor the dense output and `stage_fields` holds f at the
-    stages; `stage_residual` is the scaled max-norm defect of the stage
+    stages; `increment` is h (b @ stage_fields), so y1 = y0 + increment;
+    `stage_residual` is the scaled max-norm defect of the stage
     equations at return.  `converged` false means the iteration budget ran
     out; the caller decides what to do.
     """
 
     y1: np.ndarray
+    increment: np.ndarray
     stages: np.ndarray
     iterations: int
     converged: bool
@@ -94,21 +90,19 @@ def _fd_jacobian(system, y):
     return J
 
 
-def _initial_stages(system, tableau, y0, cfg):
+def _initial_stages(tableau, y0):
     Y = np.empty((tableau.s, y0.size))
     Y[...] = y0
-    if cfg.stage_guess == "extrapolated":
-        Y = Y + cfg.h * tableau.c[:, None] * system.vector_field(y0)
     return Y
 
 
 def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     """Advance one step of the implicit RK method defined by `tableau`.
 
-    `guess`, an (s, n) array, replaces `cfg.stage_guess` as the starting
-    stages: typically the converged stages of a nearby tableau from the same
-    y0.  A solve started from it takes one more sweep after its residual
-    first meets `stage_tol`.  The error left at that point depends on where
+    The stages start from y0, or from `guess`, an (s, n) array: typically
+    the converged stages of a nearby tableau from the same y0.  A solve
+    started from a guess takes one more sweep after its residual first meets
+    `stage_tol`.  The error left at that point depends on where
     the guess came from, and the extra sweep shrinks it by the contraction
     factor, so that y1 varies smoothly with the tableau however it was
     started.
@@ -126,7 +120,7 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     scale = 1.0 + np.abs(y0).max()
     tol = cfg.stage_tol
 
-    Y = _initial_stages(system, tableau, y0, cfg) if guess is None else guess
+    Y = _initial_stages(tableau, y0) if guess is None else guess
     F = system.vector_field(Y)
     polish = guess is not None
 
@@ -186,15 +180,16 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
             jac_point = y0
             M = None
             history = []
-            Y = _initial_stages(system, tableau, y0, cfg)
+            Y = _initial_stages(tableau, y0)
             F = system.vector_field(Y)
 
     if residual is None:
         residual = np.abs(Y - y0 - h * (A @ F)).max() / scale
     converged = bool(converged and np.isfinite(residual) and residual <= tol)
-    y1 = y0 + h * (b @ F)
+    increment = h * (b @ F)
     return StepResult(
-        y1=y1,
+        y1=y0 + increment,
+        increment=increment,
         stages=Y,
         iterations=iterations,
         converged=converged,

@@ -62,9 +62,11 @@ class PerturbationSpec:
     j (1-based, 1 <= j <= s-1) by `value`; the induced matrix is
     skew-symmetric by construction, so the perturbed method stays symplectic
     for every value.  An empty entry list leaves the Gauss method untouched.
-    The orientation of the pair is fixed so that the energy-conserving roots
-    of the Kepler benchmark come out positive (the two orientations differ
-    only by the sign relabeling value -> -value).
+    The orientation of the pair is a fixed convention (the two orientations
+    differ only by the sign relabeling value -> -value).  With it the
+    energy-conserving root of the first Kepler step from perihelion is
+    positive; along the orbit the roots take both signs, mostly negative
+    (62 of 1600 positive for e=0.6, s=2, h=2^-5, t=50).
     """
 
     s: int

@@ -128,6 +128,13 @@ class TestIntegrateCommand:
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_bare_henon_heiles_run_finishes(self, capsys):
+        # the per-problem default stage count (3) has a root at every step
+        # of the default interval, where s=2 has none at t=76
+        code, out, err = run_capture(capsys, ["integrate", "--problem", "henon-heiles"])
+        assert code == 0, err
+        assert "# stages = 3" in out.splitlines()
+
     def test_numerical_failure_exit_code(self, capsys):
         code, _, err = run_capture(
             capsys,

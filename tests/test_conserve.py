@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from sympulse.conserve import (
     solve_alpha,
 )
 from sympulse.experiments import RunSpec, integrate
-from sympulse.problems import harmonic, kepler
+from sympulse.problems import harmonic, kepler, kepler_reference, quartic
 from sympulse.stepper import StepConfig, step
 
 H5 = 2.0**-5
@@ -71,6 +73,23 @@ class TestEnergyDefect:
         g1, _ = energy_defect(system, 2, 1, ic.y0, H5, 4e-3, StepConfig(h=H5))
         assert g0 * g1 < 0.0
 
+    def test_single_sign_change_at_a_flat_quartic_step(self):
+        # step 1587 of the quartic run (s=3, index 2, h=2^-5): the defect's
+        # slope is ~6e-11 per unit alpha, so one ulp of H spans a quarter of
+        # the root; the increment form stays monotone across it
+        system, _ = quartic()
+        y = np.array([float.fromhex(v) for v in (
+            "0x1.253475a6a393ap+0", "-0x1.8855a9879d611p-2",
+            "0x1.0b4d1cd68c5bep-1", "0x1.4acc3bfa68ea4p+0",
+        )])
+        alphas = np.linspace(3.0625e-5 - 1.5e-5, 3.0625e-5 + 1.5e-5, 13)
+        g = np.array([
+            energy_defect(system, 3, 2, y, H5, a, StepConfig(h=H5))[0] for a in alphas
+        ])
+        steps = np.diff(g)
+        assert np.all(steps > 0) or np.all(steps < 0)
+        assert np.count_nonzero(np.diff(np.sign(g))) == 1
+
     def test_stage_failure_raises_with_diagnostics(self):
         system, ic = kepler(0.6)
         with pytest.raises(StageSolveError) as err:
@@ -128,10 +147,16 @@ class TestSolveAlpha:
         assert first.step.iterations == again.step.iterations
 
     def test_no_root_error(self):
-        system, ic = kepler(0.6)
+        # the message carries the state in full precision, so the failing
+        # step can be rebuilt from it
+        system, _ = kepler(0.6)
+        y0 = kepler_reference(0.6, 1.0)
         cfg = AlphaSearchConfig(bracket_seed=5e-10, bracket_max=1e-9)
-        with pytest.raises(NoRootError):
-            solve_alpha(system, 2, 1, ic.y0, H5, cfg, StepConfig(h=H5))
+        with pytest.raises(NoRootError) as err:
+            solve_alpha(system, 2, 1, y0, H5, cfg, StepConfig(h=H5))
+        printed = re.search(r"from state \[(.*)\]", str(err.value)).group(1)
+        state = np.array([float(v) for v in printed.split(", ")])
+        assert state.tobytes() == y0.tobytes()
 
     def test_eval_budget_enforced(self):
         system, ic = kepler(0.6)
@@ -147,8 +172,8 @@ class TestSolveAlpha:
     def test_bracketed_search_is_cheap_and_sharp(self, monkeypatch):
         # the default search must cost few defect evaluations per step and
         # still land on the same sign-change points as a full dichotomy
-        def dichotomy(g, lo, hi, glo, ghi, cfg):
-            while hi - lo > cfg.alpha_tol:
+        def dichotomy(g, lo, hi, glo, ghi, width):
+            while hi - lo > width:
                 mid = 0.5 * (lo + hi)
                 if mid == lo or mid == hi:
                     break
@@ -168,7 +193,7 @@ class TestSolveAlpha:
         slow = integrate(spec)
 
         assert fast.g_evals.mean() <= 12.0
-        assert slow.g_evals.mean() >= 30.0
+        assert slow.g_evals.mean() > fast.g_evals.mean()
         assert fast.delta / H5**2 == pytest.approx(slow.delta / H5**2, rel=1e-6)
 
     def test_each_defect_evaluation_is_one_stage_solve(self, monkeypatch):
@@ -193,23 +218,8 @@ class TestSolveAlpha:
             system, 2, 1, ic.y0, H5, AlphaSearchConfig(), StepConfig(h=H5)
         )
         assert record.step.converged
-        g = float(system.energy(record.step.y1) - system.energy(ic.y0))
+        g = system.energy_increment(ic.y0, record.step.increment)
         assert g == record.g_residual
-
-    def test_energy_target_offsets_root(self):
-        # pinning the target to a slightly different energy shifts the root
-        system, ic = kepler(0.6)
-        cfg = AlphaSearchConfig()
-        base = solve_alpha(system, 2, 1, ic.y0, H5, cfg, StepConfig(h=H5))
-        shifted = solve_alpha(
-            system, 2, 1, ic.y0, H5, cfg, StepConfig(h=H5),
-            energy_target=-0.5 + 1e-10,
-        )
-        assert shifted.alpha_star != base.alpha_star
-        g, _ = energy_defect(
-            system, 2, 1, ic.y0, H5, shifted.alpha_star, StepConfig(h=H5)
-        )
-        assert abs(g - 1e-10) <= 2 * 1e-13
 
 
 class TestBracketedRoot:
@@ -222,9 +232,7 @@ class TestBracketedRoot:
             calls.append(x)
             return (x - 1.0 / 3.0) ** 3
 
-        root, res = conserve._bracketed_root(
-            g, 0.0, 1.0, g(0.0), g(1.0), AlphaSearchConfig()
-        )
+        root, res = conserve._bracketed_root(g, 0.0, 1.0, g(0.0), g(1.0), 1e-16)
         assert abs(root - 1.0 / 3.0) <= 1e-15
         assert abs(res) <= 1e-45
         assert all(0.0 <= x <= 1.0 for x in calls)
@@ -234,9 +242,7 @@ class TestBracketedRoot:
             return x - 1e-3
 
         for lo, hi in ((1e-3, 2.0), (-0.5, 1e-3 + 1e-17), (0.0, 1e-3 * (1 + 1e-15))):
-            root, _ = conserve._bracketed_root(
-                g, lo, hi, g(lo), g(hi), AlphaSearchConfig()
-            )
+            root, _ = conserve._bracketed_root(g, lo, hi, g(lo), g(hi), 1e-16)
             assert lo <= root <= hi
             assert abs(root - 1e-3) <= 1e-16
 
@@ -244,9 +250,8 @@ class TestBracketedRoot:
         def g(x):
             raise AssertionError("no probe expected")
 
-        cfg = AlphaSearchConfig()
-        assert conserve._bracketed_root(g, 0.0, 1.0, 0.0, 2.0, cfg) == (0.0, 0.0)
-        assert conserve._bracketed_root(g, -1.0, 0.5, -3.0, 0.0, cfg) == (0.5, 0.0)
+        assert conserve._bracketed_root(g, 0.0, 1.0, 0.0, 2.0, 1e-16) == (0.0, 0.0)
+        assert conserve._bracketed_root(g, -1.0, 0.5, -3.0, 0.0, 1e-16) == (0.5, 0.0)
 
 
 class TestLevelGrid:

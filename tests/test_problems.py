@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,44 @@ class TestFlowKernel:
         np.testing.assert_array_equal(
             system.gradient(y), np.concatenate([-f[..., m:], f[..., :m]], axis=-1)
         )
+
+
+def decimal_energy(name, y):
+    """H at a state of Decimals, in the current decimal context."""
+    half = Decimal("0.5")
+    if name == "harmonic":
+        return half * (y[0] * y[0] + y[1] * y[1])
+    q1, q2, p1, p2 = y
+    kinetic = half * (p1 * p1 + p2 * p2)
+    r2 = q1 * q1 + q2 * q2
+    if name == "kepler":
+        return kinetic - 1 / r2.sqrt()
+    if name == "quartic":
+        return kinetic + r2 * r2
+    return kinetic + half * r2 + q1 * q1 * q2 - q2 * q2 * q2 / 3
+
+
+class TestEnergyIncrement:
+    @pytest.mark.parametrize("name", sorted(ALL_SYSTEMS))
+    def test_matches_a_fifty_digit_evaluation(self, name):
+        # increments drawn independently of the flow, so the kinetic and
+        # potential parts do not cancel; at small |d| the subtraction
+        # H(y + d) - H(y) misses this bound by orders of magnitude
+        system, _ = ALL_SYSTEMS[name]()
+        rng = np.random.default_rng(2010)
+        states = sample_states(name, 60)
+        directions = rng.normal(size=states.shape)
+        directions /= np.linalg.norm(directions, axis=1)[:, None]
+        sizes = 10.0 ** rng.uniform(-12.0, -1.0, len(states))
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for y, d in zip(states, directions * sizes[:, None]):
+                y_dec = [Decimal(float(v)) for v in y]
+                y1_dec = [a + Decimal(float(b)) for a, b in zip(y_dec, d)]
+                exact = decimal_energy(name, y1_dec) - decimal_energy(name, y_dec)
+                got = system.energy_increment(y, d)
+                assert isinstance(got, float)
+                assert abs(Decimal(got) - exact) <= Decimal("1e-12") * abs(exact)
 
 
 class TestKepler:

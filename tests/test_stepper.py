@@ -23,6 +23,7 @@ CONSTANT_H = HamiltonianSystem(
     m=1,
     energy=lambda y: np.zeros(y.shape[:-1]),
     flow=lambda y: np.zeros_like(y),
+    energy_increment=lambda y, d: 0.0,
 )
 
 
@@ -34,7 +35,6 @@ class TestStepConfig:
             {"h": 0.1, "stage_tol": 0.0},
             {"h": 0.1, "max_iters": 0},
             {"h": 0.1, "solver": "newton-krylov"},
-            {"h": 0.1, "stage_guess": "previous"},
             {"h": float("nan")},
             {"h": float("inf")},
             {"h": 0.1, "stage_tol": float("nan")},
@@ -74,14 +74,6 @@ class TestStep:
         assert a.converged and b.converged
         np.testing.assert_allclose(a.y1, b.y1, rtol=0, atol=1e-12)
 
-    def test_stage_guess_variants_agree(self):
-        system, ic = kepler(0.6)
-        tab = make_tableau(3)
-        a = step(system, tab, ic.y0, StepConfig(h=2**-5, stage_guess="from_y0"))
-        b = step(system, tab, ic.y0, StepConfig(h=2**-5, stage_guess="extrapolated"))
-        np.testing.assert_allclose(a.y1, b.y1, rtol=0, atol=1e-12)
-        assert b.iterations <= a.iterations
-
     def test_warm_start_reaches_the_cold_step(self):
         # stages converged at a nearby alpha seed the solve at another one
         system, ic = kepler(0.6)
@@ -104,8 +96,7 @@ class TestStep:
         assert res.converged
         assert res.iterations == 2
 
-    @pytest.mark.parametrize("guess", ["from_y0", "extrapolated"])
-    def test_cold_step_makes_one_field_call_per_sweep(self, guess):
+    def test_cold_step_makes_one_field_call_per_sweep(self):
         # the first sweep evaluates the initial stages, every later one the
         # update of the sweep before; the converged exit evaluates nothing more
         system, ic = kepler(0.6)
@@ -116,11 +107,9 @@ class TestStep:
             return system.flow(y)
 
         wrapped = dataclasses.replace(system, flow=counted)
-        cfg = StepConfig(h=2**-5, stage_guess=guess)
-        res = step(wrapped, make_tableau(2, 1, 1e-3), ic.y0, cfg)
+        res = step(wrapped, make_tableau(2, 1, 1e-3), ic.y0, StepConfig(h=2**-5))
         assert res.converged
-        extra = 1 if guess == "extrapolated" else 0  # f(y0) for the extrapolation
-        assert len(calls) == res.iterations + extra
+        assert len(calls) == res.iterations
 
     @pytest.mark.parametrize("start", ["cold", "warm", "out_of_budget"])
     def test_stage_residual_is_the_residual_of_the_returned_stages(self, start):
