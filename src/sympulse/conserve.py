@@ -310,7 +310,7 @@ def _expand_bracket(g, g0, seed, cfg, width, h, y0):
                     return found
         radius /= cfg.bracket_growth
 
-    state = ", ".join(repr(float(v)) for v in np.asarray(y0).ravel())
+    state = ", ".join(repr(float(v)) for v in y0)
     raise NoRootError(
         f"no sign change of the energy defect within |alpha| <= {cfg.bracket_max} "
         f"at h={h!r} from state [{state}]"
