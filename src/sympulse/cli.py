@@ -19,7 +19,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .conserve import AlphaSearchConfig, NoRootError, StageSolveError, level_grid
+from .conserve import NoRootError, StageSolveError, level_grid
 from .experiments import (
     METHODS,
     IntegrationError,
@@ -29,7 +29,7 @@ from .experiments import (
     resolve_perturb_index,
 )
 from .problems import PROBLEMS, SingularPotentialError, get_problem
-from .stepper import SOLVERS, StepConfig
+from .stepper import StepConfig
 from .tableau import MAX_STAGES, PerturbationSpec, butcher, gauss_quadrature
 
 DEFAULT_T_END = {"kepler": 50.0, "quartic": 50.0, "harmonic": 50.0, "henon-heiles": 500.0}
@@ -130,13 +130,6 @@ def _emit(ns, text):
 
 def _add_tolerance_flags(p):
     p.add_argument("--stage-tol", type=float, default=1e-14, help="stage-equation tolerance")
-    p.add_argument("--stage-solver", choices=SOLVERS, default="fixed_point")
-    p.add_argument(
-        "--bracket-seed", type=float, default=None,
-        help="root scale of the per-step search: its secant prediction starts "
-        "1e-4 of it from zero, and its fallback scan starts at it "
-        "(default 10*h^(2r), capped)",
-    )
 
 
 def _add_problem_flags(p):
@@ -193,8 +186,7 @@ def _build_parser():
     p.add_argument(
         "--alpha-list", default="-0.0005:0.004:19", help="grid alpha values (lo:hi:n)"
     )
-    p.add_argument("--stage-tol", type=float, default=1e-14)
-    p.add_argument("--stage-solver", choices=SOLVERS, default="fixed_point")
+    _add_tolerance_flags(p)
     p.add_argument("--output", "-o", default=None)
 
     return parser
@@ -213,12 +205,8 @@ def _header(pairs):
     return "\n".join(lines) + "\n"
 
 
-def _search_config(ns):
-    return AlphaSearchConfig(bracket_seed=ns.bracket_seed)
-
-
 def _step_config(ns, h):
-    return StepConfig(h=h, stage_tol=ns.stage_tol, solver=ns.stage_solver)
+    return StepConfig(h=h, stage_tol=ns.stage_tol)
 
 
 def _run_tableau(ns):
@@ -270,14 +258,9 @@ def _run_tableau(ns):
     _emit(ns, "".join(lines))
 
 
-def _resolved_interval(ns):
-    t_end = ns.t_end if ns.t_end is not None else DEFAULT_T_END[ns.problem]
-    return t_end
-
-
 def _run_integrate(ns):
     h = ns.h if ns.h is not None else DEFAULT_H.get(ns.problem, 2.0 ** -5)
-    t_end = _resolved_interval(ns)
+    t_end = ns.t_end if ns.t_end is not None else DEFAULT_T_END[ns.problem]
     spec = RunSpec(
         problem=ns.problem,
         method=ns.method,
@@ -289,7 +272,6 @@ def _run_integrate(ns):
         y0=ns.y0,
         alpha=ns.alpha,
         perturb_index=ns.perturb_index,
-        search=_search_config(ns),
         step_cfg=_step_config(ns, h),
     )
     record = integrate(spec)
@@ -309,8 +291,6 @@ def _run_integrate(ns):
             ("t0", ns.t0),
             ("t_end", t_end),
             ("stage_tol", ns.stage_tol),
-            ("stage_solver", ns.stage_solver),
-            ("bracket_seed", ns.bracket_seed),
             ("partial_final", str(record.partial_final).lower()),
         ]
     )
@@ -345,7 +325,7 @@ def _run_converge(ns):
     h_list = parse_value_list(ns.h_list)
     if len(h_list) > 1 and any(b >= a for a, b in zip(h_list, h_list[1:])):
         raise UsageError("--h-list values must be strictly decreasing")
-    t_end = _resolved_interval(ns)
+    t_end = ns.t_end if ns.t_end is not None else DEFAULT_T_END[ns.problem]
     rows = convergence_table(
         ns.problem,
         ns.method,
@@ -356,7 +336,6 @@ def _run_converge(ns):
         y0=ns.y0,
         alpha=ns.alpha,
         perturb_index=ns.perturb_index,
-        search=_search_config(ns),
         step_cfg=_step_config(ns, h_list[0]),
         t0=ns.t0,
     )
@@ -375,8 +354,6 @@ def _run_converge(ns):
             ("t0", ns.t0),
             ("t_end", t_end),
             ("stage_tol", ns.stage_tol),
-            ("stage_solver", ns.stage_solver),
-            ("bracket_seed", ns.bracket_seed),
             ("error_norm", "euclidean"),
         ]
     )
@@ -403,7 +380,7 @@ def _run_levelmap(ns):
         ic.y0,
         h_values,
         alpha_values,
-        StepConfig(h=h_values[0], stage_tol=ns.stage_tol, solver=ns.stage_solver),
+        _step_config(ns, h_values[0]),
     )
     header = _header(
         [
@@ -416,7 +393,6 @@ def _run_levelmap(ns):
             ("h_list", h_values),
             ("alpha_list", alpha_values),
             ("stage_tol", ns.stage_tol),
-            ("stage_solver", ns.stage_solver),
             ("failed_cells", len(failures)),
         ]
     )

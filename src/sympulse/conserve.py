@@ -14,11 +14,12 @@ latest two probes (each followed, when it does not change sign, by one probe
 half a secant step beyond it) until a probe changes sign, and narrows that
 bracket with Brent's method down to a width of alpha_tol h^{2r}, so the
 located root is the sign-change point of the computed defect.  Where the
-prediction fails, a geometric scan for the sign change takes over.  Each
-probe is one stage solve, warm-started from the converged probe nearest in
-alpha, and the probe at the root is the step the caller accepts.  Quadratic
-Hamiltonians make g vanish identically; that degeneracy is detected and
-reported instead of searched.
+prediction fails, a scan outward from the root scale, doubling |alpha| up
+to 0.5, looks for the sign change instead.  Each probe is one stage solve,
+warm-started from the converged probe nearest in alpha, and the probe at
+the root is the step the caller accepts.  Quadratic Hamiltonians make g
+vanish identically; that degeneracy is detected and reported instead of
+searched.
 """
 
 from __future__ import annotations
@@ -40,6 +41,11 @@ _PROBE_FRACTION = 1e-4
 # fraction of its secant step beyond it (0.02 to 0.5 cost the same)
 _OVERSHOOT = 0.5
 _SECANT_STEPS = 3
+# the fallback scan doubles its radius from the seed up to this |alpha|
+_BRACKET_MAX = 0.5
+# the seed and the predicted probes stay within this |alpha|, well inside
+# _BRACKET_MAX, so huge-h searches do not start at unsolvable values
+_REACH = _BRACKET_MAX / 8
 
 
 class StageSolveError(RuntimeError):
@@ -53,8 +59,9 @@ class StageSolveError(RuntimeError):
 
 
 class NoRootError(RuntimeError):
-    """No sign change of the energy defect was found up to bracket_max.
-    Usually means the stepsize is too large for this state."""
+    """No sign change of the energy defect was found within |alpha| <= 0.5,
+    the reach of the fallback scan.  Usually means the stepsize is too large
+    for this state."""
 
 
 class SearchBudgetError(RuntimeError):
@@ -66,48 +73,27 @@ class AlphaSearchConfig:
     """Settings for the per-step root search on the energy defect.
 
     `alpha_tol` is relative to the root scale: the search stops on a bracket
-    of absolute width alpha_tol h^{2r}.  `bracket_seed` defaults to 10
-    h^{2r} (the natural magnitude of the root for the perturbed index),
-    capped at bracket_max / 8; the predicted probes stay within that cap.
-    `max_g_evals` bounds every probe except the one at alpha = 0 and those of
-    the fallback scan, whose cost is fixed by its geometry (seed, growth,
-    bracket_max, and an inward floor near the stop width).
+    of absolute width alpha_tol h^{2r}.  `max_g_evals` bounds every probe
+    except the one at alpha = 0 and those of the fallback scan, whose cost is
+    fixed by its geometry (two probes per doubling of the radius, from the
+    seed up to |alpha| = 0.5).
     """
 
     alpha_tol: float = 1e-9
     max_g_evals: int = 80
-    bracket_seed: float | None = None
-    bracket_growth: float = 2.0
-    bracket_max: float = 0.5
 
     def __post_init__(self):
-        for name in ("alpha_tol", "bracket_seed", "bracket_growth", "bracket_max"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        if not math.isfinite(self.alpha_tol):
+            raise ValueError(f"alpha_tol must be finite, got {self.alpha_tol!r}")
         if self.alpha_tol <= 0.0:
             raise ValueError("alpha_tol must be positive")
         if self.max_g_evals < 3:
             raise ValueError("max_g_evals must allow at least 3 evaluations")
-        if self.bracket_growth <= 1.0:
-            raise ValueError("bracket_growth must exceed 1")
-        if self.bracket_max <= 0.0:
-            raise ValueError("bracket_max must be positive")
-        if self.bracket_seed is not None and not 0.0 < self.bracket_seed < self.bracket_max:
-            raise ValueError("bracket_seed must lie in (0, bracket_max)")
 
-    @property
-    def reach(self):
-        """The largest |alpha| the seed and the predicted probes may take:
-        well inside bracket_max, so huge-h searches do not start at
-        unsolvable values."""
-        return 0.125 * self.bracket_max
 
-    def seed(self, h, r=1):
-        # the root sits at O(h^{2r})
-        if self.bracket_seed is not None:
-            return min(self.bracket_seed, self.reach)
-        return min(10.0 * abs(h) ** (2 * r), self.reach)
+def _seed(h, r):
+    """The root scale 10 h^{2r} of perturbed index s - r, capped at _REACH."""
+    return min(10.0 * abs(h) ** (2 * r), _REACH)
 
 
 @dataclass(frozen=True)
@@ -175,7 +161,7 @@ def solve_alpha(
     if h == 0.0:
         raise ValueError("stepsize must be nonzero")
     r = s - perturb_index
-    seed = search_cfg.seed(h, r)
+    seed = _seed(h, r)
     width = search_cfg.alpha_tol * abs(h) ** (2 * r)
     evals = 0
     counted = 0
@@ -208,16 +194,15 @@ def solve_alpha(
         if abs(g(seed)) <= floor and abs(g(-seed)) <= floor:
             return AlphaSolveRecord(0.0, g0, evals, None, True, probes[0.0])
 
-    bracket = _predicted_bracket(g, g0, seed, search_cfg.reach)
+    bracket = _predicted_bracket(g, g0, seed)
     if bracket is None:
-        scan = partial(g, count=False)
-        bracket = _expand_bracket(scan, g0, seed, search_cfg, width, h, y0)
+        bracket = _expand_bracket(partial(g, count=False), g0, seed, h, y0)
     lo, hi, glo, ghi = bracket
     alpha, res = _bracketed_root(g, lo, hi, glo, ghi, width)
     return AlphaSolveRecord(alpha, res, evals, (lo, hi), False, probes[alpha])
 
 
-def _predicted_bracket(g, g0, seed, reach):
+def _predicted_bracket(g, g0, seed):
     """Secant prediction of the sign change of g.
 
     Probes _PROBE_FRACTION * seed, then takes up to _SECANT_STEPS secant
@@ -225,7 +210,7 @@ def _predicted_bracket(g, g0, seed, reach):
     change sign, by one probe _OVERSHOOT of its step beyond it.  Returns the
     first sign change as (lo, hi, g(lo), g(hi)), closed against the nearest
     earlier probe, or None when the prediction fails: a secant point that is
-    not finite or lies beyond `reach`, a stage solve that fails, or no sign
+    not finite or lies beyond _REACH, a stage solve that fails, or no sign
     change after the last step."""
     sign0 = math.copysign(1.0, g0)
     points = [(0.0, g0)]  # every probe so far; all carry the sign of g(0)
@@ -247,12 +232,12 @@ def _predicted_bracket(g, g0, seed, reach):
             if gb == ga:
                 return None
             x = xb - gb * (xb - xa) / (gb - ga)
-            if not (math.isfinite(x) and abs(x) <= reach):
+            if not (math.isfinite(x) and abs(x) <= _REACH):
                 return None
             found = close(x)
             if found is None:
                 beyond = x + _OVERSHOOT * (x - xb)
-                if abs(beyond) > reach:
+                if abs(beyond) > _REACH:
                     return None
                 found = close(beyond)
     except StageSolveError:
@@ -260,59 +245,35 @@ def _predicted_bracket(g, g0, seed, reach):
     return found
 
 
-def _expand_bracket(g, g0, seed, cfg, width, h, y0):
-    """Scan +-seed * growth^k for a sign change against g(0); prefer the
-    change nearest zero.  The inner endpoint is the last same-signed probe on
-    that side (or 0).  A probe whose stage solve fails closes that side of
-    the scan.  If the expansion exhausts without a sign change, the scan
-    turns inward (radii seed / growth^k, down to 16 stop widths): a defect
-    lobe may cross zero and return entirely inside the first probe radius.
-    Only when both sweeps fail is the search declared rootless."""
+def _expand_bracket(g, g0, seed, h, y0):
+    """Scan +-seed * 2^k, k = 0, 1, ..., up to |alpha| = _BRACKET_MAX for a
+    sign change against g(0); prefer the change nearest zero.  The inner
+    endpoint is the last same-signed probe on that side (or 0).  A probe
+    whose stage solve fails closes that side of the scan; when neither side
+    changes sign the search is declared rootless."""
     sign0 = math.copysign(1.0, g0)
     inner = {1.0: (0.0, g0), -1.0: (0.0, g0)}
     alive = {1.0: True, -1.0: True}
-
-    def probe(side, radius):
-        x = side * radius
-        try:
-            gx = g(x)
-        except StageSolveError:
-            alive[side] = False
-            return None
-        if math.copysign(1.0, gx) != sign0 or gx == 0.0:
-            xin, gin = inner[side]
-            lo, hi = (xin, x) if xin < x else (x, xin)
-            glo, ghi = (gin, gx) if xin < x else (gx, gin)
-            return lo, hi, glo, ghi
-        inner[side] = (x, gx)
-        return None
-
     radius = seed
-    while (alive[1.0] or alive[-1.0]) and radius <= cfg.bracket_max * (1.0 + 1e-12):
+    while (alive[1.0] or alive[-1.0]) and radius <= _BRACKET_MAX * (1.0 + 1e-12):
         for side in (1.0, -1.0):
-            if alive[side]:
-                found = probe(side, radius)
-                if found is not None:
-                    return found
-        radius *= cfg.bracket_growth
-
-    alive = {1.0: True, -1.0: True}
-    inner = {1.0: (0.0, g0), -1.0: (0.0, g0)}
-    radius = seed / cfg.bracket_growth
-    floor = max(16.0 * width, 1e-14)
-    while (alive[1.0] or alive[-1.0]) and radius >= floor:
-        for side in (1.0, -1.0):
-            if alive[side]:
-                found = probe(side, radius)
-                if found is not None:
-                    # bracket between this probe and zero (the outer probes
-                    # all carried the sign of g(0))
-                    return found
-        radius /= cfg.bracket_growth
+            if not alive[side]:
+                continue
+            x = side * radius
+            try:
+                gx = g(x)
+            except StageSolveError:
+                alive[side] = False
+                continue
+            if math.copysign(1.0, gx) != sign0 or gx == 0.0:
+                xin, gin = inner[side]
+                return (xin, x, gin, gx) if xin < x else (x, xin, gx, gin)
+            inner[side] = (x, gx)
+        radius *= 2.0
 
     state = ", ".join(repr(float(v)) for v in y0)
     raise NoRootError(
-        f"no sign change of the energy defect within |alpha| <= {cfg.bracket_max} "
+        f"no sign change of the energy defect within |alpha| <= {_BRACKET_MAX} "
         f"at h={h!r} from state [{state}]"
     )
 

@@ -21,6 +21,7 @@ from .conserve import (
     NoRootError,
     SearchBudgetError,
     StageSolveError,
+    energy_defect,
     solve_alpha,
 )
 from .stepper import StepConfig, step
@@ -384,8 +385,6 @@ def energy_defect_order(
 ):
     """Fit the h-order of the one-step energy defect at alpha=0 and at a
     fixed nonzero alpha; needs at least 3 stepsizes."""
-    from .conserve import energy_defect
-
     h_list = [float(h) for h in h_list]
     if len(h_list) < 3:
         raise ValueError("need at least 3 stepsizes to fit a defect order")

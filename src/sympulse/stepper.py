@@ -1,11 +1,11 @@
 """Implicit Runge-Kutta stage solver and quasi-collocation dense output.
 
 One step solves the coupled stage system Y_i = y0 + h sum_j A_ij f(Y_j) and
-advances y1 = y0 + h sum_j b_j f(Y_j).  The default solver is plain fixed-point
+advances y1 = y0 + h sum_j b_j f(Y_j).  The solver is plain fixed-point
 iteration, adequate for nonstiff problems at moderate stepsizes; a simplified
 Newton iteration (vector-field Jacobian frozen at the step start, applied to
 the coupled system through its Kronecker structure) takes over automatically
-when the fixed-point increment stalls, and can be selected outright.
+when the fixed-point increment stalls or its iterates diverge.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .problems import SingularPotentialError
-
-SOLVERS = ("fixed_point", "simplified_newton")
 
 # fixed-point iteration hands over to simplified Newton when the increment
 # has not halved over this many iterations
@@ -38,7 +36,6 @@ class StepConfig:
     h: float
     stage_tol: float = 1e-14
     max_iters: int = 100
-    solver: str = "fixed_point"
 
     def __post_init__(self):
         for name in ("h", "stage_tol"):
@@ -50,8 +47,6 @@ class StepConfig:
             raise ValueError("stage_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.solver not in SOLVERS:
-            raise ValueError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +119,7 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     F = system.vector_field(Y)
     polish = guess is not None
 
-    newton = cfg.solver == "simplified_newton"
+    newton = False
     jac_point = y0
     M = None
     refreshes = 0

@@ -33,11 +33,6 @@ class QuadratureRule:
     c: np.ndarray  # strictly increasing nodes in (0, 1)
     b: np.ndarray  # positive weights, sum 1
 
-    @property
-    def weight_diag(self):
-        """Diagonal matrix of the weights."""
-        return np.diag(self.b)
-
 
 @dataclass(frozen=True, eq=False)
 class LegendreBasis:
@@ -173,29 +168,34 @@ def gauss_quadrature(s: int) -> QuadratureRule:
     return QuadratureRule(s=int(s), c=_frozen(c), b=_frozen(b))
 
 
-def _build_basis(q):
-    u = 2.0 * q.c - 1.0
-    P = np.empty((q.s, q.s))
-    P[:, 0] = 1.0
-    if q.s > 1:
-        P[:, 1] = u
-    for k in range(1, q.s - 1):
-        P[:, k + 1] = ((2 * k + 1) * u * P[:, k] - k * P[:, k - 1]) / (k + 1)
-    P *= np.sqrt(2.0 * np.arange(q.s) + 1.0)
-    Pinv = P.T * q.b  # P^T diag(b)
-    return LegendreBasis(s=q.s, P=_frozen(P), Pinv=_frozen(Pinv))
+def _check_gauss(q):
+    # Pinv = P^T diag(b) holds only on Gauss nodes, so every rule must be
+    # the one gauss_quadrature built
+    if q is not gauss_quadrature(q.s):
+        raise ValueError("tableaux are built only on rules from gauss_quadrature")
 
 
 @lru_cache(maxsize=MAX_STAGES + 2)
 def _cached_basis(s):
-    return _build_basis(gauss_quadrature(s))
+    q = gauss_quadrature(s)
+    u = 2.0 * q.c - 1.0
+    P = np.empty((s, s))
+    P[:, 0] = 1.0
+    if s > 1:
+        P[:, 1] = u
+    for k in range(1, s - 1):
+        P[:, k + 1] = ((2 * k + 1) * u * P[:, k] - k * P[:, k - 1]) / (k + 1)
+    P *= np.sqrt(2.0 * np.arange(s) + 1.0)
+    Pinv = P.T * q.b  # P^T diag(b)
+    return LegendreBasis(s=s, P=_frozen(P), Pinv=_frozen(Pinv))
 
 
 def legendre_basis(q: QuadratureRule) -> LegendreBasis:
-    """Orthonormal shifted-Legendre values at the nodes of `q`, with inverse."""
-    if q is gauss_quadrature(q.s):
-        return _cached_basis(q.s)
-    return _build_basis(q)
+    """Orthonormal shifted-Legendre values at the nodes of `q`, with inverse.
+
+    Raises ValueError unless `q` comes from `gauss_quadrature`."""
+    _check_gauss(q)
+    return _cached_basis(q.s)
 
 
 def subdiagonal_coupling(j: int) -> float:
@@ -220,21 +220,17 @@ def gauss_core(s: int) -> np.ndarray:
     return X
 
 
-def _affine_parts(q):
-    """The Gauss tableau A0 = P core P^{-1} and the unit perturbations
-    D_j = P W_j P^{-1}, j = 1..s-1, stored at position j - 1."""
-    basis = legendre_basis(q)
-    A0 = _frozen(basis.P @ gauss_core(q.s) @ basis.Pinv)
-    D = tuple(
-        _frozen(basis.P @ PerturbationSpec.single(q.s, j, 1.0).matrix @ basis.Pinv)
-        for j in range(1, q.s)
-    )
-    return A0, D
-
-
 @lru_cache(maxsize=MAX_STAGES + 2)
 def _cached_affine_parts(s):
-    return _affine_parts(gauss_quadrature(s))
+    """The Gauss tableau A0 = P core P^{-1} and the unit perturbations
+    D_j = P W_j P^{-1}, j = 1..s-1, stored at position j - 1."""
+    basis = _cached_basis(s)
+    A0 = _frozen(basis.P @ gauss_core(s) @ basis.Pinv)
+    D = tuple(
+        _frozen(basis.P @ PerturbationSpec.single(s, j, 1.0).matrix @ basis.Pinv)
+        for j in range(1, s)
+    )
+    return A0, D
 
 
 def butcher(q: QuadratureRule, pert: PerturbationSpec) -> ButcherTableau:
@@ -242,11 +238,13 @@ def butcher(q: QuadratureRule, pert: PerturbationSpec) -> ButcherTableau:
 
     W is linear in the perturbation values, so A = A0 + sum_j v_j D_j is
     built from the Gauss tableau A0 and the unit perturbations D_j, which
-    are computed once per stage count for the standard quadrature rules.
+    are computed once per stage count.  Raises ValueError unless `q` comes
+    from `gauss_quadrature`.
     """
+    _check_gauss(q)
     if pert.s != q.s:
         raise ValueError(f"perturbation built for s={pert.s}, quadrature has s={q.s}")
-    A0, D = _cached_affine_parts(q.s) if q is gauss_quadrature(q.s) else _affine_parts(q)
+    A0, D = _cached_affine_parts(q.s)
     A = A0
     order = 2 * q.s
     for j, v in pert.entries:

@@ -150,10 +150,9 @@ class TestIntegrateCommand:
             ["--t-end", "inf"],
             ["--h", "nan", "--t-end", "1"],
             ["--t0", "nan", "--t-end", "1"],
-            # solver and search settings are checked where they are configured
+            # the stage tolerance is checked where it is configured
             ["--t-end", "1", "--stage-tol", "nan"],
             ["--t-end", "1", "--stage-tol", "inf"],
-            ["--t-end", "1", "--bracket-seed", "nan"],
             ["--t-end", "1", "--method", "fixed-alpha", "--alpha", "nan"],
         ],
     )
@@ -162,6 +161,21 @@ class TestIntegrateCommand:
         assert code == 1
         assert out == ""
         assert "must be finite" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["integrate", "--problem", "kepler", "--stage-solver", "fixed_point"],
+            ["integrate", "--problem", "kepler", "--bracket-seed", "1e-3"],
+            ["levelmap", "--problem", "kepler", "--stage-solver", "fixed_point"],
+        ],
+    )
+    def test_removed_flags_usage_error(self, capsys, argv):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments" in err
         assert "Traceback" not in err
 
     def test_unknown_problem_usage_error(self, capsys):

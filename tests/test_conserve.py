@@ -14,10 +14,16 @@ from sympulse.conserve import (
     solve_alpha,
 )
 from sympulse.experiments import RunSpec, integrate
-from sympulse.problems import harmonic, kepler, kepler_reference, quartic
+from sympulse.problems import harmonic, henon_heiles, kepler, quartic
 from sympulse.stepper import StepConfig, step
 
 H5 = 2.0**-5
+# the start of step 304 of the Henon-Heiles run (ep-gauss, s=2, h=0.25):
+# its energy defect has no sign change for |alpha| <= 0.5
+ROOTLESS_HENON = (
+    "0x1.5225b5972f14dp-4", "0x1.9378de1cbec10p-2",
+    "0x1.a8fd6e1cd722bp-2", "0x1.0f3ef4bf4c436p-5",
+)
 
 
 class TestAlphaSearchConfig:
@@ -25,32 +31,25 @@ class TestAlphaSearchConfig:
         "kwargs",
         [
             {"alpha_tol": 0.0},
-            {"bracket_seed": 0.0},
             {"alpha_tol": -1e-16},
             {"max_g_evals": 2},
-            {"bracket_growth": 1.0},
-            {"bracket_max": 0.0},
-            {"bracket_seed": 0.7, "bracket_max": 0.5},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             AlphaSearchConfig(**kwargs)
 
-    @pytest.mark.parametrize(
-        "name",
-        ["alpha_tol", "bracket_seed", "bracket_growth", "bracket_max"],
-    )
+    @pytest.mark.parametrize("name", ["alpha_tol"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_settings_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             AlphaSearchConfig(**{name: value})
 
     def test_seed_defaults_to_ten_h_squared(self):
-        cfg = AlphaSearchConfig()
-        assert cfg.seed(0.01) == pytest.approx(10 * 0.01**2)
+        assert conserve._seed(0.01, 1) == pytest.approx(10 * 0.01**2)
+        assert conserve._seed(0.25, 2) == pytest.approx(10 * 0.25**4)
         # capped well inside the scan ceiling for large h
-        assert cfg.seed(0.5) == pytest.approx(0.125 * cfg.bracket_max)
+        assert conserve._seed(0.5, 1) == 0.0625 == conserve._BRACKET_MAX / 8
 
 
 class TestEnergyDefect:
@@ -147,16 +146,40 @@ class TestSolveAlpha:
         assert first.step.iterations == again.step.iterations
 
     def test_no_root_error(self):
-        # the message carries the state in full precision, so the failing
-        # step can be rebuilt from it
-        system, _ = kepler(0.6)
-        y0 = kepler_reference(0.6, 1.0)
-        cfg = AlphaSearchConfig(bracket_seed=5e-10, bracket_max=1e-9)
+        # step 304 of Henon-Heiles (s=2, index 1, h=0.25): the defect keeps
+        # its sign for every |alpha| <= 0.5; the message carries the state in
+        # full precision, so the failing step can be rebuilt from it
+        system, _ = henon_heiles()
+        y0 = np.array([float.fromhex(v) for v in ROOTLESS_HENON])
         with pytest.raises(NoRootError) as err:
-            solve_alpha(system, 2, 1, y0, H5, cfg, StepConfig(h=H5))
+            solve_alpha(system, 2, 1, y0, 0.25, AlphaSearchConfig(), StepConfig(h=0.25))
         printed = re.search(r"from state \[(.*)\]", str(err.value)).group(1)
         state = np.array([float(v) for v in printed.split(", ")])
         assert state.tobytes() == y0.tobytes()
+
+    def test_scan_finds_the_root_the_prediction_misses(self, monkeypatch):
+        # the one step of the default Henon-Heiles run (s=3, index 2,
+        # h=0.25, t=500) whose secant prediction fails: the outward scan
+        # brackets a root within the prediction's reach
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return expand(*args)
+
+        expand = conserve._expand_bracket
+        monkeypatch.setattr(conserve, "_expand_bracket", counted)
+        system, _ = henon_heiles()
+        y0 = np.array([float.fromhex(v) for v in (
+            "-0x1.64df7d9e83cfcp-4", "-0x1.baf860b53015ep-3",
+            "-0x1.5e913e2d30635p-2", "0x1.69fadfbd1fe26p-2",
+        )])
+        record = solve_alpha(
+            system, 3, 2, y0, 0.25, AlphaSearchConfig(), StepConfig(h=0.25)
+        )
+        assert len(calls) == 1
+        assert 0.0 < record.alpha_star < 0.0625
+        assert record.step.converged
 
     def test_eval_budget_enforced(self):
         system, ic = kepler(0.6)

@@ -132,14 +132,22 @@ class TestIntegrate:
         assert np.max(np.abs(traj.g_residual)) <= 1e-13
 
     def test_failure_carries_step_context(self):
+        # the start of step 304 of the s=2 Henon-Heiles run, whose energy
+        # defect has no sign change
+        y0 = tuple(float.fromhex(v) for v in (
+            "0x1.5225b5972f14dp-4", "0x1.9378de1cbec10p-2",
+            "0x1.a8fd6e1cd722bp-2", "0x1.0f3ef4bf4c436p-5",
+        ))
         spec = RunSpec(
-            problem="kepler", method="ep-gauss", s=2, h=0.5, t_end=5.0, e=0.6,
-            search=AlphaSearchConfig(bracket_seed=5e-10, bracket_max=1e-9),
+            problem="henon-heiles", method="ep-gauss", s=2, h=0.25,
+            t0=76.0, t_end=77.0, y0=y0,
         )
         with pytest.raises(IntegrationError) as err:
             integrate(spec)
+        assert isinstance(err.value.__cause__, NoRootError)
         assert err.value.step_index == 0
-        assert err.value.state.shape == (4,)
+        assert err.value.time == 76.0
+        assert err.value.state.tobytes() == np.array(y0).tobytes()
 
     def test_search_budget_carries_step_context(self):
         spec = RunSpec(
@@ -154,9 +162,9 @@ class TestIntegrate:
         assert "max_g_evals=3" in str(err.value)
 
     def test_rootless_step_is_not_a_budget_overrun(self):
-        # with the CLI defaults Henon-Heiles meets a step at t=76 whose defect
-        # has no sign change; the bracket scan alone outruns max_g_evals there,
-        # so only narrowing a found bracket may count against the budget
+        # with s=2 Henon-Heiles meets a step at t=76 whose defect has no sign
+        # change; the search gives up there after 10 defect evaluations, 8 of
+        # them the fallback scan's, which never count against max_g_evals
         spec = RunSpec(problem="henon-heiles", method="ep-gauss", s=2, h=0.25, t_end=80.0)
         with pytest.raises(IntegrationError) as err:
             integrate(spec)

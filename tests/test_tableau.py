@@ -4,6 +4,7 @@ import pytest
 from sympulse.tableau import (
     MAX_STAGES,
     PerturbationSpec,
+    QuadratureRule,
     butcher,
     defect_weights,
     gauss_core,
@@ -246,6 +247,23 @@ class TestButcher:
     def test_stage_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             butcher(gauss_quadrature(3), PerturbationSpec.none(2))
+
+    @pytest.mark.parametrize(
+        "c, b",
+        [
+            (gauss_quadrature(3).c.copy(), gauss_quadrature(3).b.copy()),
+            (np.array([0.25, 0.5, 0.75]), np.full(3, 1.0 / 3.0)),
+        ],
+        ids=["gauss-copy", "equispaced"],
+    )
+    def test_hand_built_rule_rejected(self, c, b):
+        # P^{-1} = P^T diag(b) needs Gauss orthogonality, so only the rules
+        # gauss_quadrature builds are accepted, even a copy of one
+        rule = QuadratureRule(s=3, c=c, b=b)
+        with pytest.raises(ValueError, match="gauss_quadrature"):
+            butcher(rule, PerturbationSpec.none(3))
+        with pytest.raises(ValueError, match="gauss_quadrature"):
+            legendre_basis(rule)
 
 
 class TestDefectWeights:
