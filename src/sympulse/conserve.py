@@ -14,8 +14,9 @@ latest two probes (each followed, when it does not change sign, by one probe
 half a secant step beyond it) until a probe changes sign, and narrows that
 bracket with Brent's method down to a width of alpha_tol h^{2r}, so the
 located root is the sign-change point of the computed defect.  Where the
-prediction fails, a scan outward from the root scale, doubling |alpha| up
-to 0.5, looks for the sign change instead.  Each probe is one stage solve,
+prediction fails, the same routine goes on to scan outward from the root
+scale, doubling |alpha| up to 0.5; either way the first sign change is
+closed against the nearest earlier probe.  Each probe is one stage solve,
 warm-started from the converged probe nearest in alpha, and the probe at
 the root is the step the caller accepts.  Quadratic Hamiltonians make g
 vanish identically; that degeneracy is detected and reported instead of
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -194,29 +194,31 @@ def solve_alpha(
         if abs(g(seed)) <= floor and abs(g(-seed)) <= floor:
             return AlphaSolveRecord(0.0, g0, evals, None, True, probes[0.0])
 
-    bracket = _predicted_bracket(g, g0, seed)
-    if bracket is None:
-        bracket = _expand_bracket(partial(g, count=False), g0, seed, h, y0)
-    lo, hi, glo, ghi = bracket
+    lo, hi, glo, ghi = _find_bracket(g, g0, seed, h, y0)
     alpha, res = _bracketed_root(g, lo, hi, glo, ghi, width)
     return AlphaSolveRecord(alpha, res, evals, (lo, hi), False, probes[alpha])
 
 
-def _predicted_bracket(g, g0, seed):
-    """Secant prediction of the sign change of g.
+def _find_bracket(g, g0, seed, h, y0):
+    """Bracket a sign change of g; returns (lo, hi, g(lo), g(hi)).
 
-    Probes _PROBE_FRACTION * seed, then takes up to _SECANT_STEPS secant
-    steps through the latest two probes, each followed, when it does not
-    change sign, by one probe _OVERSHOOT of its step beyond it.  Returns the
-    first sign change as (lo, hi, g(lo), g(hi)), closed against the nearest
-    earlier probe, or None when the prediction fails: a secant point that is
-    not finite or lies beyond _REACH, a stage solve that fails, or no sign
-    change after the last step."""
+    The secant prediction probes _PROBE_FRACTION * seed, then takes up to
+    _SECANT_STEPS secant steps through the latest two probes, each
+    followed, when it does not change sign, by one probe _OVERSHOOT of its
+    step beyond it.  Wherever it fails (equal defects at the latest two
+    probes, a secant point that is not finite or lies beyond _REACH, a
+    failed stage solve, or no sign change after the last step), a scan
+    probes +-seed * 2^k, k = 0, 1, ..., up to |alpha| = _BRACKET_MAX; a
+    probe whose stage solve fails closes that side of the scan, and when
+    neither side changes sign the search is declared rootless.  Only the
+    prediction's probes count toward the evaluation budget.  The first
+    sign change, from either phase, is closed against the nearest earlier
+    probe."""
     sign0 = math.copysign(1.0, g0)
     points = [(0.0, g0)]  # every probe so far; all carry the sign of g(0)
 
-    def close(x):
-        gx = g(x)
+    def close(x, count=True):
+        gx = g(x, count)
         if gx == 0.0 or math.copysign(1.0, gx) != sign0:
             xin, gin = min(points, key=lambda p: abs(p[0] - x))
             return (xin, x, gin, gx) if xin < x else (x, xin, gx, gin)
@@ -230,45 +232,32 @@ def _predicted_bracket(g, g0, seed):
                 return found
             (xa, ga), (xb, gb) = points[-2:]
             if gb == ga:
-                return None
+                break
             x = xb - gb * (xb - xa) / (gb - ga)
             if not (math.isfinite(x) and abs(x) <= _REACH):
-                return None
+                break
             found = close(x)
             if found is None:
                 beyond = x + _OVERSHOOT * (x - xb)
                 if abs(beyond) > _REACH:
-                    return None
+                    break
                 found = close(beyond)
+        if found is not None:
+            return found
     except StageSolveError:
-        return None
-    return found
+        pass
 
-
-def _expand_bracket(g, g0, seed, h, y0):
-    """Scan +-seed * 2^k, k = 0, 1, ..., up to |alpha| = _BRACKET_MAX for a
-    sign change against g(0); prefer the change nearest zero.  The inner
-    endpoint is the last same-signed probe on that side (or 0).  A probe
-    whose stage solve fails closes that side of the scan; when neither side
-    changes sign the search is declared rootless."""
-    sign0 = math.copysign(1.0, g0)
-    inner = {1.0: (0.0, g0), -1.0: (0.0, g0)}
-    alive = {1.0: True, -1.0: True}
+    sides = [1.0, -1.0]
     radius = seed
-    while (alive[1.0] or alive[-1.0]) and radius <= _BRACKET_MAX * (1.0 + 1e-12):
-        for side in (1.0, -1.0):
-            if not alive[side]:
-                continue
-            x = side * radius
+    while sides and radius <= _BRACKET_MAX * (1.0 + 1e-12):
+        for side in tuple(sides):
             try:
-                gx = g(x)
+                found = close(side * radius, count=False)
             except StageSolveError:
-                alive[side] = False
+                sides.remove(side)
                 continue
-            if math.copysign(1.0, gx) != sign0 or gx == 0.0:
-                xin, gin = inner[side]
-                return (xin, x, gin, gx) if xin < x else (x, xin, gx, gin)
-            inner[side] = (x, gx)
+            if found is not None:
+                return found
         radius *= 2.0
 
     state = ", ".join(repr(float(v)) for v in y0)

@@ -5,7 +5,9 @@ advances y1 = y0 + h sum_j b_j f(Y_j).  The solver is plain fixed-point
 iteration, adequate for nonstiff problems at moderate stepsizes; a simplified
 Newton iteration (vector-field Jacobian frozen at the step start, applied to
 the coupled system through its Kronecker structure) takes over automatically
-when the fixed-point increment stalls or its iterates diverge.
+when the fixed-point increment stalls, or restarts the step from y0 when the
+fixed-point iterates diverge.  The dense output and the quasi-collocation
+residuals read the perturbation value and index from the tableau.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .problems import SingularPotentialError
+from .tableau import defect_weights
 
 # fixed-point iteration hands over to simplified Newton when the increment
 # has not halved over this many iterations
@@ -217,59 +220,53 @@ def lagrange_integral_coeffs(c) -> np.ndarray:
     return out
 
 
-def _single_perturbation_value(tableau):
-    entries = tableau.perturbation.entries
-    if len(entries) > 1:
-        raise ValueError(
-            "dense output is defined for tableaux with at most one perturbation entry"
-        )
-    return entries[0][1] if entries else 0.0
-
-
-def _interpolant_coeffs(tableau, gamma, alpha):
-    """Power-basis coefficients of w_j(tau) = I_j(tau) + alpha sum_k G_kj I_k(tau)."""
+def _interpolant_coeffs(tableau):
+    """Power-basis coefficients of w_j(tau) = I_j(tau) + alpha sum_k G_kj I_k(tau),
+    with the tableau's perturbation value alpha and its defect weights G
+    (None for an unperturbed tableau)."""
     I = lagrange_integral_coeffs(tableau.c)
-    if alpha == 0.0 or gamma is None:
-        return I
-    return I + alpha * (gamma.T @ I)
+    pert = tableau.perturbation
+    if pert.value == 0.0:
+        return I, None
+    gamma = defect_weights(tableau.quadrature, pert.index)
+    return I + pert.value * (gamma.T @ I), gamma
 
 
-def dense_output(result: StepResult, tableau, gamma, tau: float) -> np.ndarray:
+def dense_output(result: StepResult, tableau, tau: float) -> np.ndarray:
     """Evaluate the stage interpolant at t0 + tau*h, tau in [0, 1].
 
     Reproduces y0 at tau=0 exactly and the stages at the nodes to stage
-    tolerance; for the unperturbed method tau=1 recovers y1.  `gamma` is the
-    defect-weight matrix matching the tableau's perturbed index (ignored for
-    an unperturbed tableau).
+    tolerance; for the unperturbed method tau=1 recovers y1.  The
+    perturbation value and index are read from the tableau.
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
     if not result.converged:
         raise ValueError("dense output requires a converged step")
-    alpha = _single_perturbation_value(tableau)
-    W = _interpolant_coeffs(tableau, gamma, alpha)
+    W, _ = _interpolant_coeffs(tableau)
     wtau = npoly.polyval(tau, W.T)
     return result.y0 + result.h * (wtau @ result.stage_fields)
 
 
-def collocation_defect(result: StepResult, system, tableau, gamma, alpha: float):
+def collocation_defect(result: StepResult, system, tableau):
     """Max-norm residuals of the quasi-collocation identities at each node.
 
     The stage interpolant sigma satisfies, node by node,
-    sigma'(t0 + c_i h) = f(sigma_i) + alpha sum_j G_ij f(sigma_j);
-    the left side is evaluated from the derivative of the dense-output
-    polynomial.  For converged steps all residuals are O(stage_tol / |h|).
+    sigma'(t0 + c_i h) = f(sigma_i) + alpha sum_j G_ij f(sigma_j), with the
+    tableau's perturbation value alpha and its defect weights G; the left
+    side is evaluated from the derivative of the dense-output polynomial.
+    For converged steps all residuals are O(stage_tol / |h|).
     """
     if not result.converged:
         raise ValueError("collocation defect requires a converged step")
     c = tableau.c
-    W = _interpolant_coeffs(tableau, gamma, alpha)
+    W, gamma = _interpolant_coeffs(tableau)
     F = result.stage_fields
     sigma = result.y0 + result.h * (npoly.polyval(c, W.T).T @ F)
     dW = np.array([npoly.polyder(w) for w in W])
     sigma_dot = npoly.polyval(c, dW.T).T @ F  # d/dt: the 1/h cancels h in sigma
     f_sigma = system.vector_field(sigma)
-    rhs = f_sigma.copy()
-    if alpha != 0.0 and gamma is not None:
-        rhs = rhs + alpha * (gamma @ f_sigma)
+    rhs = f_sigma
+    if gamma is not None:
+        rhs = rhs + tableau.perturbation.value * (gamma @ f_sigma)
     return np.max(np.abs(sigma_dot - rhs), axis=-1)

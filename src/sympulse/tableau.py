@@ -3,10 +3,10 @@
 The s-stage Gauss collocation matrix A factors as A = P C P^{-1}, where P is
 the Vandermonde-like matrix of the shifted, L2-orthonormal Legendre polynomials
 at the Gauss nodes and C is a tridiagonal core (1/2 in the top-left corner,
-skew couplings +-xi_j on the off-diagonals).  Adding a skew-symmetric matrix W
-to the core before transforming back yields a family of perturbed tableaux
-that are symplectic for every value of the perturbation and reduce to the
-Gauss method when the perturbation vanishes.
+skew couplings +-xi_j on the off-diagonals).  Moving one coupling pair by
++-alpha, a skew-symmetric matrix W added to the core before transforming
+back, yields a one-parameter family of perturbed tableaux that are
+symplectic for every alpha and reduce to the Gauss method at alpha = 0.
 """
 
 from __future__ import annotations
@@ -51,54 +51,48 @@ class LegendreBasis:
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """Which subdiagonal couplings of the tableau core are perturbed.
+    """The perturbed subdiagonal coupling of the tableau core and its value.
 
-    Each entry (j, value) perturbs the coupling pair at subdiagonal position
-    j (1-based, 1 <= j <= s-1) by `value`; the induced matrix is
-    skew-symmetric by construction, so the perturbed method stays symplectic
-    for every value.  An empty entry list leaves the Gauss method untouched.
-    The orientation of the pair is a fixed convention (the two orientations
-    differ only by the sign relabeling value -> -value).  With it the
-    energy-conserving root of the first Kepler step from perihelion is
-    positive; along the orbit the roots take both signs, mostly negative
-    (62 of 1600 positive for e=0.6, s=2, h=2^-5, t=50).
+    `value` perturbs the coupling pair at subdiagonal position `index`
+    (1-based, 1 <= index <= s-1); the induced matrix is skew-symmetric by
+    construction, so the perturbed method stays symplectic for every value.
+    A zero value leaves the Gauss method untouched; `none(s)` states it with
+    index 0, which no nonzero value may take.  The orientation of the pair
+    is a fixed convention (the two orientations differ only by the sign
+    relabeling value -> -value).  With it the energy-conserving root of the
+    first Kepler step from perihelion is positive; along the orbit the roots
+    take both signs, mostly negative (62 of 1600 positive for e=0.6, s=2,
+    h=2^-5, t=50).
     """
 
     s: int
-    entries: tuple[tuple[int, float], ...] = ()
+    index: int
+    value: float
 
     def __post_init__(self):
-        entries = tuple((int(j), float(v)) for j, v in self.entries)
-        object.__setattr__(self, "entries", entries)
-        seen = set()
-        for j, _ in entries:
-            if not 1 <= j <= self.s - 1:
-                raise ValueError(
-                    f"perturbation index {j} outside 1..{self.s - 1} for s={self.s}"
-                )
-            if j in seen:
-                raise ValueError(f"duplicate perturbation index {j}")
-            seen.add(j)
+        object.__setattr__(self, "index", int(self.index))
+        object.__setattr__(self, "value", float(self.value))
+        unperturbed = self.index == 0 and self.value == 0.0
+        if not (unperturbed or 1 <= self.index <= self.s - 1):
+            raise ValueError(
+                f"perturbation index {self.index} outside 1..{self.s - 1} for s={self.s}"
+            )
 
     @classmethod
     def none(cls, s):
-        return cls(s, ())
+        return cls(s, 0, 0.0)
 
     @classmethod
     def single(cls, s, index, value):
-        return cls(s, ((index, value),))
-
-    @property
-    def is_zero(self):
-        return all(v == 0.0 for _, v in self.entries)
+        return cls(s, index, value)
 
     @property
     def matrix(self):
         """The induced skew-symmetric s x s matrix."""
         W = np.zeros((self.s, self.s))
-        for j, v in self.entries:
-            W[j, j - 1] = -v
-            W[j - 1, j] = v
+        if self.value != 0.0:
+            W[self.index, self.index - 1] = -self.value
+            W[self.index - 1, self.index] = self.value
         return W
 
 
@@ -107,7 +101,7 @@ class ButcherTableau:
     """An s-stage Runge-Kutta method (c, A, b) with its perturbation record.
 
     `order` is the classical order: 2s for the unperturbed Gauss method,
-    2*j_min when the lowest perturbed subdiagonal index is j_min.
+    2*index when the coupling at subdiagonal `index` is perturbed.
     """
 
     quadrature: QuadratureRule
@@ -236,7 +230,7 @@ def _cached_affine_parts(s):
 def butcher(q: QuadratureRule, pert: PerturbationSpec) -> ButcherTableau:
     """Assemble the (possibly perturbed) tableau A = P (core + W) P^{-1}.
 
-    W is linear in the perturbation values, so A = A0 + sum_j v_j D_j is
+    W is linear in the perturbation value, so A = A0 + value D_index is
     built from the Gauss tableau A0 and the unit perturbations D_j, which
     are computed once per stage count.  Raises ValueError unless `q` comes
     from `gauss_quadrature`.
@@ -245,14 +239,11 @@ def butcher(q: QuadratureRule, pert: PerturbationSpec) -> ButcherTableau:
     if pert.s != q.s:
         raise ValueError(f"perturbation built for s={pert.s}, quadrature has s={q.s}")
     A0, D = _cached_affine_parts(q.s)
-    A = A0
-    order = 2 * q.s
-    for j, v in pert.entries:
-        if v != 0.0:
-            A = A + v * D[j - 1]
-            order = min(order, 2 * j)
+    if pert.value == 0.0:
+        return ButcherTableau(quadrature=q, A=A0, perturbation=pert, order=2 * q.s)
+    A = A0 + pert.value * D[pert.index - 1]
     A.setflags(write=False)
-    return ButcherTableau(quadrature=q, A=A, perturbation=pert, order=order)
+    return ButcherTableau(quadrature=q, A=A, perturbation=pert, order=2 * pert.index)
 
 
 def defect_weights(q: QuadratureRule, index: int | None = None) -> np.ndarray:

@@ -157,18 +157,10 @@ class TestSolveAlpha:
         state = np.array([float(v) for v in printed.split(", ")])
         assert state.tobytes() == y0.tobytes()
 
-    def test_scan_finds_the_root_the_prediction_misses(self, monkeypatch):
+    def test_scan_finds_the_root_the_prediction_misses(self):
         # the one step of the default Henon-Heiles run (s=3, index 2,
         # h=0.25, t=500) whose secant prediction fails: the outward scan
         # brackets a root within the prediction's reach
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return expand(*args)
-
-        expand = conserve._expand_bracket
-        monkeypatch.setattr(conserve, "_expand_bracket", counted)
         system, _ = henon_heiles()
         y0 = np.array([float.fromhex(v) for v in (
             "-0x1.64df7d9e83cfcp-4", "-0x1.baf860b53015ep-3",
@@ -177,7 +169,9 @@ class TestSolveAlpha:
         record = solve_alpha(
             system, 3, 2, y0, 0.25, AlphaSearchConfig(), StepConfig(h=0.25)
         )
-        assert len(calls) == 1
+        lo, hi = record.bracket
+        scan_radii = [conserve._seed(0.25, 1) * 2.0**k for k in range(4)]
+        assert hi in scan_radii
         assert 0.0 < record.alpha_star < 0.0625
         assert record.step.converged
 
