@@ -30,7 +30,7 @@ from .experiments import (
 )
 from .problems import PROBLEMS, SingularPotentialError, get_problem
 from .stepper import StepConfig
-from .tableau import MAX_STAGES, PerturbationSpec, butcher, gauss_quadrature
+from .tableau import PerturbationSpec, butcher, gauss_quadrature
 
 DEFAULT_T_END = {"kepler": 50.0, "quartic": 50.0, "harmonic": 50.0, "henon-heiles": 500.0}
 DEFAULT_H = {"henon-heiles": 0.25}
@@ -210,21 +210,19 @@ def _step_config(ns, h):
 
 
 def _run_tableau(ns):
-    if not 1 <= ns.stages <= MAX_STAGES:
-        raise UsageError(f"--stages must be in 1..{MAX_STAGES}")
     if not math.isfinite(ns.alpha):
         raise UsageError(f"--alpha must be finite, got {ns.alpha!r}")
+    quadrature = gauss_quadrature(ns.stages)
+    # the rule and the perturbation reject a bad stage count or index
     index = ns.perturb_index
-    if index is None:
-        index = ns.stages - 1 if ns.stages > 1 else None
-    if ns.alpha != 0.0 and index is None:
-        raise UsageError("a 1-stage tableau has no perturbable coupling")
+    if index is None and (ns.stages > 1 or ns.alpha != 0.0):
+        index = ns.stages - 1
     pert = (
         PerturbationSpec.none(ns.stages)
-        if ns.alpha == 0.0 or index is None
+        if index is None
         else PerturbationSpec.single(ns.stages, index, ns.alpha)
     )
-    tab = butcher(gauss_quadrature(ns.stages), pert)
+    tab = butcher(quadrature, pert)
     if ns.format == "json":
         payload = {
             "stages": tab.s,

@@ -158,8 +158,6 @@ def solve_alpha(
     Raises NoRootError when no sign change is found, and SearchBudgetError
     when the search needs more than `max_g_evals` counted probes.
     """
-    if h == 0.0:
-        raise ValueError("stepsize must be nonzero")
     r = s - perturb_index
     seed = _seed(h, r)
     width = search_cfg.alpha_tol * abs(h) ** (2 * r)
@@ -277,10 +275,6 @@ def _bracketed_root(g, lo, hi, glo, ghi, width):
     sign-change point of the computed defect, independent of how flat the
     defect is.  Every iterate stays inside [lo, hi]; returns (root, defect)
     for the endpoint of the final bracket with the smaller |defect|."""
-    if glo == 0.0:
-        return lo, glo
-    if ghi == 0.0:
-        return hi, ghi
     # b is the best estimate, c its sign-change partner, a the previous b
     a, fa, b, fb = lo, glo, hi, ghi
     c, fc = a, fa

@@ -4,10 +4,10 @@ One step solves the coupled stage system Y_i = y0 + h sum_j A_ij f(Y_j) and
 advances y1 = y0 + h sum_j b_j f(Y_j).  The solver is plain fixed-point
 iteration, adequate for nonstiff problems at moderate stepsizes; a simplified
 Newton iteration (vector-field Jacobian frozen at the step start, applied to
-the coupled system through its Kronecker structure) takes over automatically
-when the fixed-point increment stalls, or restarts the step from y0 when the
-fixed-point iterates diverge.  The dense output and the quasi-collocation
-residuals read the perturbation value and index from the tableau.
+the coupled system through its Kronecker structure) takes over from the
+current iterate when the fixed-point residual stalls.  The dense output and
+the quasi-collocation residuals read the perturbation value and index from
+the tableau.
 """
 
 from __future__ import annotations
@@ -88,12 +88,6 @@ def _fd_jacobian(system, y):
     return J
 
 
-def _initial_stages(tableau, y0):
-    Y = np.empty((tableau.s, y0.size))
-    Y[...] = y0
-    return Y
-
-
 def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     """Advance one step of the implicit RK method defined by `tableau`.
 
@@ -105,27 +99,28 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     factor, so that y1 varies smoothly with the tableau however it was
     started.
 
-    Non-convergence is reported through the `converged` flag, not raised;
-    domain errors from the vector field propagate (except for transient
-    fixed-point iterates, which trigger the Newton fallback instead).
+    Non-convergence is reported through the `converged` flag, not raised: an
+    iterate whose field is singular or not finite ends the solve at the last
+    iterate with a finite field.  A singular start raises.
     """
     y0 = np.asarray(y0, dtype=float)
     A = tableau.A
-    b = tableau.b
     s = tableau.s
     n = y0.size
     h = cfg.h
     scale = 1.0 + np.abs(y0).max()
     tol = cfg.stage_tol
 
-    Y = _initial_stages(tableau, y0) if guess is None else guess
+    if guess is None:
+        Y = np.empty((s, n))
+        Y[...] = y0
+    else:
+        Y = guess
     F = system.vector_field(Y)
     polish = guess is not None
 
-    newton = False
-    jac_point = y0
-    M = None
-    refreshes = 0
+    M = None  # simplified-Newton matrix; None while fixed-point sweeps run
+    jacobians = 0
     history = []
     iterations = 0
     converged = False
@@ -143,54 +138,38 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
                 residual = res
                 break
             polish = False
-        elif newton and (not np.isfinite(res) or res > 1e8 * scale):
+        elif M is not None and res > 1e8 * scale:
             break  # Newton is diverging; report failure instead of burning iterations
         elif len(history) > _STALL_WINDOW and history[-1] > 0.5 * history[-1 - _STALL_WINDOW]:
-            if not newton:
-                newton = True
-                M = None
+            if jacobians <= _MAX_JACOBIAN_REFRESH:
+                # a stalled fixed point turns to simplified Newton with J at
+                # y0; a stalled Newton refreshes J at the stage average
+                J = _fd_jacobian(system, y0 if M is None else Y.mean(axis=0))
+                M = np.eye(s * n) - h * np.kron(A, J)
+                jacobians += 1
                 history = []
-            elif refreshes < _MAX_JACOBIAN_REFRESH:
-                # frozen Jacobian too stale for this step; refresh it at the
-                # current stage average
-                jac_point = Y.mean(axis=0)
-                M = None
-                refreshes += 1
-                history = []
-        if newton:
-            if M is None:
-                M = np.eye(s * n) - h * np.kron(A, _fd_jacobian(system, jac_point))
-            Y = Y - np.linalg.solve(M, defect.ravel()).reshape(s, n)
+        if M is None:
+            Y_next = y0 + hAF
         else:
-            Y = y0 + hAF
+            Y_next = Y - np.linalg.solve(M, defect.ravel()).reshape(s, n)
         try:
-            F = system.vector_field(Y)
-            bad = not np.isfinite(F).all()
+            F_next = system.vector_field(Y_next)
         except SingularPotentialError:
-            if newton:
-                raise
-            bad = True
-        if bad:
-            if newton:
-                break
-            # diverging fixed-point iterate; restart with simplified Newton
-            newton = True
-            jac_point = y0
-            M = None
-            history = []
-            Y = _initial_stages(tableau, y0)
-            F = system.vector_field(Y)
+            F_next = None
+        if F_next is None or not np.isfinite(F_next).all():
+            converged = False
+            break
+        Y, F = Y_next, F_next
 
     if residual is None:
         residual = np.abs(Y - y0 - h * (A @ F)).max() / scale
-    converged = bool(converged and np.isfinite(residual) and residual <= tol)
-    increment = h * (b @ F)
+    increment = h * (tableau.b @ F)
     return StepResult(
         y1=y0 + increment,
         increment=increment,
         stages=Y,
         iterations=iterations,
-        converged=converged,
+        converged=bool(converged and residual <= tol),
         stage_residual=float(residual),
         y0=y0,
         h=h,

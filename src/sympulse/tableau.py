@@ -49,6 +49,11 @@ class LegendreBasis:
     Pinv: np.ndarray
 
 
+def _check_index(s, index):
+    if not 1 <= index <= s - 1:
+        raise ValueError(f"perturbation index {index} outside 1..{s - 1} for s={s}")
+
+
 @dataclass(frozen=True)
 class PerturbationSpec:
     """The perturbed subdiagonal coupling of the tableau core and its value.
@@ -72,11 +77,8 @@ class PerturbationSpec:
     def __post_init__(self):
         object.__setattr__(self, "index", int(self.index))
         object.__setattr__(self, "value", float(self.value))
-        unperturbed = self.index == 0 and self.value == 0.0
-        if not (unperturbed or 1 <= self.index <= self.s - 1):
-            raise ValueError(
-                f"perturbation index {self.index} outside 1..{self.s - 1} for s={self.s}"
-            )
+        if not (self.index == 0 and self.value == 0.0):
+            _check_index(self.s, self.index)
 
     @classmethod
     def none(cls, s):
@@ -84,6 +86,9 @@ class PerturbationSpec:
 
     @classmethod
     def single(cls, s, index, value):
+        """The coupling at `index` moved by `value`; the index must name a
+        coupling even when the value is zero."""
+        _check_index(s, index)
         return cls(s, index, value)
 
     @property

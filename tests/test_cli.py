@@ -78,6 +78,21 @@ class TestTableauCommand:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--stages", "3", "--perturb-index", "5"],
+            ["--stages", "2", "--perturb-index", "0"],
+            ["--stages", "1", "--perturb-index", "1"],
+        ],
+    )
+    def test_bad_perturb_index_rejected_without_alpha(self, capsys, argv):
+        code, out, err = run_capture(capsys, ["tableau", *argv])
+        assert code == 1
+        assert out == ""
+        assert "perturbation index" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
     def test_non_finite_alpha_usage_error(self, capsys, alpha):
         code, out, err = run_capture(capsys, ["tableau", "--stages", "2", "--alpha", alpha])

@@ -183,7 +183,7 @@ class TestSolveAlpha:
 
     def test_zero_stepsize_rejected(self):
         system, ic = kepler(0.6)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="stepsize must be nonzero"):
             solve_alpha(system, 2, 1, ic.y0, 0.0, AlphaSearchConfig(), StepConfig(h=0.1))
 
     def test_bracketed_search_is_cheap_and_sharp(self, monkeypatch):

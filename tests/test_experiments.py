@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from sympulse import experiments
 from sympulse.conserve import AlphaSearchConfig, NoRootError, SearchBudgetError
 from sympulse.experiments import (
     IntegrationError,
@@ -184,6 +187,51 @@ class TestReferenceState:
         assert np.max(np.abs(ref - exact)) <= 1e-11
         # cached: identical object on repeat lookup
         assert reference_state("harmonic", 2.0, 0.125) is ref
+
+    @pytest.mark.parametrize(
+        "gaps,levels",
+        [
+            # the loop stops once a gap over 2^6 - 1 is at most 1e-12
+            ((1e-11,), 2),
+            ((7e-11, 6e-11), 3),
+            ((6.4e-11, 1e-13), 3),
+        ],
+    )
+    def test_step_doubling_stops_on_the_richardson_estimate(self, monkeypatch, gaps, levels):
+        # a fake integrate whose end states at consecutive halvings differ by
+        # the prescribed gaps
+        calls = []
+
+        def fake_integrate(spec):
+            k = len(calls)
+            calls.append(spec.h)
+            state = np.full(2, sum(gaps[:k]))
+            return SimpleNamespace(final_state=state)
+
+        monkeypatch.setattr(experiments, "integrate", fake_integrate)
+        experiments._fine_reference_cached.cache_clear()
+        try:
+            ref = reference_state("harmonic", 1.0, 0.5)
+        finally:
+            experiments._fine_reference_cached.cache_clear()
+        assert calls == [0.5 / 8 / 2**k for k in range(levels)]
+        assert ref[0] == sum(gaps[: levels - 1])
+
+    def test_step_doubling_that_never_settles_raises(self, monkeypatch):
+        calls = []
+
+        def fake_integrate(spec):
+            calls.append(spec.h)
+            return SimpleNamespace(final_state=np.full(2, 1e-10 * len(calls)))
+
+        monkeypatch.setattr(experiments, "integrate", fake_integrate)
+        experiments._fine_reference_cached.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="did not settle"):
+                reference_state("harmonic", 1.0, 0.5)
+        finally:
+            experiments._fine_reference_cached.cache_clear()
+        assert len(calls) == 6
 
 
 class TestConvergenceTable:

@@ -5,8 +5,15 @@ import pytest
 
 from sympulse import stepper
 from sympulse.conserve import energy_defect
-from sympulse.problems import HamiltonianSystem, harmonic, kepler, kepler_reference, quartic
-from sympulse.stepper import StepConfig, collocation_defect, dense_output, step
+from sympulse.problems import (
+    HamiltonianSystem,
+    SingularPotentialError,
+    harmonic,
+    kepler,
+    kepler_reference,
+    quartic,
+)
+from sympulse.stepper import _STALL_WINDOW, StepConfig, collocation_defect, dense_output, step
 from sympulse.tableau import PerturbationSpec, butcher, gauss_quadrature
 
 
@@ -183,32 +190,86 @@ class TestStep:
         fresh = np.max(np.abs(res.stages - y0 - cfg.h * (tab.A @ F)))
         assert fresh / (1.0 + np.max(np.abs(y0))) <= cfg.stage_tol
 
-    def test_diverging_fixed_point_restarts_in_newton(self, monkeypatch):
-        # plain 2-stage Gauss on the quartic at h=3: the fixed-point
-        # iterates overflow, so the step starts over from y0 in simplified
-        # Newton with the Jacobian at y0, and reports failure without raising
+    def test_diverging_fixed_point_fails_without_restart(self, monkeypatch):
+        # plain 2-stage Gauss on the quartic at h=3: the fixed-point iterates
+        # overflow, and the solve ends unconverged at the last iterate with a
+        # finite field, without starting over and without a Jacobian
+        system, ic = quartic()
         starts, jacobians = [], []
+        start_stages = np.tile(ic.y0, (2, 1))
 
-        def counted_start(tableau, y):
-            starts.append(y)
-            return initial_stages(tableau, y)
+        def counted_flow(y):
+            if np.array_equal(y, start_stages):
+                starts.append(y)
+            return system.flow(y)
 
         def counted_jacobian(system, y):
             jacobians.append(y)
             return fd_jacobian(system, y)
 
-        initial_stages, fd_jacobian = stepper._initial_stages, stepper._fd_jacobian
-        monkeypatch.setattr(stepper, "_initial_stages", counted_start)
+        fd_jacobian = stepper._fd_jacobian
         monkeypatch.setattr(stepper, "_fd_jacobian", counted_jacobian)
-        system, ic = quartic()
+        wrapped = dataclasses.replace(system, flow=counted_flow)
+        tab = make_tableau(2)
+        cfg = StepConfig(h=3.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            res = step(system, make_tableau(2), ic.y0, StepConfig(h=3.0))
-        assert len(starts) == 2
-        assert len(jacobians) == 1
-        for y in starts + jacobians:
-            assert np.array_equal(y, ic.y0)
+            res = step(wrapped, tab, ic.y0, cfg)
         assert not res.converged
-        assert np.isfinite(res.stage_residual)
+        assert len(starts) == 1
+        assert jacobians == []
+        assert np.isfinite(res.stages).all()
+        F = system.vector_field(res.stages)
+        np.testing.assert_array_equal(res.stage_fields, F)
+        fresh = np.max(np.abs(res.stages - ic.y0 - cfg.h * (tab.A @ F)))
+        assert res.stage_residual == fresh / (1.0 + np.max(np.abs(ic.y0)))
+
+    def test_stalled_newton_refreshes_its_jacobian(self, monkeypatch):
+        # plain 2-stage Gauss on Kepler at h=1.5 from a state along the
+        # orbit: Newton with the Jacobian at y0 stalls, and only the refresh
+        # at the stage average finishes the step
+        calls = []
+
+        def counted(system, y):
+            calls.append(y)
+            return fd_jacobian(system, y)
+
+        fd_jacobian = stepper._fd_jacobian
+        monkeypatch.setattr(stepper, "_fd_jacobian", counted)
+        system, _ = kepler(0.6)
+        y0 = np.array([float.fromhex(v) for v in (
+            "0x1.616458d4f643ap-2", "0x1.0bad525f81737p-2",
+            "-0x1.826daca3f6186p-1", "0x1.bf15b7595a251p+0",
+        )])
+        res = step(system, make_tableau(2), y0, StepConfig(h=1.5))
+        assert res.converged
+        assert res.iterations == 92
+        assert len(calls) == 2
+        assert np.array_equal(calls[0], y0)
+        assert not np.array_equal(calls[1], y0)
+
+    def test_singular_iterate_fails_without_raising(self):
+        # a field that is singular far from y0: the diverging fixed-point
+        # iterates reach it, and the solve reports failure instead of raising
+        def flow(y):
+            if np.abs(y).max() > 10.0:
+                raise SingularPotentialError("far from the start")
+            return harmonic()[0].flow(y)
+
+        toy = HamiltonianSystem(
+            name="toy", m=1, energy=lambda y: 0.5 * (y * y).sum(-1), flow=flow,
+            energy_increment=lambda y, d: 0.0,
+        )
+        y0 = np.array([1.0, 0.0])
+        res = step(toy, make_tableau(2), y0, StepConfig(h=8.0))
+        assert not res.converged
+        assert res.iterations < _STALL_WINDOW
+        assert np.abs(res.stages).max() <= 10.0
+        np.testing.assert_array_equal(res.stage_fields, flow(res.stages))
+
+    def test_singular_start_raises(self):
+        system, _ = kepler(0.6)
+        with pytest.raises(SingularPotentialError):
+            step(system, make_tableau(2), np.zeros(4), StepConfig(h=0.1))
 
 
 def integrate_plain(system, tab, y0, h, n):

@@ -164,8 +164,10 @@ class TestPerturbationSpec:
 
     @pytest.mark.parametrize("index", [0, 3, -1])
     def test_rejects_out_of_range_indices(self, index):
-        with pytest.raises(ValueError):
-            PerturbationSpec.single(3, index, 0.1)
+        # a zero value does not excuse the index: only none(s) has no coupling
+        for value in (0.1, 0.0):
+            with pytest.raises(ValueError):
+                PerturbationSpec.single(3, index, value)
 
 
 class TestButcher:
