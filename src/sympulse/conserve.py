@@ -17,10 +17,10 @@ located root is the sign-change point of the computed defect.  Where the
 prediction fails, the same routine goes on to scan outward from the root
 scale, doubling |alpha| up to 0.5; either way the first sign change is
 closed against the nearest earlier probe.  Each probe is one stage solve,
-warm-started from the converged probe nearest in alpha, and the probe at
-the root is the step the caller accepts.  Quadratic Hamiltonians make g
-vanish identically; that degeneracy is detected and reported instead of
-searched.
+warm-started from the stages extrapolated through the two nearest converged
+probes, and the probe at the root is the step the caller accepts.
+Quadratic Hamiltonians make g vanish identically; that degeneracy is
+detected and reported instead of searched.
 """
 
 from __future__ import annotations
@@ -99,7 +99,8 @@ def _seed(h, r):
 @dataclass(frozen=True)
 class AlphaSolveRecord:
     """Outcome of one per-step search: the root, its residual, the cost, the
-    bracket that produced it (None only when the step is degenerate), whether
+    bracket that produced it (None only when the step is degenerate), the
+    defect's secant slope over that bracket (nan when degenerate), whether
     the defect sat at round-off for every probed value (quadratic
     Hamiltonian), and the converged step at the root, which is the step to
     accept."""
@@ -108,6 +109,7 @@ class AlphaSolveRecord:
     g_residual: float
     g_evals: int
     bracket: tuple[float, float] | None
+    slope: float
     degenerate: bool
     step: StepResult = field(compare=False, repr=False)
 
@@ -149,11 +151,13 @@ def solve_alpha(
     """Find the perturbation value that conserves the energy over one step.
 
     Every probe of the search is one `energy_defect` evaluation, that is one
-    stage solve.  The first probe (alpha = 0) starts from y0; every later one
-    starts from the stages of the converged probe nearest in alpha.  The
+    stage solve.  The first probe (alpha = 0) starts from y0 and the second
+    from the first; every later one starts from the stages extrapolated
+    linearly in alpha through the two nearest converged probes.  The
     returned record carries the probe at the root as `step`, so the caller
-    accepts that step instead of solving it again.  The search depends only
-    on (y0, h) and the settings.
+    accepts that step instead of solving it again, and as `slope` the
+    defect's secant slope over the search's bracket.  The search depends
+    only on (y0, h) and the settings.
 
     Raises NoRootError when no sign change is found, and SearchBudgetError
     when the search needs more than `max_g_evals` counted probes.
@@ -174,9 +178,11 @@ def solve_alpha(
                 )
             counted += 1
         evals += 1
-        guess = None
-        if probes:
-            guess = probes[min(probes, key=lambda a: abs(a - alpha))].stages
+        near = sorted(probes, key=lambda a: abs(a - alpha))[:2]
+        guess = probes[near[0]].stages if near else None
+        if len(near) == 2:
+            a1, a2 = near
+            guess = guess + (alpha - a1) / (a2 - a1) * (probes[a2].stages - guess)
         defect, probes[alpha] = energy_defect(
             system, s, perturb_index, y0, h, alpha, step_cfg, guess
         )
@@ -190,11 +196,12 @@ def solve_alpha(
     floor = 64.0 * np.finfo(float).eps * max(1.0, abs(float(system.energy(y0))))
     if abs(g0) <= floor:
         if abs(g(seed)) <= floor and abs(g(-seed)) <= floor:
-            return AlphaSolveRecord(0.0, g0, evals, None, True, probes[0.0])
+            return AlphaSolveRecord(0.0, g0, evals, None, math.nan, True, probes[0.0])
 
     lo, hi, glo, ghi = _find_bracket(g, g0, seed, h, y0)
     alpha, res = _bracketed_root(g, lo, hi, glo, ghi, width)
-    return AlphaSolveRecord(alpha, res, evals, (lo, hi), False, probes[alpha])
+    slope = (ghi - glo) / (hi - lo)
+    return AlphaSolveRecord(alpha, res, evals, (lo, hi), slope, False, probes[alpha])
 
 
 def _find_bracket(g, g0, seed, h, y0):

@@ -92,7 +92,8 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     """Advance one step of the implicit RK method defined by `tableau`.
 
     The stages start from y0, or from `guess`, an (s, n) array: typically
-    the converged stages of a nearby tableau from the same y0.  A solve
+    the stages extrapolated through the two nearest converged probes of a
+    root search from the same y0 (see `conserve.solve_alpha`).  A solve
     started from a guess takes one more sweep after its residual first meets
     `stage_tol`.  The error left at that point depends on where
     the guess came from, and the extra sweep shrinks it by the contraction
@@ -101,7 +102,8 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
 
     Non-convergence is reported through the `converged` flag, not raised: an
     iterate whose field is singular or not finite ends the solve at the last
-    iterate with a finite field.  A singular start raises.
+    iterate with a finite field, and a Newton iteration that stalls after its
+    last Jacobian refresh ends it at once.  A singular start raises.
     """
     y0 = np.asarray(y0, dtype=float)
     A = tableau.A
@@ -141,13 +143,14 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
         elif M is not None and res > 1e8 * scale:
             break  # Newton is diverging; report failure instead of burning iterations
         elif len(history) > _STALL_WINDOW and history[-1] > 0.5 * history[-1 - _STALL_WINDOW]:
-            if jacobians <= _MAX_JACOBIAN_REFRESH:
-                # a stalled fixed point turns to simplified Newton with J at
-                # y0; a stalled Newton refreshes J at the stage average
-                J = _fd_jacobian(system, y0 if M is None else Y.mean(axis=0))
-                M = np.eye(s * n) - h * np.kron(A, J)
-                jacobians += 1
-                history = []
+            if jacobians > _MAX_JACOBIAN_REFRESH:
+                break  # stalled with no refresh left
+            # a stalled fixed point turns to simplified Newton with J at y0;
+            # a stalled Newton refreshes J at the stage average
+            J = _fd_jacobian(system, y0 if M is None else Y.mean(axis=0))
+            M = np.eye(s * n) - h * np.kron(A, J)
+            jacobians += 1
+            history = []
         if M is None:
             Y_next = y0 + hAF
         else:

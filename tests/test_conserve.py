@@ -108,6 +108,7 @@ class TestSolveAlpha:
         assert record.degenerate
         assert record.alpha_star == 0.0
         assert record.bracket is None
+        assert np.isnan(record.slope)
 
     def test_first_kepler_step_root(self):
         system, ic = kepler(0.6)
@@ -119,6 +120,40 @@ class TestSolveAlpha:
         assert record.bracket is not None
         lo, hi = record.bracket
         assert lo <= record.alpha_star <= hi
+
+    def test_slope_matches_a_central_difference_at_the_root(self):
+        system, ic = kepler(0.6)
+        cfg = StepConfig(h=H5)
+        record = solve_alpha(system, 2, 1, ic.y0, H5, AlphaSearchConfig(), cfg)
+        d = 1e-6
+        gp, gm = (
+            energy_defect(system, 2, 1, ic.y0, H5, record.alpha_star + x, cfg)[0]
+            for x in (d, -d)
+        )
+        central = (gp - gm) / (2 * d)
+        assert np.sign(record.slope) == np.sign(central)
+        assert record.slope == pytest.approx(central, rel=1e-2)
+
+    def test_later_probes_start_on_the_line_through_the_two_nearest(self, monkeypatch):
+        # the first probe starts from y0, the second from the first, and
+        # every later one from the stages extrapolated linearly in alpha
+        # through the two converged probes nearest to it
+        probes = []
+
+        def recorded(system, tableau, y0, cfg, guess=None):
+            result = step(system, tableau, y0, cfg, guess)
+            probes.append((tableau.perturbation.value, guess, result.stages))
+            return result
+
+        monkeypatch.setattr(conserve, "step", recorded)
+        system, ic = kepler(0.6)
+        solve_alpha(system, 2, 1, ic.y0, H5, AlphaSearchConfig(), StepConfig(h=H5))
+        assert len(probes) >= 3
+        assert probes[0][1] is None
+        np.testing.assert_array_equal(probes[1][1], probes[0][2])
+        for k, (alpha, guess, _) in enumerate(probes[2:], start=2):
+            (a1, _, y1), (a2, _, y2) = sorted(probes[:k], key=lambda p: abs(p[0] - alpha))[:2]
+            np.testing.assert_array_equal(guess, y1 + (alpha - a1) / (a2 - a1) * (y2 - y1))
 
     def test_root_restores_conservation(self):
         system, ic = kepler(0.6)

@@ -86,6 +86,21 @@ class TestStep:
         bound = 4 * np.finfo(float).eps * (1.0 + np.max(np.abs(ic.y0)))
         assert np.max(np.abs(warm.y1 - cold.y1)) <= bound
 
+    def test_start_on_the_line_through_two_probes_beats_the_nearest(self):
+        # stages converged at alpha = 1e-4 and 3e-4, interpolated to 2e-4,
+        # seed the solve there in fewer sweeps than the nearest probe alone
+        system, ic = kepler(0.6)
+        cfg = StepConfig(h=2**-5)
+        lo, hi = (step(system, make_tableau(2, 1, a), ic.y0, cfg).stages for a in (1e-4, 3e-4))
+        tab = make_tableau(2, 1, 2e-4)
+        cold = step(system, tab, ic.y0, cfg)
+        near = step(system, tab, ic.y0, cfg, guess=lo)
+        line = step(system, tab, ic.y0, cfg, guess=lo + 0.5 * (hi - lo))
+        assert line.converged
+        assert line.iterations < near.iterations < cold.iterations
+        bound = 4 * np.finfo(float).eps * (1.0 + np.max(np.abs(ic.y0)))
+        assert np.max(np.abs(line.y1 - cold.y1)) <= bound
+
     def test_warm_start_takes_one_sweep_past_tolerance(self):
         # a guess that already solves the stage equations still gets one
         # more sweep before the step returns
@@ -246,6 +261,29 @@ class TestStep:
         assert len(calls) == 2
         assert np.array_equal(calls[0], y0)
         assert not np.array_equal(calls[1], y0)
+
+    def test_stall_after_the_last_refresh_ends_the_solve(self, monkeypatch):
+        # plain 2-stage Gauss on Kepler at h=1 from the state after one step
+        # of h=0.02: Newton still stalls after its last Jacobian refresh, and
+        # the solve stops there instead of sweeping on to max_iters
+        calls = []
+
+        def counted(system, y):
+            calls.append(y)
+            return fd_jacobian(system, y)
+
+        fd_jacobian = stepper._fd_jacobian
+        monkeypatch.setattr(stepper, "_fd_jacobian", counted)
+        system, _ = kepler(0.6)
+        y0 = np.array([float.fromhex(v) for v in (
+            "0x1.985265912cfadp-2", "0x1.4756df79cbecep-5",
+            "-0x1.fe830cc1b7371p-4", "0x1.fe67c2a0f5e10p+0",
+        )])
+        cfg = StepConfig(h=1.0)
+        res = step(system, make_tableau(2), y0, cfg)
+        assert not res.converged
+        assert len(calls) == stepper._MAX_JACOBIAN_REFRESH + 1
+        assert res.iterations < cfg.max_iters
 
     def test_singular_iterate_fails_without_raising(self):
         # a field that is singular far from y0: the diverging fixed-point
