@@ -14,6 +14,7 @@ from .tableau import (
     PerturbationSpec,
     QuadratureRule,
     butcher,
+    butcher_batch,
     defect_weights,
     gauss_core,
     gauss_quadrature,
@@ -79,6 +80,7 @@ __all__ = [
     "StepResult",
     "TrajectoryRecord",
     "butcher",
+    "butcher_batch",
     "collocation_defect",
     "convergence_table",
     "defect_weights",

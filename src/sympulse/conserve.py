@@ -9,16 +9,15 @@ is evaluated by each problem's cancellation-free `energy_increment` kernel,
 so its round-off scales with the increment, not with |H|, and g is smooth
 down to far below eps |H|.  Each step's target is its own start energy.  g
 has a root alpha* = O(h^{2r}) near zero (r = s - perturbed index).  The
-search probes g at 0 and at 1e-3 h^{2r}, takes secant steps through its
-latest two probes (each followed, when it does not change sign, by one probe
-half a secant step beyond it) until a probe changes sign, and narrows that
-bracket with Brent's method down to a width of alpha_tol h^{2r}, so the
-located root is the sign-change point of the computed defect.  Where the
-prediction fails, the same routine goes on to scan outward from the root
-scale, doubling |alpha| up to 0.5; either way the first sign change is
-closed against the nearest earlier probe.  Each probe is one stage solve,
-warm-started from the stages extrapolated through the two nearest converged
-probes, and the probe at the root is the step the caller accepts.
+search probes g in rounds, each one batched stage solve of all its probes:
+{0, 1e-3 h^{2r}}, then pairs straddling secant points until a probe changes
+sign, then a triple of the stop width alpha_tol h^{2r} around the secant
+point of that sign change, which ends most searches.  Brent's method closes
+the sign change where the triple misses it, and an outward scan, doubling
+|alpha| up to 0.5, looks for one where the pairs fail; the located root is
+the sign-change point of the computed defect.  Every probe after the first
+round is warm-started from the stages extrapolated through the two nearest
+converged probes, and the probe at the root is the step the caller accepts.
 Quadratic Hamiltonians make g vanish identically; that degeneracy is
 detected and reported instead of searched.
 """
@@ -31,14 +30,19 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .stepper import StepConfig, StepResult, step
-from .tableau import PerturbationSpec, butcher, gauss_quadrature
+from .tableau import PerturbationSpec, butcher, butcher_batch, gauss_quadrature
 
 # the first probe after alpha = 0 lies this fraction of the seed (10 h^{2r})
 # from zero: close enough that the secant through it and g(0) lands near the
 # root, far enough that the two defects differ well above round-off
 _PROBE_FRACTION = 1e-4
-# a secant point that does not change sign is followed by one probe this
-# fraction of its secant step beyond it (0.02 to 0.5 cost the same)
+# the first secant point is probed as a pair this fraction of its secant
+# step to either side of it, wide enough to straddle the root the secant
+# misses by its curvature error, narrow enough for the triple to land sharp
+_PAIR_FRACTION = 1e-3
+# the pairs after a miss reach this fraction of their secant step to either
+# side: where the defect curves away from its root, secant points approach
+# it from one side only, and only a probe past the root brackets it
 _OVERSHOOT = 0.5
 _SECANT_STEPS = 3
 # the fallback scan doubles its radius from the seed up to this |alpha|
@@ -74,9 +78,9 @@ class AlphaSearchConfig:
 
     `alpha_tol` is relative to the root scale: the search stops on a bracket
     of absolute width alpha_tol h^{2r}.  `max_g_evals` bounds every probe
-    except the one at alpha = 0 and those of the fallback scan, whose cost is
-    fixed by its geometry (two probes per doubling of the radius, from the
-    seed up to |alpha| = 0.5).
+    (each member of a batch counts) except the one at alpha = 0 and those of
+    the fallback scan, whose cost is fixed by its geometry (two probes per
+    doubling of the radius, from the seed up to |alpha| = 0.5).
     """
 
     alpha_tol: float = 1e-9
@@ -98,12 +102,14 @@ def _seed(h, r):
 
 @dataclass(frozen=True)
 class AlphaSolveRecord:
-    """Outcome of one per-step search: the root, its residual, the cost, the
-    bracket that produced it (None only when the step is degenerate), the
-    defect's secant slope over that bracket (nan when degenerate), whether
-    the defect sat at round-off for every probed value (quadratic
-    Hamiltonian), and the converged step at the root, which is the step to
-    accept."""
+    """Outcome of one per-step search: the root, its residual, the cost in
+    probes, the first sign change the search found (None only when the step
+    is degenerate), the defect's secant slope from alpha = 0 to the end of
+    that bracket across the root (nan when degenerate), whether the defect
+    sat at round-off for every probed value (quadratic Hamiltonian), and the
+    converged step at the root, which is the step to accept: the root's
+    member of its batch, with that batch's `iterations` and
+    `stage_residual`."""
 
     alpha_star: float
     g_residual: float
@@ -120,14 +126,19 @@ def energy_defect(system, s, perturb_index, y0, h, alpha, cfg: StepConfig, guess
     `energy_increment` kernel.
 
     This is one stage solve, warm-started from the stages `guess` when given
-    (see `step`).  Raises StageSolveError if the stage iteration does not
-    converge.
+    (see `step`).  `alpha` may also be a sequence of values: their tableaux
+    are then solved as one batch, and the defects come back as a list, with
+    the batched StepResult.  Raises StageSolveError if the stage iteration
+    does not converge.
     """
     if cfg.h != h:
         cfg = replace(cfg, h=h)
-    tableau = butcher(
-        gauss_quadrature(s), PerturbationSpec.single(s, perturb_index, alpha)
-    )
+    q = gauss_quadrature(s)
+    batched = np.ndim(alpha) > 0
+    if batched:
+        tableau = butcher_batch(q, perturb_index, alpha)
+    else:
+        tableau = butcher(q, PerturbationSpec.single(s, perturb_index, alpha))
     result = step(system, tableau, y0, cfg, guess)
     if not result.converged:
         raise StageSolveError(
@@ -136,7 +147,25 @@ def energy_defect(system, s, perturb_index, y0, h, alpha, cfg: StepConfig, guess
             result=result,
             alpha=alpha,
         )
+    if batched:
+        return [float(system.energy_increment(result.y0, d)) for d in result.increment], result
     return float(system.energy_increment(result.y0, result.increment)), result
+
+
+def _member(result, i):
+    """Member i of a batched StepResult, as a StepResult of its own that
+    holds copies, so that it does not keep the rest of the batch alive."""
+    return StepResult(
+        y1=result.y1[i].copy(),
+        increment=result.increment[i].copy(),
+        stages=result.stages[i].copy(),
+        iterations=result.iterations,
+        converged=result.converged,
+        stage_residual=result.stage_residual,
+        y0=result.y0,
+        h=result.h,
+        stage_fields=result.stage_fields[i].copy(),
+    )
 
 
 def solve_alpha(
@@ -150,103 +179,150 @@ def solve_alpha(
 ) -> AlphaSolveRecord:
     """Find the perturbation value that conserves the energy over one step.
 
-    Every probe of the search is one `energy_defect` evaluation, that is one
-    stage solve.  The first probe (alpha = 0) starts from y0 and the second
-    from the first; every later one starts from the stages extrapolated
-    linearly in alpha through the two nearest converged probes.  The
-    returned record carries the probe at the root as `step`, so the caller
-    accepts that step instead of solving it again, and as `slope` the
-    defect's secant slope over the search's bracket.  The search depends
-    only on (y0, h) and the settings.
+    The search probes g in rounds, each one batched `energy_defect`
+    evaluation, that is one stage solve of all its probes (see `step`):
+    {0, p} with p = _PROBE_FRACTION * seed, then the secant pairs of
+    `_find_bracket` until a probe changes sign, then the triple
+    {x2 - w, x2, x2 + w} around the secant point x2 of the narrowest sign
+    change, w being the stop width alpha_tol h^{2r}.  A sign change within
+    the triple ends the search at the member with the smaller |g|; otherwise
+    Brent's method closes the narrowest sign change one probe at a time.
+    Round 1 starts from y0, every later probe from the stages extrapolated
+    linearly in alpha through the two nearest converged probes.
 
-    Raises NoRootError when no sign change is found, and SearchBudgetError
-    when the search needs more than `max_g_evals` counted probes.
+    The returned record carries the probe at the root as `step`, so the
+    caller accepts that step instead of solving it again.  The search
+    depends only on (y0, h) and the settings.  Raises NoRootError when no
+    sign change is found, and SearchBudgetError before a round would take
+    the search past `max_g_evals` counted probes.
     """
     r = s - perturb_index
     seed = _seed(h, r)
     width = search_cfg.alpha_tol * abs(h) ** (2 * r)
     evals = 0
     counted = 0
-    probes = {}  # alpha -> StepResult of every converged probe
+    # alpha -> (stages, batched StepResult, member index) of every converged probe
+    probes = {}
 
-    def g(alpha, count=True):
+    def g(alphas, free=0):
+        """The defects at `alphas`, solved as one batch; all but `free` of
+        them count toward the budget."""
         nonlocal evals, counted
-        if count:
-            if counted >= search_cfg.max_g_evals:
-                raise SearchBudgetError(
-                    f"alpha search exceeded max_g_evals={search_cfg.max_g_evals}"
-                )
-            counted += 1
-        evals += 1
-        near = sorted(probes, key=lambda a: abs(a - alpha))[:2]
-        guess = probes[near[0]].stages if near else None
-        if len(near) == 2:
-            a1, a2 = near
-            guess = guess + (alpha - a1) / (a2 - a1) * (probes[a2].stages - guess)
-        defect, probes[alpha] = energy_defect(
-            system, s, perturb_index, y0, h, alpha, step_cfg, guess
+        counted += len(alphas) - free
+        if counted > search_cfg.max_g_evals:
+            raise SearchBudgetError(
+                f"alpha search exceeded max_g_evals={search_cfg.max_g_evals}"
+            )
+        evals += len(alphas)
+        guess = _line_starts(probes, alphas) if len(probes) >= 2 else None
+        defects, result = energy_defect(
+            system, s, perturb_index, y0, h, alphas, step_cfg, guess
         )
-        return defect
+        for i, a in enumerate(alphas):
+            probes[a] = (result.stages[i], result, i)
+        return defects
 
-    g0 = g(0.0, count=False)
+    g0, gp = g((0.0, _PROBE_FRACTION * seed), free=1)
     # a quadratic Hamiltonian is conserved for every perturbation value, so
     # its defect sits at round-off across the whole bracket; a defect that is
     # merely small (flat spot of a structured g) must still be root-searched,
     # or per-step root statistics would mix zeros with genuine roots
     floor = 64.0 * np.finfo(float).eps * max(1.0, abs(float(system.energy(y0))))
     if abs(g0) <= floor:
-        if abs(g(seed)) <= floor and abs(g(-seed)) <= floor:
-            return AlphaSolveRecord(0.0, g0, evals, None, math.nan, True, probes[0.0])
+        if all(abs(v) <= floor for v in g((seed, -seed))):
+            step0 = _member(*probes[0.0][1:])
+            return AlphaSolveRecord(0.0, g0, evals, None, math.nan, True, step0)
 
-    lo, hi, glo, ghi = _find_bracket(g, g0, seed, h, y0)
-    alpha, res = _bracketed_root(g, lo, hi, glo, ghi, width)
-    slope = (ghi - glo) / (hi - lo)
-    return AlphaSolveRecord(alpha, res, evals, (lo, hi), slope, False, probes[alpha])
+    points = {0.0: g0, _PROBE_FRACTION * seed: gp}
+    bracket = _find_bracket(g, points, seed, h, y0)
+    # the secant from g(0) to the end of the bracket across the root: its
+    # defect difference is at least |g(0)|, so the defect's noise (round-off
+    # and the stage solves' convergence error) stays small against it, where
+    # a secant across a narrow bracket would be noise alone
+    across = max(bracket, key=lambda x: (abs(points[x] - g0), abs(x)))
+    slope = (points[across] - g0) / across
+
+    # the triple at the secant point of the bracket (the narrowest sign
+    # change), where it fits inside it; then Brent, which costs nothing on a
+    # bracket already narrower than the stop width
+    lo, hi = bracket
+    glo, ghi = points[lo], points[hi]
+    if glo != ghi:
+        x2 = hi - ghi * (hi - lo) / (ghi - glo)
+        triple = (x2 - width, x2, x2 + width)
+        if lo < triple[0] and triple[2] < hi:
+            points.update(zip(triple, g(triple)))
+            lo, hi = _sign_change(points)
+            glo, ghi = points[lo], points[hi]
+
+    def g1(alpha):
+        (defect,) = g((alpha,))
+        return defect
+
+    alpha, res = _bracketed_root(g1, lo, hi, glo, ghi, width)
+    return AlphaSolveRecord(
+        alpha, res, evals, bracket, slope, False, _member(*probes[alpha][1:])
+    )
 
 
-def _find_bracket(g, g0, seed, h, y0):
-    """Bracket a sign change of g; returns (lo, hi, g(lo), g(hi)).
+def _line_starts(probes, alphas):
+    """For each of `alphas`, the stages extrapolated linearly in alpha
+    through the two converged probes nearest to it, stacked."""
+    near, ratios = [], []
+    for alpha in alphas:
+        a1, a2 = sorted(probes, key=lambda a: abs(a - alpha))[:2]
+        near += (probes[a1][0], probes[a2][0])
+        ratios.append((alpha - a1) / (a2 - a1))
+    Y = np.array(near)
+    Y1, Y2 = Y[0::2], Y[1::2]
+    return Y1 + np.array(ratios)[:, None, None] * (Y2 - Y1)
 
-    The secant prediction probes _PROBE_FRACTION * seed, then takes up to
-    _SECANT_STEPS secant steps through the latest two probes, each
-    followed, when it does not change sign, by one probe _OVERSHOOT of its
-    step beyond it.  Wherever it fails (equal defects at the latest two
-    probes, a secant point that is not finite or lies beyond _REACH, a
-    failed stage solve, or no sign change after the last step), a scan
-    probes +-seed * 2^k, k = 0, 1, ..., up to |alpha| = _BRACKET_MAX; a
-    probe whose stage solve fails closes that side of the scan, and when
-    neither side changes sign the search is declared rootless.  Only the
-    prediction's probes count toward the evaluation budget.  The first
-    sign change, from either phase, is closed against the nearest earlier
-    probe."""
-    sign0 = math.copysign(1.0, g0)
-    points = [(0.0, g0)]  # every probe so far; all carry the sign of g(0)
 
-    def close(x, count=True):
-        gx = g(x, count)
-        if gx == 0.0 or math.copysign(1.0, gx) != sign0:
-            xin, gin = min(points, key=lambda p: abs(p[0] - x))
-            return (xin, x, gin, gx) if xin < x else (x, xin, gx, gin)
-        points.append((x, gx))
-        return None
+def _sign_change(points):
+    """The narrowest pair of probes adjacent in alpha across which the
+    defect changes sign (an exact zero counts as a change), as (lo, hi);
+    None when every probe has the sign of g(0)."""
+    xs = sorted(points)
+    best = None
+    for a, b in zip(xs, xs[1:]):
+        ga, gb = points[a], points[b]
+        if ga == 0.0 or gb == 0.0 or math.copysign(1.0, ga) != math.copysign(1.0, gb):
+            if best is None or b - a < best[1] - best[0]:
+                best = (a, b)
+    return best
 
+
+def _find_bracket(g, points, seed, h, y0):
+    """Probe pairs until a sign change of g shows among `points` (alpha ->
+    g, updated in place); returns the first one found, as (lo, hi).
+
+    Each pair straddles the secant point x through the latest two probes:
+    {x - d, x + d}, with d = _PAIR_FRACTION |x - x_latest| for the first
+    pair and _OVERSHOOT |x - x_latest| for the up to _SECANT_STEPS - 1 that
+    follow a miss.  Wherever the pairs fail (equal defects at the latest two
+    probes, a secant point that is not finite or a pair that reaches beyond
+    _REACH, a failed stage solve, or no sign change after the last pair), a
+    scan probes +-seed * 2^k, k = 0, 1, ..., up to |alpha| = _BRACKET_MAX,
+    one probe at a time; a probe whose stage solve fails closes that side of
+    the scan, and when neither side changes sign the search is declared
+    rootless.  Only the pairs' probes count toward the evaluation budget."""
+    found = _sign_change(points)
     try:
-        found = close(_PROBE_FRACTION * seed)
-        for _ in range(_SECANT_STEPS):
+        latest = list(points)
+        for k in range(_SECANT_STEPS):
             if found is not None:
                 return found
-            (xa, ga), (xb, gb) = points[-2:]
+            xa, xb = latest[-2:]
+            ga, gb = points[xa], points[xb]
             if gb == ga:
                 break
             x = xb - gb * (xb - xa) / (gb - ga)
-            if not (math.isfinite(x) and abs(x) <= _REACH):
+            d = (_PAIR_FRACTION if k == 0 else _OVERSHOOT) * abs(x - xb)
+            if not (math.isfinite(x) and abs(x) + d <= _REACH):
                 break
-            found = close(x)
-            if found is None:
-                beyond = x + _OVERSHOOT * (x - xb)
-                if abs(beyond) > _REACH:
-                    break
-                found = close(beyond)
+            latest = [x - d, x + d]
+            points.update(zip(latest, g(latest)))
+            found = _sign_change(points)
         if found is not None:
             return found
     except StageSolveError:
@@ -256,11 +332,13 @@ def _find_bracket(g, g0, seed, h, y0):
     radius = seed
     while sides and radius <= _BRACKET_MAX * (1.0 + 1e-12):
         for side in tuple(sides):
+            x = side * radius
             try:
-                found = close(side * radius, count=False)
+                (points[x],) = g((x,), free=1)
             except StageSolveError:
                 sides.remove(side)
                 continue
+            found = _sign_change(points)
             if found is not None:
                 return found
         radius *= 2.0

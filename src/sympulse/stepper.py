@@ -60,7 +60,8 @@ class StepResult:
     stages; `increment` is h (b @ stage_fields), so y1 = y0 + increment;
     `stage_residual` is the scaled max-norm defect of the stage
     equations at return.  `converged` false means the iteration budget ran
-    out; the caller decides what to do.
+    out; the caller decides what to do.  A batched solve (see `step`) gives
+    `y1`, `increment`, `stages` and `stage_fields` a leading member axis.
     """
 
     y1: np.ndarray
@@ -91,14 +92,22 @@ def _fd_jacobian(system, y):
 def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     """Advance one step of the implicit RK method defined by `tableau`.
 
-    The stages start from y0, or from `guess`, an (s, n) array: typically
-    the stages extrapolated through the two nearest converged probes of a
-    root search from the same y0 (see `conserve.solve_alpha`).  A solve
-    started from a guess takes one more sweep after its residual first meets
-    `stage_tol`.  The error left at that point depends on where
-    the guess came from, and the extra sweep shrinks it by the contraction
-    factor, so that y1 varies smoothly with the tableau however it was
-    started.
+    `tableau.A` may also be a (k, s, s) stack of coefficient matrices
+    sharing b (see `tableau.butcher_batch`): the k methods are then solved
+    from the same y0 in one iteration, every member sweeping together until
+    the worst member's residual meets `stage_tol`, and the vector field sees
+    all k s stages as one (k s, n) block.  The arrays of the result carry a
+    leading member axis, and `iterations`, `converged` and `stage_residual`
+    are the batch's.  A stack of one solves exactly as its single tableau.
+
+    The stages start from y0, or from `guess`, an (s, n) array ((k, s, n)
+    for a stack): typically the stages extrapolated through the two nearest
+    converged probes of a root search from the same y0 (see
+    `conserve.solve_alpha`).  A solve started from a guess takes one more
+    sweep after its residual first meets `stage_tol`.  The error left at
+    that point depends on where the guess came from, and the extra sweep
+    shrinks it by the contraction factor, so that y1 varies smoothly with
+    the tableau however it was started.
 
     Non-convergence is reported through the `converged` flag, not raised: an
     iterate whose field is singular or not finite ends the solve at the last
@@ -112,16 +121,22 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     h = cfg.h
     scale = 1.0 + np.abs(y0).max()
     tol = cfg.stage_tol
+    shape = A.shape[:-1] + (n,)
+
+    field = system.vector_field
+    if A.ndim == 3:
+        def field(Y, flat=field):
+            return flat(Y.reshape(-1, n)).reshape(Y.shape)
 
     if guess is None:
-        Y = np.empty((s, n))
+        Y = np.empty(shape)
         Y[...] = y0
     else:
         Y = guess
-    F = system.vector_field(Y)
+    F = field(Y)
     polish = guess is not None
 
-    M = None  # simplified-Newton matrix; None while fixed-point sweeps run
+    M = None  # simplified-Newton matrices; None while fixed-point sweeps run
     jacobians = 0
     history = []
     iterations = 0
@@ -146,17 +161,20 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
             if jacobians > _MAX_JACOBIAN_REFRESH:
                 break  # stalled with no refresh left
             # a stalled fixed point turns to simplified Newton with J at y0;
-            # a stalled Newton refreshes J at the stage average
-            J = _fd_jacobian(system, y0 if M is None else Y.mean(axis=0))
-            M = np.eye(s * n) - h * np.kron(A, J)
+            # a stalled Newton refreshes J at the stage average.  One J
+            # serves every member: I - h kron(A_k, J) for each A_k
+            J = _fd_jacobian(system, y0 if M is None else Y.reshape(-1, n).mean(axis=0))
+            kron = A[..., :, None, :, None] * J[:, None, :]
+            M = np.eye(s * n) - h * kron.reshape(A.shape[:-2] + (s * n, s * n))
             jacobians += 1
             history = []
         if M is None:
             Y_next = y0 + hAF
         else:
-            Y_next = Y - np.linalg.solve(M, defect.ravel()).reshape(s, n)
+            rhs = defect.reshape(A.shape[:-2] + (s * n, 1))
+            Y_next = Y - np.linalg.solve(M, rhs).reshape(shape)
         try:
-            F_next = system.vector_field(Y_next)
+            F_next = field(Y_next)
         except SingularPotentialError:
             F_next = None
         if F_next is None or not np.isfinite(F_next).all():

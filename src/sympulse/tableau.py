@@ -106,12 +106,14 @@ class ButcherTableau:
     """An s-stage Runge-Kutta method (c, A, b) with its perturbation record.
 
     `order` is the classical order: 2s for the unperturbed Gauss method,
-    2*index when the coupling at subdiagonal `index` is perturbed.
+    2*index when the coupling at subdiagonal `index` is perturbed.  A batch
+    from `butcher_batch` holds a (k, s, s) stack in `A` and no
+    `perturbation`, since its members differ in value.
     """
 
     quadrature: QuadratureRule
     A: np.ndarray
-    perturbation: PerturbationSpec
+    perturbation: PerturbationSpec | None
     order: int
 
     @property
@@ -249,6 +251,18 @@ def butcher(q: QuadratureRule, pert: PerturbationSpec) -> ButcherTableau:
     A = A0 + pert.value * D[pert.index - 1]
     A.setflags(write=False)
     return ButcherTableau(quadrature=q, A=A, perturbation=pert, order=2 * pert.index)
+
+
+def butcher_batch(q: QuadratureRule, index: int, values) -> ButcherTableau:
+    """The tableaux of the perturbation `values` at coupling `index` as one
+    batch for `stepper.step`: `A` is the (k, s, s) stack of A0 + v D_index,
+    each member equal to `butcher`'s tableau of that value."""
+    _check_gauss(q)
+    _check_index(q.s, index)
+    A0, D = _cached_affine_parts(q.s)
+    A = A0 + np.multiply.outer(values, D[index - 1])
+    A.setflags(write=False)
+    return ButcherTableau(quadrature=q, A=A, perturbation=None, order=2 * index)
 
 
 def defect_weights(q: QuadratureRule, index: int | None = None) -> np.ndarray:

@@ -134,26 +134,46 @@ class TestSolveAlpha:
         assert np.sign(record.slope) == np.sign(central)
         assert record.slope == pytest.approx(central, rel=1e-2)
 
+    def test_slope_stands_above_the_noise_at_a_flat_quartic_step(self):
+        # step 1587 of the quartic run (s=3, index 2, h=2^-5): the slope is
+        # ~6e-11 per unit alpha and the defect's noise ~5e-16, so a secant
+        # across a narrow bracket is noise; the record's slope must agree
+        # with a least-squares fit over 17 probes around the root
+        system, _ = quartic()
+        y = np.array([float.fromhex(v) for v in (
+            "0x1.253475a6a390ep+0", "-0x1.8855a9879d76ep-2",
+            "0x1.0b4d1cd68ce0ap-1", "0x1.4acc3bfa68d40p+0",
+        )])
+        cfg = StepConfig(h=H5)
+        record = solve_alpha(system, 3, 2, y, H5, AlphaSearchConfig(), cfg)
+        alphas = np.linspace(record.alpha_star - 1.5e-5, record.alpha_star + 1.5e-5, 17)
+        g = [energy_defect(system, 3, 2, y, H5, a, cfg)[0] for a in alphas]
+        fit = np.polyfit(alphas, g, 1)[0]
+        assert record.slope == pytest.approx(fit, rel=0.2)
+
     def test_later_probes_start_on_the_line_through_the_two_nearest(self, monkeypatch):
-        # the first probe starts from y0, the second from the first, and
-        # every later one from the stages extrapolated linearly in alpha
-        # through the two converged probes nearest to it
-        probes = []
+        # the first round ({0, p}) starts from y0; every member of every
+        # later round starts from the stages extrapolated linearly in alpha
+        # through the two converged probes of earlier rounds nearest to it
+        rounds = []
 
-        def recorded(system, tableau, y0, cfg, guess=None):
-            result = step(system, tableau, y0, cfg, guess)
-            probes.append((tableau.perturbation.value, guess, result.stages))
-            return result
+        def recorded(system, s, index, y0, h, alpha, cfg, guess=None):
+            defects, result = energy_defect(system, s, index, y0, h, alpha, cfg, guess)
+            rounds.append((tuple(alpha), guess, result.stages))
+            return defects, result
 
-        monkeypatch.setattr(conserve, "step", recorded)
+        monkeypatch.setattr(conserve, "energy_defect", recorded)
         system, ic = kepler(0.6)
         solve_alpha(system, 2, 1, ic.y0, H5, AlphaSearchConfig(), StepConfig(h=H5))
-        assert len(probes) >= 3
-        assert probes[0][1] is None
-        np.testing.assert_array_equal(probes[1][1], probes[0][2])
-        for k, (alpha, guess, _) in enumerate(probes[2:], start=2):
-            (a1, _, y1), (a2, _, y2) = sorted(probes[:k], key=lambda p: abs(p[0] - alpha))[:2]
-            np.testing.assert_array_equal(guess, y1 + (alpha - a1) / (a2 - a1) * (y2 - y1))
+        assert [len(alphas) for alphas, _, _ in rounds] == [2, 2, 3]
+        assert rounds[0][0][0] == 0.0 and rounds[0][1] is None
+        for k, (alphas, guess, _) in enumerate(rounds[1:], start=1):
+            converged = [
+                (a, stages[i]) for prior, _, stages in rounds[:k] for i, a in enumerate(prior)
+            ]
+            for alpha, start in zip(alphas, guess):
+                (a1, y1), (a2, y2) = sorted(converged, key=lambda p: abs(p[0] - alpha))[:2]
+                np.testing.assert_array_equal(start, y1 + (alpha - a1) / (a2 - a1) * (y2 - y1))
 
     def test_root_restores_conservation(self):
         system, ic = kepler(0.6)
@@ -194,7 +214,7 @@ class TestSolveAlpha:
 
     def test_scan_finds_the_root_the_prediction_misses(self):
         # the one step of the default Henon-Heiles run (s=3, index 2,
-        # h=0.25, t=500) whose secant prediction fails: the outward scan
+        # h=0.25, t=500) whose secant pairs fail: the outward scan
         # brackets a root within the prediction's reach
         system, _ = henon_heiles()
         y0 = np.array([float.fromhex(v) for v in (
@@ -210,11 +230,21 @@ class TestSolveAlpha:
         assert 0.0 < record.alpha_star < 0.0625
         assert record.step.converged
 
-    def test_eval_budget_enforced(self):
+    def test_eval_budget_enforced(self, monkeypatch):
+        # rounds {0, p} and the pair count 3 probes; the triple would pass the
+        # budget and raises before it is solved
+        solves = []
+
+        def counted(*args, **kwargs):
+            solves.append(args[1].A.shape[0])
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(conserve, "step", counted)
         system, ic = kepler(0.6)
         cfg = AlphaSearchConfig(max_g_evals=3)
         with pytest.raises(SearchBudgetError):
             solve_alpha(system, 2, 1, ic.y0, H5, cfg, StepConfig(h=H5))
+        assert solves == [2, 2]
 
     def test_zero_stepsize_rejected(self):
         system, ic = kepler(0.6)
@@ -223,8 +253,12 @@ class TestSolveAlpha:
 
     def test_bracketed_search_is_cheap_and_sharp(self, monkeypatch):
         # the default search must cost few defect evaluations per step and
-        # still land on the same sign-change points as a full dichotomy
+        # still land on the same sign-change points as a full dichotomy,
+        # which takes over every bracket the triple leaves to Brent
+        received = []
+
         def dichotomy(g, lo, hi, glo, ghi, width):
+            received.append(hi - lo > width)
             while hi - lo > width:
                 mid = 0.5 * (lo + hi)
                 if mid == lo or mid == hi:
@@ -244,24 +278,27 @@ class TestSolveAlpha:
         monkeypatch.setattr(conserve, "_bracketed_root", dichotomy)
         slow = integrate(spec)
 
+        assert any(received)
         assert fast.g_evals.mean() <= 12.0
         assert slow.g_evals.mean() > fast.g_evals.mean()
         assert fast.delta / H5**2 == pytest.approx(slow.delta / H5**2, rel=1e-6)
 
     def test_each_defect_evaluation_is_one_stage_solve(self, monkeypatch):
-        # the root's probe is the accepted step: a tuned run solves no stage
-        # system outside the search
-        calls = []
+        # every probe is one member of a batched stage solve, and the root's
+        # probe is the accepted step: a tuned run solves no stage system
+        # outside the search
+        members = []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return step(*args, **kwargs)
+        def counted(system, tableau, *args, **kwargs):
+            members.append(tableau.A.shape[0] if tableau.A.ndim == 3 else 1)
+            return step(system, tableau, *args, **kwargs)
 
         monkeypatch.setattr(conserve, "step", counted)
         monkeypatch.setattr(experiments, "step", counted)
         spec = RunSpec(problem="kepler", method="ep-gauss", s=2, h=H5, t_end=0.5, e=0.6)
         traj = integrate(spec)
-        assert len(calls) == int(traj.g_evals.sum())
+        assert sum(members) == int(traj.g_evals.sum())
+        assert len(members) < int(traj.g_evals.sum()) / 2
         assert traj.g_evals.min() >= 2
 
     def test_accepted_step_is_the_root_probe(self):

@@ -14,7 +14,7 @@ from sympulse.problems import (
     quartic,
 )
 from sympulse.stepper import _STALL_WINDOW, StepConfig, collocation_defect, dense_output, step
-from sympulse.tableau import PerturbationSpec, butcher, gauss_quadrature
+from sympulse.tableau import PerturbationSpec, butcher, butcher_batch, gauss_quadrature
 
 
 def make_tableau(s, index=None, alpha=0.0):
@@ -308,6 +308,102 @@ class TestStep:
         system, _ = kepler(0.6)
         with pytest.raises(SingularPotentialError):
             step(system, make_tableau(2), np.zeros(4), StepConfig(h=0.1))
+
+
+def member_residuals(res, tab, y0, h):
+    """Each member's scaled stage-equation residual, from its own stages."""
+    F = res.stage_fields
+    defect = res.stages - y0 - h * (tab.A @ F)
+    return np.abs(defect).max(axis=(-2, -1)) / (1.0 + np.max(np.abs(y0)))
+
+
+class TestBatchedStep:
+    @pytest.mark.parametrize("index,alpha", [(1, 0.0), (1, 1e-3), (2, -0.05)])
+    @pytest.mark.parametrize("start", ["cold", "warm"])
+    def test_stack_of_one_is_the_single_solve(self, index, alpha, start):
+        system, ic = kepler(0.6)
+        cfg = StepConfig(h=2**-5)
+        q = gauss_quadrature(3)
+        single = butcher(q, PerturbationSpec.single(3, index, alpha))
+        guess = None
+        if start == "warm":
+            guess = step(system, make_tableau(3, 2, 2e-3), ic.y0, cfg).stages
+        one = step(system, single, ic.y0, cfg, guess)
+        stack = step(
+            system, butcher_batch(q, index, [alpha]), ic.y0, cfg,
+            None if guess is None else guess[None],
+        )
+        assert stack.y1.shape == (1, 4) and stack.stages.shape == (1, 3, 4)
+        assert stack.y1[0].tobytes() == one.y1.tobytes()
+        assert stack.stages[0].tobytes() == one.stages.tobytes()
+        assert stack.iterations == one.iterations
+        assert stack.converged and one.converged
+        assert stack.stage_residual == one.stage_residual
+
+    def test_every_member_meets_the_tolerance(self):
+        system, ic = kepler(0.6)
+        cfg = StepConfig(h=2**-5)
+        values = (0.0, 1e-3, -2e-3)
+        batch = butcher_batch(gauss_quadrature(2), 1, values)
+        res = step(system, batch, ic.y0, cfg)
+        assert res.converged
+        assert isinstance(res.iterations, int) and isinstance(res.converged, bool)
+        assert res.y1.shape == (3, 4)
+        residuals = member_residuals(res, batch, ic.y0, cfg.h)
+        assert np.all(residuals <= cfg.stage_tol)
+        assert res.stage_residual == residuals.max()
+        np.testing.assert_array_equal(res.y1, ic.y0 + res.increment)
+        for k, value in enumerate(values):
+            alone = step(system, make_tableau(2, 1, value), ic.y0, cfg)
+            assert np.max(np.abs(res.y1[k] - alone.y1)) <= 4 * np.finfo(float).eps * 3.0
+
+    def test_stalled_stack_converges_through_batched_newton(self, monkeypatch):
+        # the huge-step state of the single-solve test: every member's fixed
+        # point stalls, and one Jacobian serves the stack's Newton iteration
+        calls = []
+
+        def counted(system, y):
+            calls.append(y)
+            return fd_jacobian(system, y)
+
+        fd_jacobian = stepper._fd_jacobian
+        monkeypatch.setattr(stepper, "_fd_jacobian", counted)
+        system, _ = quartic()
+        y0 = np.array([float.fromhex(v) for v in (
+            "-0x1.02db740dcae52p-1", "0x1.84669c109a497p-1",
+            "-0x1.113368088e0fdp+1", "-0x1.ed21089920480p-4",
+        )])
+        batch = butcher_batch(gauss_quadrature(3), 2, (0.0, 1e-3, -1e-3))
+        cfg = StepConfig(h=1.0)
+        res = step(system, batch, y0, cfg)
+        assert len(calls) >= 1
+        assert res.converged
+        assert np.all(member_residuals(res, batch, y0, cfg.h) <= cfg.stage_tol)
+
+    def test_singular_member_fails_the_batch_at_the_last_finite_iterate(self):
+        # a field singular far from y0; the heavily perturbed member's fixed
+        # point diverges into it while the Gauss member's would converge
+        def flow(y):
+            if np.abs(y).max() > 10.0:
+                raise SingularPotentialError("far from the start")
+            return harmonic()[0].flow(y)
+
+        toy = HamiltonianSystem(
+            name="toy", m=1, energy=lambda y: 0.5 * (y * y).sum(-1), flow=flow,
+            energy_increment=lambda y, d: 0.0,
+        )
+        y0 = np.array([1.0, 0.0])
+        cfg = StepConfig(h=1.0)
+        q = gauss_quadrature(2)
+        assert step(toy, butcher_batch(q, 1, [0.0]), y0, cfg).converged
+        res = step(toy, butcher_batch(q, 1, [0.0, 8.0]), y0, cfg)
+        assert not res.converged
+        assert res.iterations < _STALL_WINDOW
+        assert res.stages.shape == (2, 2, 2)
+        assert np.abs(res.stages).max() <= 10.0
+        np.testing.assert_array_equal(
+            res.stage_fields, flow(res.stages.reshape(-1, 2)).reshape(2, 2, 2)
+        )
 
 
 def integrate_plain(system, tab, y0, h, n):

@@ -6,6 +6,7 @@ from sympulse.tableau import (
     PerturbationSpec,
     QuadratureRule,
     butcher,
+    butcher_batch,
     defect_weights,
     gauss_core,
     gauss_quadrature,
@@ -243,6 +244,21 @@ class TestButcher:
         # a zero value leaves the method the plain Gauss one
         assert butcher(q, PerturbationSpec.single(3, 2, 0.0)).order == 6
 
+    @pytest.mark.parametrize("s", [2, 3, 4])
+    def test_batch_members_are_the_single_tableaux(self, s):
+        q = gauss_quadrature(s)
+        values = (0.0, 1e-3, -0.2)
+        for index in range(1, s):
+            batch = butcher_batch(q, index, values)
+            assert batch.A.shape == (len(values), s, s)
+            assert not batch.A.flags.writeable
+            assert batch.perturbation is None
+            for A, value in zip(batch.A, values):
+                single = butcher(q, PerturbationSpec.single(s, index, value))
+                np.testing.assert_array_equal(A, single.A)
+        with pytest.raises(ValueError):
+            butcher_batch(q, s, values)
+
     def test_stage_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             butcher(gauss_quadrature(3), PerturbationSpec.none(2))
@@ -261,6 +277,8 @@ class TestButcher:
         rule = QuadratureRule(s=3, c=c, b=b)
         with pytest.raises(ValueError, match="gauss_quadrature"):
             butcher(rule, PerturbationSpec.none(3))
+        with pytest.raises(ValueError, match="gauss_quadrature"):
+            butcher_batch(rule, 1, [0.0])
         with pytest.raises(ValueError, match="gauss_quadrature"):
             legendre_basis(rule)
 
