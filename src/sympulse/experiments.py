@@ -24,7 +24,7 @@ from .conserve import (
     energy_defect,
     solve_alpha,
 )
-from .stepper import StepConfig, step
+from .stepper import StepConfig, stage_predictor, step
 from .tableau import PerturbationSpec, butcher, gauss_quadrature
 
 METHODS = ("gauss", "fixed-alpha", "ep-gauss", "ep-gauss-type2")
@@ -106,7 +106,11 @@ class TrajectoryRecord:
     root: the increment H(y_k + D_k) - H(y_k) of step k, measured against the
     step's own start energy, so it agrees with
     `energy_error[k + 1] - energy_error[k]` to the round-off of H; it is 0.0
-    for methods that do not tune alpha.  When the
+    for methods that do not tune alpha.  `stage_iters[k]` counts the sweeps
+    of the stage solve accepted as step k; for a full step of a `gauss` or
+    `fixed-alpha` run after the first, which starts from the stages the step
+    before predicts, that includes the polish sweep `stepper.step` takes
+    after a guessed start.  When the
     interval is not an integer multiple of h the trailing partial step is
     flagged and excluded from the root-band statistics.
     """
@@ -146,10 +150,29 @@ def _step_grid(t0, t_end, h):
     return n_full, (remainder if partial else 0.0), partial
 
 
+def _raise_at_first_singular_state(system, times, states):
+    """Raise the IntegrationError of the first step whose end state the
+    energy or an invariant cannot be evaluated at."""
+    for k in range(states.shape[0] - 1):
+        try:
+            system.energy(states[k + 1])
+            for inv in system.quadratic_invariants:
+                inv.fn(states[k + 1])
+        except problems_mod.SingularPotentialError as exc:
+            raise IntegrationError(
+                f"step {k} at t={times[k]!r} ended at a singular state: {exc}",
+                k, times[k], states[k].copy(),
+            ) from exc
+
+
 def integrate(spec: RunSpec) -> TrajectoryRecord:
     """Run one integration.  Energy-tuned methods accept, as each step, the
     stage solve that the root search made at the located root; each search
-    conserves the energy of the state it starts from."""
+    conserves the energy of the state it starts from, so such a run depends
+    only on its start state.  Fixed-tableau methods start each full step
+    after the first from the stages that the step before predicts
+    (`stepper.stage_predictor`).  The energy and invariant errors are
+    evaluated once, over all states, after the last step."""
     system, ic = problems_mod.get_problem(spec.problem, e=spec.e, y0=spec.y0)
     y = np.asarray(ic.y0, float)
     t = spec.t0
@@ -167,13 +190,12 @@ def integrate(spec: RunSpec) -> TrajectoryRecord:
             else PerturbationSpec.single(spec.s, index, spec.alpha)
         )
         fixed_tableau = butcher(gauss_quadrature(spec.s), pert)
+        predictor = stage_predictor(fixed_tableau)
 
     times = np.empty(n_steps + 1)
     states = np.empty((n_steps + 1, system.dim))
-    energy_error = np.empty(n_steps + 1)
-    invariant_errors = {
-        name: np.empty(n_steps + 1) for name in inv0
-    }
+    energy_error = np.zeros(n_steps + 1)
+    invariant_errors = {name: np.zeros(n_steps + 1) for name in inv0}
     alpha_trace = np.empty(n_steps)
     g_evals = np.zeros(n_steps, dtype=int)
     g_residual = np.zeros(n_steps)
@@ -181,9 +203,6 @@ def integrate(spec: RunSpec) -> TrajectoryRecord:
 
     times[0] = t
     states[0] = y
-    energy_error[0] = 0.0
-    for name in inv0:
-        invariant_errors[name][0] = 0.0
 
     # one StepConfig per distinct step size: the full steps and the partial one
     full_cfg = spec.make_step_cfg()
@@ -202,7 +221,12 @@ def integrate(spec: RunSpec) -> TrajectoryRecord:
                 result = record.step
             else:
                 alpha_k = spec.alpha if spec.method == "fixed-alpha" else 0.0
-                result = step(system, fixed_tableau, y, cfg)
+                # a full step after the first starts from the stages that the
+                # step before predicts; the first and a partial step start cold
+                guess = None
+                if 0 < k < n_full:
+                    guess = result.y1 + h * (predictor @ result.stage_fields)
+                result = step(system, fixed_tableau, y, cfg, guess)
                 if not result.converged:
                     raise StageSolveError(
                         f"stage iteration failed (residual {result.stage_residual:.3e})",
@@ -224,9 +248,14 @@ def integrate(spec: RunSpec) -> TrajectoryRecord:
         stage_iters[k] = result.iterations
         times[k + 1] = t
         states[k + 1] = y
-        energy_error[k + 1] = float(system.energy(y)) - h0_energy
+
+    try:
+        energy_error[1:] = system.energy(states[1:]) - h0_energy
         for inv in system.quadratic_invariants:
-            invariant_errors[inv.name][k + 1] = float(inv.fn(y)) - inv0[inv.name]
+            invariant_errors[inv.name][1:] = inv.fn(states[1:]) - inv0[inv.name]
+    except problems_mod.SingularPotentialError:
+        _raise_at_first_singular_state(system, times, states)
+        raise
 
     return TrajectoryRecord(
         spec=spec,

@@ -5,9 +5,12 @@ advances y1 = y0 + h sum_j b_j f(Y_j).  The solver is plain fixed-point
 iteration, adequate for nonstiff problems at moderate stepsizes; a simplified
 Newton iteration (vector-field Jacobian frozen at the step start, applied to
 the coupled system through its Kronecker structure) takes over from the
-current iterate when the fixed-point residual stalls.  The dense output and
-the quasi-collocation residuals read the perturbation value and index from
-the tableau.
+current iterate when the fixed-point residual stalls.  The stages start from
+y0 or from a caller's guess: a root search passes the line through two
+converged probes of the same step, a fixed-tableau run the previous step's
+stage fields extrapolated by `stage_predictor`.  The dense output and the
+quasi-collocation residuals read the perturbation value and index from the
+tableau.
 """
 
 from __future__ import annotations
@@ -101,9 +104,10 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     are the batch's.  A stack of one solves exactly as its single tableau.
 
     The stages start from y0, or from `guess`, an (s, n) array ((k, s, n)
-    for a stack): typically the stages extrapolated through the two nearest
-    converged probes of a root search from the same y0 (see
-    `conserve.solve_alpha`).  A solve started from a guess takes one more
+    for a stack): in a root search, the stages extrapolated through the two
+    nearest converged probes from the same y0 (see `conserve.solve_alpha`);
+    in a fixed-tableau run, the stages predicted from the step before (see
+    `stage_predictor`).  A solve started from a guess takes one more
     sweep after its residual first meets `stage_tol`.  The error left at
     that point depends on where the guess came from, and the extra sweep
     shrinks it by the contraction factor, so that y1 varies smoothly with
@@ -196,6 +200,25 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
         h=h,
         stage_fields=F,
     )
+
+
+def stage_predictor(tableau) -> np.ndarray:
+    """The (s, s) matrix E = A L that predicts the stages of the next step.
+
+    With L[i, j] = l_j(1 + c_i), the Lagrange basis on the nodes c evaluated
+    one step ahead, L F extrapolates a step's stage fields F to the nodes of
+    the next step of the same size, and y1 + h E F predicts its stages to
+    O(h^{s+1}) (the starting approximation of Hairer, Lubich & Wanner,
+    *Geometric Numerical Integration*, VIII.6.1).  For Gauss this is the
+    collocation polynomial at 1 + c_i; unlike the quasi-collocation
+    interpolant it stays consistent with y1 for a perturbed tableau.
+    """
+    c = tableau.c
+    L = np.empty((tableau.s, tableau.s))
+    for j in range(tableau.s):
+        others = np.delete(c, j)
+        L[:, j] = np.prod((1.0 + c[:, None] - others) / (c[j] - others), axis=1)
+    return tableau.A @ L
 
 
 def lagrange_integral_coeffs(c) -> np.ndarray:

@@ -1,9 +1,11 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from sympulse import experiments
+from sympulse import problems as problems_mod
 from sympulse.conserve import AlphaSearchConfig, NoRootError, SearchBudgetError
 from sympulse.experiments import (
     IntegrationError,
@@ -14,8 +16,9 @@ from sympulse.experiments import (
     reference_state,
     resolve_perturb_index,
 )
-from sympulse.problems import kepler_reference
-from sympulse.stepper import StepConfig
+from sympulse.problems import SingularPotentialError, kepler_reference
+from sympulse.stepper import StepConfig, step
+from sympulse.tableau import PerturbationSpec, butcher, gauss_quadrature
 
 
 class TestRunSpec:
@@ -173,6 +176,113 @@ class TestIntegrate:
             integrate(spec)
         assert isinstance(err.value.__cause__, NoRootError)
         assert err.value.step_index == 304
+
+
+def cold_loop(spec):
+    """The run's full steps, each solved from y0 by `stepper.step`: the
+    states and sweeps of a fixed-tableau run without the warm start."""
+    system, ic = problems_mod.get_problem(spec.problem, e=spec.e)
+    pert = (
+        PerturbationSpec.none(spec.s)
+        if spec.method == "gauss"
+        else PerturbationSpec.single(spec.s, spec.resolved_perturb_index(), spec.alpha)
+    )
+    tab = butcher(gauss_quadrature(spec.s), pert)
+    cfg = spec.make_step_cfg()
+    y, iters = ic.y0, []
+    for _ in range(round((spec.t_end - spec.t0) / spec.h)):
+        result = step(system, tab, y, cfg)
+        assert result.converged
+        y = result.y1
+        iters.append(result.iterations)
+    return y, np.array(iters)
+
+
+class TestFixedTableauWarmStart:
+    def test_quartic_gauss_takes_fewer_sweeps_to_the_cold_end_state(self):
+        # the quartic reference's finest-but-one level: 6.0 sweeps per step
+        # from y0, about 4.6 from the previous step's prediction (the polish
+        # sweep included)
+        spec = RunSpec(problem="quartic", method="gauss", s=3, h=2**-8, t_end=2.0)
+        traj = integrate(spec)
+        cold_y, cold_iters = cold_loop(spec)
+        assert cold_iters.mean() == 6.0
+        assert traj.stage_iters.mean() <= 5.0
+        assert np.max(np.abs(traj.final_state - cold_y)) <= 1e-12
+
+    def test_perturbed_tableau_takes_fewer_sweeps_than_the_cold_start(self):
+        spec = RunSpec(
+            problem="kepler", method="fixed-alpha", s=2, h=2**-5, t_end=10.0,
+            e=0.6, alpha=0.01,
+        )
+        traj = integrate(spec)
+        cold_y, cold_iters = cold_loop(spec)
+        assert traj.stage_iters.mean() < cold_iters.mean()
+        assert np.max(np.abs(traj.final_state - cold_y)) <= 1e-12
+
+    def test_first_and_partial_steps_start_cold(self, monkeypatch):
+        guesses = []
+
+        def spy(system, tab, y0, cfg, guess=None, _original=experiments.step):
+            guesses.append(guess)
+            return _original(system, tab, y0, cfg, guess)
+
+        monkeypatch.setattr(experiments, "step", spy)
+        spec = RunSpec(problem="quartic", method="gauss", s=3, h=0.25, t_end=1.03)
+        traj = integrate(spec)
+        assert traj.partial_final
+        assert traj.times[-1] == pytest.approx(1.03, abs=1e-15)
+        assert len(guesses) == 5
+        assert guesses[0] is None and guesses[-1] is None
+        assert all(g is not None for g in guesses[1:-1])
+
+
+class TestEnergyBookkeeping:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"problem": "kepler", "method": "ep-gauss", "s": 2, "h": 2**-5, "t_end": 5.0, "e": 0.6},
+            {"problem": "quartic", "method": "gauss", "s": 3, "h": 2**-5, "t_end": 2.0},
+        ],
+    )
+    def test_errors_over_all_states_equal_the_per_state_ones(self, kwargs):
+        traj = integrate(RunSpec(**kwargs))
+        system, _ = problems_mod.get_problem(kwargs["problem"], e=kwargs.get("e"))
+        h0 = float(system.energy(traj.states[0]))
+        np.testing.assert_array_equal(
+            traj.energy_error, [float(system.energy(y)) - h0 for y in traj.states]
+        )
+        (inv,) = system.quadratic_invariants
+        l0 = float(inv.fn(traj.states[0]))
+        np.testing.assert_array_equal(
+            traj.invariant_errors["L"], [float(inv.fn(y)) - l0 for y in traj.states]
+        )
+
+    def test_singular_end_state_carries_step_context(self, monkeypatch):
+        # the energy raises at the end state of step 6 only; the run reports
+        # that step with its start time and start state
+        spec = RunSpec(problem="harmonic", method="gauss", s=2, h=0.25, t_end=3.0)
+        states = integrate(spec).states
+        singular = states[7]
+        original = problems_mod.get_problem
+
+        def get_problem(*args, **kwargs):
+            system, ic = original(*args, **kwargs)
+
+            def energy(y):
+                if (np.atleast_2d(y) == singular).all(axis=-1).any():
+                    raise SingularPotentialError("energy evaluated at the marked state")
+                return system.energy(y)
+
+            return dataclasses.replace(system, energy=energy), ic
+
+        monkeypatch.setattr(problems_mod, "get_problem", get_problem)
+        with pytest.raises(IntegrationError) as err:
+            integrate(spec)
+        assert isinstance(err.value.__cause__, SingularPotentialError)
+        assert err.value.step_index == 6
+        assert err.value.time == 1.5
+        assert err.value.state.tobytes() == states[6].tobytes()
 
 
 class TestReferenceState:

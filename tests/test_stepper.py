@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from sympulse import stepper
 from sympulse.conserve import energy_defect
@@ -13,7 +14,15 @@ from sympulse.problems import (
     kepler_reference,
     quartic,
 )
-from sympulse.stepper import _STALL_WINDOW, StepConfig, collocation_defect, dense_output, step
+from sympulse.stepper import (
+    _STALL_WINDOW,
+    StepConfig,
+    collocation_defect,
+    dense_output,
+    lagrange_integral_coeffs,
+    stage_predictor,
+    step,
+)
 from sympulse.tableau import PerturbationSpec, butcher, butcher_batch, gauss_quadrature
 
 
@@ -471,6 +480,31 @@ class TestLocalEnergyDefectOrder:
         ]
         for ratio in (g[0] / g[1], g[1] / g[2]):
             assert 7.0 <= ratio <= 9.0  # 2^(2s-1) = 8
+
+
+class TestStagePredictor:
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_gauss_prediction_is_the_collocation_polynomial_one_step_ahead(self, s):
+        # y1 + h E F against y0 + h I(1 + c) F, with I the integrated
+        # Lagrange basis and y1 = y0 + h I(1) F
+        tab = make_tableau(s)
+        I = lagrange_integral_coeffs(tab.c)
+        ahead = npoly.polyval(1.0 + tab.c, I.T).T - npoly.polyval(1.0, I.T)
+        assert np.max(np.abs(stage_predictor(tab) - ahead)) <= 1e-13
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_predicted_stages_are_accurate_to_order_s_plus_1(self, s):
+        system, ic = kepler(0.6)
+        tab = make_tableau(s)
+        E = stage_predictor(tab)
+        errors = []
+        for h in (2**-6, 2**-7):
+            cfg = StepConfig(h=h)
+            first = step(system, tab, ic.y0, cfg)
+            second = step(system, tab, first.y1, cfg)
+            predicted = first.y1 + h * (E @ first.stage_fields)
+            errors.append(np.max(np.abs(predicted - second.stages)))
+        assert errors[0] / errors[1] == pytest.approx(2 ** (s + 1), rel=0.1)
 
 
 class TestDenseOutput:
