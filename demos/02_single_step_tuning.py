@@ -4,9 +4,12 @@
 A single step of the perturbed method from the Kepler perihelion: scan the
 energy defect g(alpha) = H(y0 + D(alpha)) - H(y0), the energy change of the
 step's increment D, watch it change sign, locate the root with the bracketed
-search (a secant prediction of the sign change from g(0) and one probe near
-zero, then Brent's method on the predicted bracket), and verify the
-quasi-collocation structure of the stage interpolant at the tuned value.
+search, and verify the quasi-collocation structure of the stage interpolant
+at the tuned value.  The search probes g in rounds, each one batched stage
+solve: g(0) and one probe near zero; then pairs straddling secant points
+until a probe changes sign; then a triple of the stop width around the
+secant point of that sign change.  Brent's method closes the bracket where
+the triple misses the root.
 """
 
 import numpy as np
@@ -30,7 +33,7 @@ rec = sp.solve_alpha(system, 2, 1, ic.y0, h, sp.AlphaSearchConfig(), cfg)
 lo, hi = rec.bracket
 print(f"\nroot              : alpha* = {rec.alpha_star:+.12e}")
 print(f"cost              : {rec.g_evals} defect evaluations (one stage solve each)")
-print(f"predicted bracket : [{lo:+.6e}, {hi:+.6e}]")
+print(f"first sign change : [{lo:+.6e}, {hi:+.6e}]")
 
 # the search's step at the root: the energy is conserved to tolerance, the
 # angular momentum automatically (symplecticity), and the stages satisfy the

@@ -38,7 +38,6 @@ from .conserve import (
     AlphaSearchConfig,
     AlphaSolveRecord,
     NoRootError,
-    SearchBudgetError,
     StageSolveError,
     energy_defect,
     level_grid,
@@ -73,7 +72,6 @@ __all__ = [
     "PerturbationSpec",
     "QuadratureRule",
     "RunSpec",
-    "SearchBudgetError",
     "SingularPotentialError",
     "StageSolveError",
     "StepConfig",

@@ -68,31 +68,21 @@ class NoRootError(RuntimeError):
     for this state."""
 
 
-class SearchBudgetError(RuntimeError):
-    """The search used up `max_g_evals` defect evaluations."""
-
-
 @dataclass(frozen=True)
 class AlphaSearchConfig:
     """Settings for the per-step root search on the energy defect.
 
     `alpha_tol` is relative to the root scale: the search stops on a bracket
-    of absolute width alpha_tol h^{2r}.  `max_g_evals` bounds every probe
-    (each member of a batch counts) except the one at alpha = 0 and those of
-    the fallback scan, whose cost is fixed by its geometry (two probes per
-    doubling of the radius, from the seed up to |alpha| = 0.5).
+    of absolute width alpha_tol h^{2r}.
     """
 
     alpha_tol: float = 1e-9
-    max_g_evals: int = 80
 
     def __post_init__(self):
         if not math.isfinite(self.alpha_tol):
             raise ValueError(f"alpha_tol must be finite, got {self.alpha_tol!r}")
         if self.alpha_tol <= 0.0:
             raise ValueError("alpha_tol must be positive")
-        if self.max_g_evals < 3:
-            raise ValueError("max_g_evals must allow at least 3 evaluations")
 
 
 def _seed(h, r):
@@ -193,26 +183,21 @@ def solve_alpha(
     The returned record carries the probe at the root as `step`, so the
     caller accepts that step instead of solving it again.  The search
     depends only on (y0, h) and the settings.  Raises NoRootError when no
-    sign change is found, and SearchBudgetError before a round would take
-    the search past `max_g_evals` counted probes.
+    sign change is found.  Every search ends by construction: at most
+    _SECANT_STEPS rounds of pairs, one triple, a scan of two probes per
+    doubling of the radius up to _BRACKET_MAX, and Brent's method, which
+    stops on the bracket width.
     """
     r = s - perturb_index
     seed = _seed(h, r)
     width = search_cfg.alpha_tol * abs(h) ** (2 * r)
     evals = 0
-    counted = 0
     # alpha -> (stages, batched StepResult, member index) of every converged probe
     probes = {}
 
-    def g(alphas, free=0):
-        """The defects at `alphas`, solved as one batch; all but `free` of
-        them count toward the budget."""
-        nonlocal evals, counted
-        counted += len(alphas) - free
-        if counted > search_cfg.max_g_evals:
-            raise SearchBudgetError(
-                f"alpha search exceeded max_g_evals={search_cfg.max_g_evals}"
-            )
+    def g(alphas):
+        """The defects at `alphas`, solved as one batch."""
+        nonlocal evals
         evals += len(alphas)
         guess = _line_starts(probes, alphas) if len(probes) >= 2 else None
         defects, result = energy_defect(
@@ -222,7 +207,7 @@ def solve_alpha(
             probes[a] = (result.stages[i], result, i)
         return defects
 
-    g0, gp = g((0.0, _PROBE_FRACTION * seed), free=1)
+    g0, gp = g((0.0, _PROBE_FRACTION * seed))
     # a quadratic Hamiltonian is conserved for every perturbation value, so
     # its defect sits at round-off across the whole bracket; a defect that is
     # merely small (flat spot of a structured g) must still be root-searched,
@@ -305,7 +290,7 @@ def _find_bracket(g, points, seed, h, y0):
     scan probes +-seed * 2^k, k = 0, 1, ..., up to |alpha| = _BRACKET_MAX,
     one probe at a time; a probe whose stage solve fails closes that side of
     the scan, and when neither side changes sign the search is declared
-    rootless.  Only the pairs' probes count toward the evaluation budget."""
+    rootless."""
     found = _sign_change(points)
     try:
         latest = list(points)
@@ -334,7 +319,7 @@ def _find_bracket(g, points, seed, h, y0):
         for side in tuple(sides):
             x = side * radius
             try:
-                (points[x],) = g((x,), free=1)
+                (points[x],) = g((x,))
             except StageSolveError:
                 sides.remove(side)
                 continue

@@ -19,7 +19,6 @@ from . import problems as problems_mod
 from .conserve import (
     AlphaSearchConfig,
     NoRootError,
-    SearchBudgetError,
     StageSolveError,
     energy_defect,
     solve_alpha,
@@ -79,8 +78,9 @@ class RunSpec:
             raise ValueError("t_end must exceed t0")
         if self.h <= 0.0:
             raise ValueError("run stepsize must be positive")
-        if self.s < 1:
-            raise ValueError("stage count must be positive")
+        gauss_quadrature(self.s)
+        if self.method != "gauss":
+            PerturbationSpec.single(self.s, self.resolved_perturb_index(), self.alpha)
 
     @property
     def tunes_alpha(self):
@@ -234,10 +234,7 @@ def integrate(spec: RunSpec) -> TrajectoryRecord:
                         alpha=alpha_k,
                     )
         except (
-            StageSolveError,
-            NoRootError,
-            SearchBudgetError,
-            problems_mod.SingularPotentialError,
+            StageSolveError, NoRootError, problems_mod.SingularPotentialError
         ) as exc:
             raise IntegrationError(
                 f"step {k} at t={t!r} failed: {exc}", k, t, y.copy()

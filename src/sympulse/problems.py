@@ -281,6 +281,8 @@ def get_problem(name, e=None, y0=None):
         y0 = np.asarray(y0, float)
         if y0.shape != (system.dim,):
             raise ValueError(f"y0 must have {system.dim} components, got {y0.shape}")
+        if not np.isfinite(y0).all():
+            raise ValueError(f"y0 must be finite, got {tuple(y0.tolist())}")
         ic = InitialCondition(y0=y0, t0=ic.t0, label=ic.label + " (custom y0)")
     return system, ic
 

@@ -169,6 +169,9 @@ class TestIntegrateCommand:
             ["--t-end", "1", "--stage-tol", "nan"],
             ["--t-end", "1", "--stage-tol", "inf"],
             ["--t-end", "1", "--method", "fixed-alpha", "--alpha", "nan"],
+            # the start state is checked where the problem is built
+            ["--h", "2^-5", "--t-end", "1", "--y0=nan,0,0,1"],
+            ["--h", "2^-5", "--t-end", "1", "--y0=0.4,0,0,inf"],
         ],
     )
     def test_non_finite_input_usage_error(self, capsys, flags):
@@ -261,6 +264,17 @@ class TestLevelmapCommand:
         assert code == 1
         assert out == ""
         assert "must be finite" in err
+
+    def test_non_finite_start_state_usage_error(self, capsys):
+        code, out, err = run_capture(
+            capsys,
+            ["levelmap", "--problem", "kepler", "--h-list", "0.1",
+             "--alpha-list", "0:0.001:2", "--y0=nan,0,0,1"],
+        )
+        assert code == 1
+        assert out == ""
+        assert "y0 must be finite" in err
+        assert "Traceback" not in err
 
     def test_default_index_is_the_last_coupling(self, capsys):
         code, out, _ = run_capture(

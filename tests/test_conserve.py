@@ -7,7 +7,6 @@ from sympulse import conserve, experiments
 from sympulse.conserve import (
     AlphaSearchConfig,
     NoRootError,
-    SearchBudgetError,
     StageSolveError,
     energy_defect,
     level_grid,
@@ -32,7 +31,6 @@ class TestAlphaSearchConfig:
         [
             {"alpha_tol": 0.0},
             {"alpha_tol": -1e-16},
-            {"max_g_evals": 2},
         ],
     )
     def test_validation(self, kwargs):
@@ -229,22 +227,6 @@ class TestSolveAlpha:
         assert hi in scan_radii
         assert 0.0 < record.alpha_star < 0.0625
         assert record.step.converged
-
-    def test_eval_budget_enforced(self, monkeypatch):
-        # rounds {0, p} and the pair count 3 probes; the triple would pass the
-        # budget and raises before it is solved
-        solves = []
-
-        def counted(*args, **kwargs):
-            solves.append(args[1].A.shape[0])
-            return step(*args, **kwargs)
-
-        monkeypatch.setattr(conserve, "step", counted)
-        system, ic = kepler(0.6)
-        cfg = AlphaSearchConfig(max_g_evals=3)
-        with pytest.raises(SearchBudgetError):
-            solve_alpha(system, 2, 1, ic.y0, H5, cfg, StepConfig(h=H5))
-        assert solves == [2, 2]
 
     def test_zero_stepsize_rejected(self):
         system, ic = kepler(0.6)

@@ -6,7 +6,7 @@ import pytest
 
 from sympulse import experiments
 from sympulse import problems as problems_mod
-from sympulse.conserve import AlphaSearchConfig, NoRootError, SearchBudgetError
+from sympulse.conserve import NoRootError
 from sympulse.experiments import (
     IntegrationError,
     RunSpec,
@@ -155,22 +155,9 @@ class TestIntegrate:
         assert err.value.time == 76.0
         assert err.value.state.tobytes() == np.array(y0).tobytes()
 
-    def test_search_budget_carries_step_context(self):
-        spec = RunSpec(
-            problem="kepler", method="ep-gauss", s=2, h=2**-5, t_end=1.0, e=0.6,
-            search=AlphaSearchConfig(max_g_evals=3),
-        )
-        with pytest.raises(IntegrationError) as err:
-            integrate(spec)
-        assert isinstance(err.value.__cause__, SearchBudgetError)
-        assert err.value.step_index == 0
-        assert err.value.time == 0.0
-        assert "max_g_evals=3" in str(err.value)
-
-    def test_rootless_step_is_not_a_budget_overrun(self):
+    def test_rootless_step_ends_the_run_with_no_root_error(self):
         # with s=2 Henon-Heiles meets a step at t=76 whose defect has no sign
-        # change; the search gives up there after 10 defect evaluations, 8 of
-        # them the fallback scan's, which never count against max_g_evals
+        # change; the search gives up there after its fallback scan
         spec = RunSpec(problem="henon-heiles", method="ep-gauss", s=2, h=0.25, t_end=80.0)
         with pytest.raises(IntegrationError) as err:
             integrate(spec)
@@ -371,6 +358,24 @@ class TestConvergenceTable:
     def test_h_list_must_decrease(self):
         with pytest.raises(ValueError):
             convergence_table("harmonic", "gauss", 2, [0.1, 0.2], 1.0)
+
+    @pytest.mark.parametrize(
+        "s, perturb_index, match",
+        [(1, None, "perturbation index"), (3, 7, "perturbation index"),
+         (0, None, "stage count")],
+    )
+    def test_bad_tableau_fails_before_the_reference(
+        self, monkeypatch, s, perturb_index, match
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("reference computed before the inputs were checked")
+
+        monkeypatch.setattr(experiments, "reference_state", forbidden)
+        with pytest.raises(ValueError, match=match):
+            convergence_table(
+                "quartic", "ep-gauss", s, [2**-1, 2**-2, 2**-3], 50.0,
+                perturb_index=perturb_index,
+            )
 
     def test_explicit_reference_is_used(self):
         rows = convergence_table(

@@ -255,6 +255,11 @@ class TestGetProblem:
         with pytest.raises(ValueError):
             get_problem("harmonic", y0=(1.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_start_state_rejected(self, bad):
+        with pytest.raises(ValueError, match="y0 must be finite"):
+            get_problem("kepler", y0=(0.4, 0.0, 0.0, bad))
+
 
 class TestKeplerReference:
     def test_time_zero_is_start_state(self):

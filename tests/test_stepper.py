@@ -134,6 +134,19 @@ class TestStep:
         assert res.converged
         assert len(calls) == res.iterations
 
+    def test_jacobian_takes_one_field_call(self):
+        system, _ = harmonic()
+        calls = []
+
+        def counted(y):
+            calls.append(y.shape)
+            return system.flow(y)
+
+        wrapped = dataclasses.replace(system, flow=counted)
+        J = stepper._fd_jacobian(wrapped, np.array([0.3, -0.8]))
+        np.testing.assert_allclose(J, [[0.0, 1.0], [-1.0, 0.0]], rtol=0, atol=1e-8)
+        assert calls == [(2, 2, 2)]
+
     @pytest.mark.parametrize("start", ["cold", "warm", "out_of_budget"])
     def test_stage_residual_is_the_residual_of_the_returned_stages(self, start):
         system, ic = kepler(0.6)
