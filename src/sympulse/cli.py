@@ -73,7 +73,10 @@ def parse_value_list(text):
     down to b, 'lo:hi:n' n linearly spaced values.  Tokens may use 2^-k."""
     text = text.strip()
     if "," in text:
-        return [parse_stepsize(t) for t in text.split(",") if t.strip()]
+        values = [parse_stepsize(t) for t in text.split(",") if t.strip()]
+        if not values:
+            raise UsageError(f"no values in {text!r}")
+        return values
     parts = text.split(":")
     if len(parts) == 2:
         start, stop = (parse_stepsize(p) for p in parts)
@@ -128,17 +131,15 @@ def _emit(ns, text):
         sys.stdout.write(text)
 
 
-def _add_tolerance_flags(p):
-    p.add_argument("--stage-tol", type=float, default=1e-14, help="stage-equation tolerance")
-
-
 def _add_problem_flags(p):
     p.add_argument("--problem", required=True, choices=tuple(PROBLEMS))
     p.add_argument("--e", type=float, default=None, help="Kepler eccentricity (default 0.6)")
     p.add_argument("--y0", type=parse_y0, default=None, help="start state override v1,v2,...")
+    p.add_argument("--stage-tol", type=float, default=1e-14, help="stage-equation tolerance")
+    p.add_argument("--output", "-o", default=None)
 
 
-def _add_method_flags(p):
+def _add_run_flags(p):
     p.add_argument("--method", choices=METHODS, default="ep-gauss")
     p.add_argument(
         "--stages", type=int, default=None,
@@ -146,6 +147,8 @@ def _add_method_flags(p):
     )
     p.add_argument("--perturb-index", type=int, default=None)
     p.add_argument("--alpha", type=float, default=0.0, help="value for --method fixed-alpha")
+    p.add_argument("--t0", type=float, default=0.0)
+    p.add_argument("--t-end", type=float, default=None)
 
 
 def _build_parser():
@@ -159,24 +162,19 @@ def _build_parser():
     p.add_argument("--perturb-index", type=int, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", "-o", default=None)
+    p.set_defaults(handler=_run_tableau)
 
     p = sub.add_parser("integrate", help="single run, trajectory CSV")
     _add_problem_flags(p)
-    _add_method_flags(p)
+    _add_run_flags(p)
     p.add_argument("--h", type=parse_stepsize, default=None, help="stepsize (2^-k allowed)")
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t-end", type=float, default=None)
-    _add_tolerance_flags(p)
-    p.add_argument("--output", "-o", default=None)
+    p.set_defaults(handler=_run_integrate)
 
     p = sub.add_parser("converge", help="convergence table over a stepsize list")
     _add_problem_flags(p)
-    _add_method_flags(p)
+    _add_run_flags(p)
     p.add_argument("--h-list", required=True, help="e.g. 2^-1:2^-7 or 0.5,0.25")
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t-end", type=float, default=None)
-    _add_tolerance_flags(p)
-    p.add_argument("--output", "-o", default=None)
+    p.set_defaults(handler=_run_converge)
 
     p = sub.add_parser("levelmap", help="energy defect g(alpha, h) on a grid, CSV")
     _add_problem_flags(p)
@@ -186,8 +184,7 @@ def _build_parser():
     p.add_argument(
         "--alpha-list", default="-0.0005:0.004:19", help="grid alpha values (lo:hi:n)"
     )
-    _add_tolerance_flags(p)
-    p.add_argument("--output", "-o", default=None)
+    p.set_defaults(handler=_run_levelmap)
 
     return parser
 
@@ -205,8 +202,31 @@ def _header(pairs):
     return "\n".join(lines) + "\n"
 
 
-def _step_config(ns, h):
-    return StepConfig(h=h, stage_tol=ns.stage_tol)
+def _problem_pairs(ns):
+    """Header lines shared by the subcommands that run a problem; only
+    kepler gets this far with `--e` set, the other problems reject it."""
+    return [
+        ("subcommand", ns.subcommand), ("problem", ns.problem), ("e", ns.e), ("y0", ns.y0)
+    ]
+
+
+def _method_pairs(spec):
+    """Header lines naming the tableau of a run."""
+    return [
+        ("method", spec.method),
+        ("stages", spec.s),
+        ("perturb_index", spec.resolved_perturb_index()),
+        ("alpha", spec.alpha if spec.method == "fixed-alpha" else None),
+    ]
+
+
+def _run_fields(ns, h):
+    """The `RunSpec` fields that the flags of `integrate` and `converge` set
+    besides the problem, method, stage count, stepsize and end time."""
+    return dict(
+        t0=ns.t0, e=ns.e, y0=ns.y0, alpha=ns.alpha, perturb_index=ns.perturb_index,
+        step_cfg=StepConfig(h=h, stage_tol=ns.stage_tol),
+    )
 
 
 def _run_tableau(ns):
@@ -255,35 +275,16 @@ def _run_tableau(ns):
 
 def _run_integrate(ns):
     h = ns.h if ns.h is not None else DEFAULT_H.get(ns.problem, 2.0 ** -5)
-    t_end = ns.t_end if ns.t_end is not None else DEFAULT_T_END[ns.problem]
-    spec = RunSpec(
-        problem=ns.problem,
-        method=ns.method,
-        s=ns.stages,
-        h=h,
-        t_end=t_end,
-        t0=ns.t0,
-        e=ns.e,
-        y0=ns.y0,
-        alpha=ns.alpha,
-        perturb_index=ns.perturb_index,
-        step_cfg=_step_config(ns, h),
-    )
+    spec = RunSpec(ns.problem, ns.method, ns.stages, h, ns.t_end, **_run_fields(ns, h))
     record = integrate(spec)
     inv_names = list(record.invariant_errors)
     header = _header(
-        [
-            ("subcommand", "integrate"),
-            ("problem", ns.problem),
-            ("e", ns.e if ns.problem == "kepler" else None),
-            ("y0", ns.y0),
-            ("method", ns.method),
-            ("stages", ns.stages),
-            ("perturb_index", spec.resolved_perturb_index()),
-            ("alpha", ns.alpha if ns.method == "fixed-alpha" else None),
+        _problem_pairs(ns)
+        + _method_pairs(spec)
+        + [
             ("h", h),
             ("t0", ns.t0),
-            ("t_end", t_end),
+            ("t_end", ns.t_end),
             ("stage_tol", ns.stage_tol),
             ("partial_final", str(record.partial_final).lower()),
         ]
@@ -317,34 +318,16 @@ def _run_integrate(ns):
 
 def _run_converge(ns):
     h_list = parse_value_list(ns.h_list)
-    t_end = ns.t_end if ns.t_end is not None else DEFAULT_T_END[ns.problem]
-    rows = convergence_table(
-        ns.problem,
-        ns.method,
-        ns.stages,
-        h_list,
-        t_end,
-        e=ns.e,
-        y0=ns.y0,
-        alpha=ns.alpha,
-        perturb_index=ns.perturb_index,
-        step_cfg=_step_config(ns, h_list[0]),
-        t0=ns.t0,
-    )
+    fields = _run_fields(ns, h_list[0])
+    rows = convergence_table(ns.problem, ns.method, ns.stages, h_list, ns.t_end, **fields)
+    spec = RunSpec(ns.problem, ns.method, ns.stages, h_list[0], ns.t_end, **fields)
     header = _header(
-        [
-            ("subcommand", "converge"),
-            ("problem", ns.problem),
-            ("e", ns.e if ns.problem == "kepler" else None),
-            ("y0", ns.y0),
-            ("method", ns.method),
-            ("stages", ns.stages),
-            ("perturb_index", resolve_perturb_index(ns.method, ns.stages, ns.perturb_index)
-             if ns.method != "gauss" else None),
-            ("alpha", ns.alpha if ns.method == "fixed-alpha" else None),
+        _problem_pairs(ns)
+        + _method_pairs(spec)
+        + [
             ("h_list", h_list),
             ("t0", ns.t0),
-            ("t_end", t_end),
+            ("t_end", ns.t_end),
             ("stage_tol", ns.stage_tol),
             ("error_norm", "euclidean"),
         ]
@@ -372,14 +355,11 @@ def _run_levelmap(ns):
         ic.y0,
         h_values,
         alpha_values,
-        _step_config(ns, h_values[0]),
+        StepConfig(h=h_values[0], stage_tol=ns.stage_tol),
     )
     header = _header(
-        [
-            ("subcommand", "levelmap"),
-            ("problem", ns.problem),
-            ("e", ns.e if ns.problem == "kepler" else None),
-            ("y0", ns.y0),
+        _problem_pairs(ns)
+        + [
             ("stages", ns.stages),
             ("perturb_index", index),
             ("h_list", h_values),
@@ -403,17 +383,13 @@ def run(argv=None) -> int:
     except UsageError as exc:
         print(f"sympulse: error: {exc}", file=sys.stderr)
         return 1
-    if ns.subcommand in ("integrate", "converge") and ns.stages is None:
-        ns.stages = DEFAULT_STAGES.get(ns.problem, 2)
+    if ns.subcommand in ("integrate", "converge"):
+        if ns.stages is None:
+            ns.stages = DEFAULT_STAGES.get(ns.problem, 2)
+        if ns.t_end is None:
+            ns.t_end = DEFAULT_T_END[ns.problem]
     try:
-        if ns.subcommand == "tableau":
-            _run_tableau(ns)
-        elif ns.subcommand == "integrate":
-            _run_integrate(ns)
-        elif ns.subcommand == "converge":
-            _run_converge(ns)
-        else:
-            _run_levelmap(ns)
+        ns.handler(ns)
     except (UsageError, ValueError) as exc:
         print(f"sympulse: error: {exc}", file=sys.stderr)
         return 1

@@ -78,6 +78,8 @@ class RunSpec:
             raise ValueError("t_end must exceed t0")
         if self.h <= 0.0:
             raise ValueError("run stepsize must be positive")
+        if not math.isfinite((self.t_end - self.t0) / self.h):
+            raise ValueError("the step count (t_end - t0) / h must be finite")
         gauss_quadrature(self.s)
         if self.method != "gauss":
             PerturbationSpec.single(self.s, self.resolved_perturb_index(), self.alpha)
@@ -315,53 +317,33 @@ def reference_state(problem, t_end, h_min, e=None, y0=None):
     return _fine_reference_cached(problem, e, y0_key, float(t_end), h_min / 8.0)
 
 
-def convergence_table(
-    problem,
-    method,
-    s,
-    h_list,
-    t_end,
-    reference=None,
-    *,
-    e=None,
-    y0=None,
-    alpha=0.0,
-    perturb_index=None,
-    search=None,
-    step_cfg=None,
-    t0=0.0,
-):
+def convergence_table(problem, method, s, h_list, t_end, reference=None, **fields):
     """Global error, observed order and root-band statistics per stepsize.
 
-    `h_list` must be strictly decreasing.  `reference` may be the exact end
-    state; by default it is computed via `reference_state`.
+    `h_list` must be strictly decreasing.  The other keywords are `RunSpec`
+    fields (`t0`, `e`, `y0`, `alpha`, `perturb_index`, `search`,
+    `step_cfg`) shared by every run.  The problems are autonomous, so each
+    run is measured after `t_end - t0`: `reference` may be the exact state
+    at that time; by default it is computed via `reference_state`.
     """
     h_list = [float(h) for h in h_list]
+    if not h_list:
+        raise ValueError("h_list must not be empty")
     if any(h2 >= h1 for h1, h2 in zip(h_list, h_list[1:])):
         raise ValueError("h_list must be strictly decreasing")
     # build every run's spec first, so that bad inputs fail before the
     # reference is computed
     specs = [
-        RunSpec(
-            problem=problem,
-            method=method,
-            s=s,
-            h=h,
-            t_end=t_end,
-            t0=t0,
-            e=e,
-            y0=y0,
-            alpha=alpha,
-            perturb_index=perturb_index,
-            search=search if search is not None else AlphaSearchConfig(),
-            step_cfg=step_cfg,
-        )
+        RunSpec(problem=problem, method=method, s=s, h=h, t_end=t_end, **fields)
         for h in h_list
     ]
+    first = specs[0]
     if reference is None:
-        reference = reference_state(problem, t_end, min(h_list), e=e, y0=y0)
+        reference = reference_state(
+            problem, t_end - first.t0, min(h_list), e=first.e, y0=first.y0
+        )
     reference = np.asarray(reference, float)
-    index = specs[0].resolved_perturb_index()
+    index = first.resolved_perturb_index()
     r = s - index if index is not None else 1
     records = [integrate(spec) for spec in specs]
 
@@ -412,7 +394,7 @@ def _loglog_slope(h_list, values):
 
 
 def energy_defect_order(
-    problem, s, h_list, alpha=1e-3, perturb_index=None, e=None, y0=None, step_cfg=None
+    problem, s, h_list, alpha=1e-3, perturb_index=None, e=None, y0=None
 ):
     """Fit the h-order of the one-step energy defect at alpha=0 and at a
     fixed nonzero alpha; needs at least 3 stepsizes."""
@@ -423,7 +405,7 @@ def energy_defect_order(
     index = resolve_perturb_index("ep-gauss", s, perturb_index)
     g0, ga = [], []
     for h in h_list:
-        cfg = step_cfg if step_cfg is not None else StepConfig(h=h)
+        cfg = StepConfig(h=h)
         g, _ = energy_defect(system, s, index, ic.y0, h, 0.0, cfg)
         g0.append(g)
         g, _ = energy_defect(system, s, index, ic.y0, h, alpha, cfg)

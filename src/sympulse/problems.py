@@ -72,8 +72,6 @@ class HamiltonianSystem:
 @dataclass(frozen=True, eq=False)
 class InitialCondition:
     y0: np.ndarray
-    t0: float = 0.0
-    label: str = ""
 
 
 def _angular_momentum(y):
@@ -136,7 +134,7 @@ def kepler(e: float = 0.6):
         quadratic_invariants=(ANGULAR_MOMENTUM,),
     )
     y0 = np.array([1.0 - e, 0.0, 0.0, np.sqrt((1.0 + e) / (1.0 - e))])
-    return system, InitialCondition(y0=y0, label=f"kepler e={e}")
+    return system, InitialCondition(y0=y0)
 
 
 def quartic(y0=(1.2, 0.0, 0.3, 1.4)):
@@ -178,7 +176,7 @@ def quartic(y0=(1.2, 0.0, 0.3, 1.4)):
         energy_increment=energy_increment,
         quadratic_invariants=(ANGULAR_MOMENTUM,),
     )
-    return system, InitialCondition(y0=np.asarray(y0, float), label="quartic")
+    return system, InitialCondition(y0=np.asarray(y0, float))
 
 
 def henon_heiles():
@@ -228,7 +226,7 @@ def henon_heiles():
         energy_increment=energy_increment,
     )
     y0 = np.array([0.0, 0.0, np.sqrt(0.3), 0.0])
-    return system, InitialCondition(y0=y0, label="henon-heiles")
+    return system, InitialCondition(y0=y0)
 
 
 def harmonic():
@@ -251,7 +249,7 @@ def harmonic():
     system = HamiltonianSystem(
         name="harmonic", m=1, energy=energy, flow=flow, energy_increment=energy_increment
     )
-    return system, InitialCondition(y0=np.array([1.0, 0.0]), label="harmonic")
+    return system, InitialCondition(y0=np.array([1.0, 0.0]))
 
 
 PROBLEMS = {
@@ -283,7 +281,7 @@ def get_problem(name, e=None, y0=None):
             raise ValueError(f"y0 must have {system.dim} components, got {y0.shape}")
         if not np.isfinite(y0).all():
             raise ValueError(f"y0 must be finite, got {tuple(y0.tolist())}")
-        ic = InitialCondition(y0=y0, t0=ic.t0, label=ic.label + " (custom y0)")
+        ic = InitialCondition(y0=y0)
     return system, ic
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sympulse import __version__
 from sympulse.cli import UsageError, parse_stepsize, parse_value_list, run
 from sympulse.tableau import PerturbationSpec, butcher, gauss_quadrature
 
@@ -29,7 +30,7 @@ class TestParsing:
         values = parse_value_list("0:1:5")
         np.testing.assert_allclose(values, [0.0, 0.25, 0.5, 0.75, 1.0])
 
-    @pytest.mark.parametrize("text", ["abc", "1:2", "0:1:0", "0:1:x"])
+    @pytest.mark.parametrize("text", ["abc", "1:2", "0:1:0", "0:1:x", ","])
     def test_rejects_garbage(self, text):
         with pytest.raises(UsageError):
             parse_value_list(text)
@@ -172,6 +173,9 @@ class TestIntegrateCommand:
             # the start state is checked where the problem is built
             ["--h", "2^-5", "--t-end", "1", "--y0=nan,0,0,1"],
             ["--h", "2^-5", "--t-end", "1", "--y0=0.4,0,0,inf"],
+            # so is the step count, where the span or its quotient by h overflows
+            ["--h", "1e-300", "--t-end", "1e300"],
+            ["--t0=-1e308", "--t-end", "1e308"],
         ],
     )
     def test_non_finite_input_usage_error(self, capsys, flags):
@@ -284,6 +288,74 @@ class TestLevelmapCommand:
         )
         assert code == 0
         assert "# perturb_index = 2" in out.splitlines()
+
+
+# The "#" header lines are part of the byte-identical output: pinned here
+# exactly, one case per way the method and problem lines vary.
+HEADERS = [
+    (
+        "integrate --problem kepler --e 0.6 --h 2^-5 --t-end 0.125",
+        ["subcommand = integrate", "problem = kepler", "e = 0.59999999999999998",
+         "method = ep-gauss", "stages = 2", "perturb_index = 1", "h = 0.03125",
+         "t0 = 0", "t_end = 0.125", "stage_tol = 1e-14", "partial_final = false"],
+    ),
+    (
+        "integrate --problem quartic --method fixed-alpha --alpha 0.01 --h 2^-4"
+        " --t-end 0.25 --y0=1,0,0,1",
+        ["subcommand = integrate", "problem = quartic", "y0 = 1,0,0,1",
+         "method = fixed-alpha", "stages = 2", "perturb_index = 1", "alpha = 0.01",
+         "h = 0.0625", "t0 = 0", "t_end = 0.25", "stage_tol = 1e-14",
+         "partial_final = false"],
+    ),
+    (
+        "integrate --problem kepler --method gauss --h 0.3 --t-end 1 --t0 0.2"
+        " --stage-tol 1e-13",
+        ["subcommand = integrate", "problem = kepler", "method = gauss", "stages = 2",
+         "h = 0.29999999999999999", "t0 = 0.20000000000000001", "t_end = 1",
+         "stage_tol = 1e-13", "partial_final = true"],
+    ),
+    (
+        "converge --problem kepler --method gauss --h-list 0.25,0.125 --t-end 0.5",
+        ["subcommand = converge", "problem = kepler", "method = gauss", "stages = 2",
+         "h_list = 0.25,0.125", "t0 = 0", "t_end = 0.5", "stage_tol = 1e-14",
+         "error_norm = euclidean"],
+    ),
+    (
+        "converge --problem quartic --method ep-gauss-type2 --stages 3"
+        " --h-list 0.25,0.125 --t-end 0.5",
+        ["subcommand = converge", "problem = quartic", "method = ep-gauss-type2",
+         "stages = 3", "perturb_index = 1", "h_list = 0.25,0.125", "t0 = 0",
+         "t_end = 0.5", "stage_tol = 1e-14", "error_norm = euclidean"],
+    ),
+    (
+        "converge --problem kepler --method fixed-alpha --alpha 0.01"
+        " --h-list 2^-2:2^-3 --t0 0.25 --t-end 0.5",
+        ["subcommand = converge", "problem = kepler", "method = fixed-alpha",
+         "stages = 2", "perturb_index = 1", "alpha = 0.01", "h_list = 0.25,0.125",
+         "t0 = 0.25", "t_end = 0.5", "stage_tol = 1e-14", "error_norm = euclidean"],
+    ),
+    (
+        "levelmap --problem kepler --stages 3 --h-list 0.1 --alpha-list 0:0.001:2",
+        ["subcommand = levelmap", "problem = kepler", "stages = 3", "perturb_index = 2",
+         "h_list = 0.10000000000000001", "alpha_list = 0,0.001", "stage_tol = 1e-14",
+         "failed_cells = 0"],
+    ),
+    (
+        "levelmap --problem harmonic --h-list 0.1,0.05 --alpha-list 0:0.001:2"
+        " --y0=1,0.5",
+        ["subcommand = levelmap", "problem = harmonic", "y0 = 1,0.5", "stages = 2",
+         "perturb_index = 1", "h_list = 0.10000000000000001,0.050000000000000003",
+         "alpha_list = 0,0.001", "stage_tol = 1e-14", "failed_cells = 0"],
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, lines", HEADERS, ids=[a for a, _ in HEADERS])
+def test_header_lines_are_pinned(capsys, argv, lines):
+    code, out, err = run_capture(capsys, argv.split())
+    assert code == 0, err
+    header = [line for line in out.splitlines() if line.startswith("#")]
+    assert header == [f"# sympulse {__version__}"] + [f"# {line}" for line in lines]
 
 
 class TestTopLevel:

@@ -39,6 +39,8 @@ class TestRunSpec:
             {"t_end": float("nan")},
             {"t0": float("-inf")},
             {"method": "fixed-alpha", "alpha": float("nan")},
+            # finite times and stepsize whose step count overflows
+            {"h": 1e-300, "t_end": 1e300},
         ],
     )
     def test_non_finite_inputs_rejected(self, kwargs):
@@ -376,6 +378,27 @@ class TestConvergenceTable:
                 "quartic", "ep-gauss", s, [2**-1, 2**-2, 2**-3], 50.0,
                 perturb_index=perturb_index,
             )
+
+    @pytest.mark.parametrize(
+        "problem, method", [("kepler", "ep-gauss"), ("quartic", "gauss")]
+    )
+    def test_error_is_measured_after_t_end_minus_t0(self, problem, method):
+        # the problems are autonomous: starting at t0=1 and stopping at 2 is
+        # the run from 0 to 1, against the exact (Kepler) or fine-step
+        # (quartic) reference alike
+        h_list = [2**-3, 2**-4]
+        late = convergence_table(problem, method, 2, h_list, 2.0, t0=1.0)
+        early = convergence_table(problem, method, 2, h_list, 1.0)
+        assert late == early
+        assert late[-1].e_h < 1e-3
+
+    def test_keywords_are_run_spec_fields(self):
+        with pytest.raises(TypeError, match="stage_tol"):
+            convergence_table("harmonic", "gauss", 2, [0.1], 1.0, stage_tol=1e-13)
+
+    def test_h_list_must_not_be_empty(self):
+        with pytest.raises(ValueError, match="empty"):
+            convergence_table("harmonic", "gauss", 2, [], 1.0)
 
     def test_explicit_reference_is_used(self):
         rows = convergence_table(
