@@ -15,6 +15,7 @@ the triple misses the root.
 import numpy as np
 
 import sympulse as sp
+from quasi_collocation import collocation_defect, dense_output
 from sympulse.stepper import StepConfig
 
 system, ic = sp.kepler(0.6)
@@ -45,11 +46,11 @@ print(f"\nat alpha*: dH = {g:+.2e},  dL = {float(L(result.y1) - L(ic.y0)):+.2e}"
 
 q = sp.gauss_quadrature(2)
 tab = sp.butcher(q, sp.PerturbationSpec.single(2, 1, alpha))
-residuals = sp.collocation_defect(result, system, tab)
+residuals = collocation_defect(result, system, tab)
 print("quasi-collocation residuals per node:", residuals)
 
 print("\ndense output along the step (tau, |q|, H):")
 for tau in np.linspace(0.0, 1.0, 6):
-    y = sp.dense_output(result, tab, float(tau))
+    y = dense_output(result, tab, float(tau))
     print(f"  tau={tau:.1f}  |q|={np.hypot(y[0], y[1]):.6f}  "
           f"H={float(system.energy(y)):+.12f}")

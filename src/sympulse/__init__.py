@@ -15,7 +15,6 @@ from .tableau import (
     QuadratureRule,
     butcher,
     butcher_batch,
-    defect_weights,
     gauss_core,
     gauss_quadrature,
     legendre_basis,
@@ -33,7 +32,7 @@ from .problems import (
     kepler_reference,
     quartic,
 )
-from .stepper import StepConfig, StepResult, collocation_defect, dense_output, step
+from .stepper import StepConfig, StepResult, step
 from .conserve import (
     AlphaSearchConfig,
     AlphaSolveRecord,
@@ -79,10 +78,7 @@ __all__ = [
     "TrajectoryRecord",
     "butcher",
     "butcher_batch",
-    "collocation_defect",
     "convergence_table",
-    "defect_weights",
-    "dense_output",
     "energy_defect",
     "energy_defect_order",
     "gauss_core",

@@ -109,12 +109,12 @@ class TrajectoryRecord:
     step's own start energy, so it agrees with
     `energy_error[k + 1] - energy_error[k]` to the round-off of H; it is 0.0
     for methods that do not tune alpha.  `stage_iters[k]` counts the sweeps
-    of the stage solve accepted as step k; for a full step of a `gauss` or
-    `fixed-alpha` run after the first, which starts from the stages the step
-    before predicts, that includes the polish sweep `stepper.step` takes
-    after a guessed start.  When the
-    interval is not an integer multiple of h the trailing partial step is
-    flagged and excluded from the root-band statistics.
+    of the stage solve accepted as step k: for a tuned step, the batched
+    solve of the probe round that holds the root, with the polish sweep
+    `stepper.step` takes after a guessed start; for a `gauss` or
+    `fixed-alpha` step, the solve of its single tableau, which takes none.
+    When the interval is not an integer multiple of h the trailing partial
+    step is flagged and excluded from the root-band statistics.
     """
 
     spec: RunSpec

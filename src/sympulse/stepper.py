@@ -1,4 +1,4 @@
-"""Implicit Runge-Kutta stage solver and quasi-collocation dense output.
+"""Implicit Runge-Kutta stage solver.
 
 One step solves the coupled stage system Y_i = y0 + h sum_j A_ij f(Y_j) and
 advances y1 = y0 + h sum_j b_j f(Y_j).  The solver is plain fixed-point
@@ -8,9 +8,8 @@ the coupled system through its Kronecker structure) takes over from the
 current iterate when the fixed-point residual stalls.  The stages start from
 y0 or from a caller's guess: a root search passes the line through two
 converged probes of the same step, a fixed-tableau run the previous step's
-stage fields extrapolated by `stage_predictor`.  The dense output and the
-quasi-collocation residuals read the perturbation value and index from the
-tableau.
+stage fields extrapolated by `stage_predictor`.  Only a root search's
+stacked solves take a polish sweep after a guessed start (see `step`).
 """
 
 from __future__ import annotations
@@ -19,10 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .problems import SingularPotentialError
-from .tableau import defect_weights
 
 # fixed-point iteration hands over to simplified Newton when the increment
 # has not halved over this many iterations
@@ -100,22 +97,30 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     the worst member's residual meets `stage_tol`, and the vector field sees
     all k s stages as one (k s, n) block.  The arrays of the result carry a
     leading member axis, and `iterations`, `converged` and `stage_residual`
-    are the batch's.  A stack of one solves exactly as its single tableau.
+    are the batch's.  A stack of one started cold solves exactly as its
+    single tableau; started from a guess it takes the polish sweep below,
+    which the single tableau does not.
 
     The stages start from y0, or from `guess`, an (s, n) array ((k, s, n)
     for a stack): in a root search, the stages extrapolated through the two
     nearest converged probes from the same y0 (see `conserve.solve_alpha`);
     in a fixed-tableau run, the stages predicted from the step before (see
-    `stage_predictor`).  A solve started from a guess takes one more
-    sweep after its residual first meets `stage_tol`.  The error left at
-    that point depends on where the guess came from, and the extra sweep
-    shrinks it by the contraction factor, so that y1 varies smoothly with
-    the tableau however it was started.
+    `stage_predictor`).  A stack started from a guess takes one more sweep
+    after its residual first meets `stage_tol`.  Every probe of a root
+    search is a stack, and there the error left at that point depends on
+    where the guess came from; the extra sweep shrinks it by the contraction
+    factor, so that y1 varies smoothly with alpha across the probes however
+    each was started.  A single tableau serves a fixed-tableau run, where no
+    such smoothness is asked for, and stops at its first residual within
+    `stage_tol`.
 
     Non-convergence is reported through the `converged` flag, not raised: an
     iterate whose field is singular or not finite ends the solve at the last
     iterate with a finite field, and a Newton iteration that stalls after its
-    last Jacobian refresh ends it at once.  A singular start raises.
+    last Jacobian refresh ends it at once.  A field that is not finite makes
+    the next sweep's residual not finite, and that is where it is noticed.
+    A singular start raises; a start whose field is not finite ends the
+    first sweep.
     """
     y0 = np.asarray(y0, dtype=float)
     A = tableau.A
@@ -138,25 +143,35 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     else:
         Y = guess
     F = field(Y)
-    polish = guess is not None
+    polish = guess is not None and A.ndim == 3
 
     M = None  # simplified-Newton matrices; None while fixed-point sweeps run
     jacobians = 0
     history = []
     iterations = 0
     converged = False
-    residual = None  # the residual of (Y, F) once the loop has stopped on it
+    last = None  # the iterate before (Y, F), with its residual
 
-    while iterations < cfg.max_iters:
-        iterations += 1
+    while True:
         hAF = h * (A @ F)
         defect = Y - y0 - hAF
         res = np.abs(defect).max() / scale
+        if not math.isfinite(res):
+            # a field of this iterate is not finite, so its residual is not
+            # either: end at the iterate before (a start ends the first sweep)
+            converged = False
+            if last is None:
+                iterations = 1
+            else:
+                Y, F, res = last
+            break
+        if iterations == cfg.max_iters:
+            break
+        iterations += 1
         history.append(res)
         if res <= tol:
             converged = True
             if not polish:
-                residual = res
                 break
             polish = False
         elif M is not None and res > 1e8 * scale:
@@ -180,22 +195,19 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
         try:
             F_next = field(Y_next)
         except SingularPotentialError:
-            F_next = None
-        if F_next is None or not np.isfinite(F_next).all():
             converged = False
             break
+        last = Y, F, res
         Y, F = Y_next, F_next
 
-    if residual is None:
-        residual = np.abs(Y - y0 - h * (A @ F)).max() / scale
     increment = h * (tableau.b @ F)
     return StepResult(
         y1=y0 + increment,
         increment=increment,
         stages=Y,
         iterations=iterations,
-        converged=bool(converged and residual <= tol),
-        stage_residual=float(residual),
+        converged=bool(converged and res <= tol),
+        stage_residual=float(res),
         y0=y0,
         h=h,
         stage_fields=F,
@@ -219,77 +231,3 @@ def stage_predictor(tableau) -> np.ndarray:
         others = np.delete(c, j)
         L[:, j] = np.prod((1.0 + c[:, None] - others) / (c[j] - others), axis=1)
     return tableau.A @ L
-
-
-def lagrange_integral_coeffs(c) -> np.ndarray:
-    """Coefficients (rows, low order first) of the integrated Lagrange basis.
-
-    Row j holds the power-basis coefficients of int_0^tau l_j(x) dx, the
-    degree-s polynomial vanishing at 0 whose derivative is the Lagrange
-    cardinal polynomial l_j on the nodes c.
-    """
-    c = np.asarray(c, float)
-    s = c.size
-    out = np.zeros((s, s + 1))
-    for j in range(s):
-        coef = np.array([1.0])
-        denom = 1.0
-        for k in range(s):
-            if k == j:
-                continue
-            coef = npoly.polymul(coef, np.array([-c[k], 1.0]))
-            denom *= c[j] - c[k]
-        out[j, :] = npoly.polyint(coef / denom)
-    return out
-
-
-def _interpolant_coeffs(tableau):
-    """Power-basis coefficients of w_j(tau) = I_j(tau) + alpha sum_k G_kj I_k(tau),
-    with the tableau's perturbation value alpha and its defect weights G
-    (None for an unperturbed tableau)."""
-    I = lagrange_integral_coeffs(tableau.c)
-    pert = tableau.perturbation
-    if pert.value == 0.0:
-        return I, None
-    gamma = defect_weights(tableau.quadrature, pert.index)
-    return I + pert.value * (gamma.T @ I), gamma
-
-
-def dense_output(result: StepResult, tableau, tau: float) -> np.ndarray:
-    """Evaluate the stage interpolant at t0 + tau*h, tau in [0, 1].
-
-    Reproduces y0 at tau=0 exactly and the stages at the nodes to stage
-    tolerance; for the unperturbed method tau=1 recovers y1.  The
-    perturbation value and index are read from the tableau.
-    """
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    if not result.converged:
-        raise ValueError("dense output requires a converged step")
-    W, _ = _interpolant_coeffs(tableau)
-    wtau = npoly.polyval(tau, W.T)
-    return result.y0 + result.h * (wtau @ result.stage_fields)
-
-
-def collocation_defect(result: StepResult, system, tableau):
-    """Max-norm residuals of the quasi-collocation identities at each node.
-
-    The stage interpolant sigma satisfies, node by node,
-    sigma'(t0 + c_i h) = f(sigma_i) + alpha sum_j G_ij f(sigma_j), with the
-    tableau's perturbation value alpha and its defect weights G; the left
-    side is evaluated from the derivative of the dense-output polynomial.
-    For converged steps all residuals are O(stage_tol / |h|).
-    """
-    if not result.converged:
-        raise ValueError("collocation defect requires a converged step")
-    c = tableau.c
-    W, gamma = _interpolant_coeffs(tableau)
-    F = result.stage_fields
-    sigma = result.y0 + result.h * (npoly.polyval(c, W.T).T @ F)
-    dW = np.array([npoly.polyder(w) for w in W])
-    sigma_dot = npoly.polyval(c, dW.T).T @ F  # d/dt: the 1/h cancels h in sigma
-    f_sigma = system.vector_field(sigma)
-    rhs = f_sigma
-    if gamma is not None:
-        rhs = rhs + tableau.perturbation.value * (gamma @ f_sigma)
-    return np.max(np.abs(sigma_dot - rhs), axis=-1)

@@ -263,21 +263,3 @@ def butcher_batch(q: QuadratureRule, index: int, values) -> ButcherTableau:
     A = A0 + np.multiply.outer(values, D[index - 1])
     A.setflags(write=False)
     return ButcherTableau(quadrature=q, A=A, perturbation=None, order=2 * index)
-
-
-def defect_weights(q: QuadratureRule, index: int | None = None) -> np.ndarray:
-    """Weights G that express a unit subdiagonal perturbation through the
-    unperturbed tableau: A(0) G = P W P^{-1}.
-
-    These are the coefficients of the extra vector-field terms in the
-    quasi-collocation identities satisfied by the stage interpolant.  `index`
-    selects the perturbed subdiagonal pair (default: the last, s-1).
-    """
-    if q.s < 2:
-        raise ValueError("defect weights need at least 2 stages")
-    if index is None:
-        index = q.s - 1
-    basis = legendre_basis(q)
-    W = PerturbationSpec.single(q.s, index, 1.0).matrix
-    Z = np.linalg.solve(gauss_core(q.s), W)
-    return basis.P @ Z @ basis.Pinv

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
+from quasi_collocation import collocation_defect, dense_output, lagrange_integral_coeffs
 from sympulse import stepper
 from sympulse.conserve import energy_defect
 from sympulse.problems import (
@@ -17,9 +18,6 @@ from sympulse.problems import (
 from sympulse.stepper import (
     _STALL_WINDOW,
     StepConfig,
-    collocation_defect,
-    dense_output,
-    lagrange_integral_coeffs,
     stage_predictor,
     step,
 )
@@ -83,17 +81,18 @@ class TestStep:
         assert abs(dH) <= 1e-13
 
     def test_warm_start_reaches_the_cold_step(self):
-        # stages converged at a nearby alpha seed the solve at another one
+        # stages converged at a nearby alpha seed the solve at another one,
+        # as in a root search: a stack of one, which takes the polish sweep
         system, ic = kepler(0.6)
         cfg = StepConfig(h=2**-5)
         near = step(system, make_tableau(2, 1, 1e-4), ic.y0, cfg)
-        tab = make_tableau(2, 1, 3e-4)
-        cold = step(system, tab, ic.y0, cfg)
-        warm = step(system, tab, ic.y0, cfg, guess=near.stages)
+        cold = step(system, make_tableau(2, 1, 3e-4), ic.y0, cfg)
+        stack = butcher_batch(gauss_quadrature(2), 1, [3e-4])
+        warm = step(system, stack, ic.y0, cfg, guess=near.stages[None])
         assert warm.converged
         assert warm.iterations < cold.iterations
         bound = 4 * np.finfo(float).eps * (1.0 + np.max(np.abs(ic.y0)))
-        assert np.max(np.abs(warm.y1 - cold.y1)) <= bound
+        assert np.max(np.abs(warm.y1[0] - cold.y1)) <= bound
 
     def test_start_on_the_line_through_two_probes_beats_the_nearest(self):
         # stages converged at alpha = 1e-4 and 3e-4, interpolated to 2e-4,
@@ -112,17 +111,31 @@ class TestStep:
 
     def test_warm_start_takes_one_sweep_past_tolerance(self):
         # a guess that already solves the stage equations still gets one
-        # more sweep before the step returns
-        tab = make_tableau(2)
+        # more sweep before a stack returns; a single tableau returns at once
         y0 = np.array([0.3, -0.8])
-        res = step(CONSTANT_H, tab, y0, StepConfig(h=0.5), guess=np.tile(y0, (2, 1)))
-        assert res.converged
-        assert res.iterations == 2
+        cfg = StepConfig(h=0.5)
+        guess = np.tile(y0, (2, 1))
+        stack = step(CONSTANT_H, butcher_batch(gauss_quadrature(2), 1, [0.0]), y0, cfg, guess[None])
+        assert stack.converged
+        assert stack.iterations == 2
+        single = step(CONSTANT_H, make_tableau(2), y0, cfg, guess)
+        assert single.converged
+        assert single.iterations == 1
 
     def test_cold_step_makes_one_field_call_per_sweep(self):
         # the first sweep evaluates the initial stages, every later one the
-        # update of the sweep before; the converged exit evaluates nothing more
+        # update of the sweep before; the converged exit evaluates nothing
+        # more.  The same holds from a guess, for a single tableau and for a
+        # stack with its polish sweep
         system, ic = kepler(0.6)
+        cfg = StepConfig(h=2**-5)
+        guess = step(system, make_tableau(2, 1, 2e-3), ic.y0, cfg).stages
+        stack = butcher_batch(gauss_quadrature(2), 1, [1e-3])
+        starts = [
+            (make_tableau(2, 1, 1e-3), None),
+            (make_tableau(2, 1, 1e-3), guess),
+            (stack, guess[None]),
+        ]
         calls = []
 
         def counted(y):
@@ -130,9 +143,11 @@ class TestStep:
             return system.flow(y)
 
         wrapped = dataclasses.replace(system, flow=counted)
-        res = step(wrapped, make_tableau(2, 1, 1e-3), ic.y0, StepConfig(h=2**-5))
-        assert res.converged
-        assert len(calls) == res.iterations
+        for tab, start in starts:
+            calls.clear()
+            res = step(wrapped, tab, ic.y0, cfg, start)
+            assert res.converged
+            assert len(calls) == res.iterations
 
     def test_jacobian_takes_one_field_call(self):
         system, _ = harmonic()
@@ -331,6 +346,55 @@ class TestStep:
         with pytest.raises(SingularPotentialError):
             step(system, make_tableau(2), np.zeros(4), StepConfig(h=0.1))
 
+    @pytest.mark.parametrize("member", ["single", "stack"])
+    def test_guess_with_a_field_that_is_not_finite_ends_the_first_sweep(self, member):
+        # the guess is the first iterate, so there is none to fall back to:
+        # the solve returns it unconverged after one sweep and evaluates
+        # nothing more
+        system, _ = harmonic()
+        calls = []
+
+        def flow(y):
+            calls.append(1)
+            return np.where(np.abs(y) > 10.0, np.nan, system.flow(y))
+
+        toy = dataclasses.replace(system, flow=flow)
+        y0 = np.array([1.0, 0.0])
+        tab = make_tableau(2)
+        guess = np.array([[1.0, 0.0], [20.0, 0.0]])
+        if member == "stack":
+            tab, guess = butcher_batch(gauss_quadrature(2), 1, [0.0]), guess[None]
+        res = step(toy, tab, y0, StepConfig(h=0.5), guess)
+        assert not res.converged
+        assert res.iterations == 1
+        assert len(calls) == 1
+        np.testing.assert_array_equal(res.stages, guess)
+        assert np.isnan(res.stage_residual)
+
+    def test_field_not_finite_on_the_last_sweep_returns_the_iterate_before(self):
+        # with a budget of 4 sweeps, the field of the 4th iterate (the 5th
+        # call) is NaN: the solve returns the 3rd iterate, with its field and
+        # residual, exactly as a budget of 3 sweeps returns it
+        system, ic = kepler(0.6)
+        calls = []
+
+        def flow(y):
+            calls.append(1)
+            f = system.flow(y)
+            return np.full_like(f, np.nan) if len(calls) == 5 else f
+
+        tab = make_tableau(2)
+        cfg = StepConfig(h=2**-5, stage_tol=1e-30, max_iters=4)
+        res = step(dataclasses.replace(system, flow=flow), tab, ic.y0, cfg)
+        three = step(system, tab, ic.y0, dataclasses.replace(cfg, max_iters=3))
+        assert len(calls) == 5
+        assert not res.converged and not three.converged
+        assert res.iterations == 4
+        assert res.stages.tobytes() == three.stages.tobytes()
+        assert res.stage_fields.tobytes() == three.stage_fields.tobytes()
+        assert res.y1.tobytes() == three.y1.tobytes()
+        assert res.stage_residual == three.stage_residual
+
 
 def member_residuals(res, tab, y0, h):
     """Each member's scaled stage-equation residual, from its own stages."""
@@ -356,11 +420,19 @@ class TestBatchedStep:
             None if guess is None else guess[None],
         )
         assert stack.y1.shape == (1, 4) and stack.stages.shape == (1, 3, 4)
-        assert stack.y1[0].tobytes() == one.y1.tobytes()
-        assert stack.stages[0].tobytes() == one.stages.tobytes()
-        assert stack.iterations == one.iterations
         assert stack.converged and one.converged
-        assert stack.stage_residual == one.stage_residual
+        if start == "cold":
+            assert stack.y1[0].tobytes() == one.y1.tobytes()
+            assert stack.stages[0].tobytes() == one.stages.tobytes()
+            assert stack.iterations == one.iterations
+            assert stack.stage_residual == one.stage_residual
+        else:
+            # the stack sweeps as the single tableau, then takes its polish
+            # sweep: one fixed-point update from the single's returned stages
+            polished = ic.y0 + cfg.h * (single.A @ one.stage_fields)
+            assert stack.stages[0].tobytes() == polished.tobytes()
+            assert stack.stage_fields[0].tobytes() == system.vector_field(polished).tobytes()
+            assert stack.iterations == one.iterations + 1
 
     def test_every_member_meets_the_tolerance(self):
         system, ic = kepler(0.6)
@@ -426,6 +498,40 @@ class TestBatchedStep:
         np.testing.assert_array_equal(
             res.stage_fields, flow(res.stages.reshape(-1, 2)).reshape(2, 2, 2)
         )
+
+    def test_member_with_a_field_that_is_not_finite_ends_the_batch_as_a_singular_one(self):
+        # the singular test's batch with a field that returns NaN far from y0
+        # instead of raising: the batch ends at the same last finite iterate
+        # after the same sweeps, and reports that iterate's residual
+        harmonic_flow = harmonic()[0].flow
+
+        def singular_flow(y):
+            if np.abs(y).max() > 10.0:
+                raise SingularPotentialError("far from the start")
+            return harmonic_flow(y)
+
+        def nan_flow(y):
+            return np.where(np.abs(y) > 10.0, np.nan, harmonic_flow(y))
+
+        def toy(flow):
+            return HamiltonianSystem(
+                name="toy", m=1, energy=lambda y: 0.5 * (y * y).sum(-1), flow=flow,
+                energy_increment=lambda y, d: 0.0,
+            )
+
+        y0 = np.array([1.0, 0.0])
+        cfg = StepConfig(h=1.0)
+        batch = butcher_batch(gauss_quadrature(2), 1, [0.0, 8.0])
+        singular = step(toy(singular_flow), batch, y0, cfg)
+        res = step(toy(nan_flow), batch, y0, cfg)
+        assert not res.converged
+        assert res.iterations == singular.iterations
+        assert res.stages.tobytes() == singular.stages.tobytes()
+        assert np.isfinite(res.stage_fields).all()
+        np.testing.assert_array_equal(
+            res.stage_fields, harmonic_flow(res.stages.reshape(-1, 2)).reshape(2, 2, 2)
+        )
+        assert res.stage_residual == member_residuals(res, batch, y0, cfg.h).max()
 
 
 def integrate_plain(system, tab, y0, h, n):

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from quasi_collocation import defect_weights
 from sympulse.tableau import (
     MAX_STAGES,
     PerturbationSpec,
     QuadratureRule,
     butcher,
     butcher_batch,
-    defect_weights,
     gauss_core,
     gauss_quadrature,
     legendre_basis,
