@@ -58,7 +58,10 @@ def parse_stepsize(token):
     token = token.strip()
     m = _POW2.match(token)
     if m:
-        return 2.0 ** int(m.group(1))
+        try:
+            return 2.0 ** int(m.group(1))
+        except OverflowError:
+            raise UsageError(f"value must be finite, got {token!r}") from None
     try:
         value = float(token)
     except ValueError:
@@ -220,12 +223,12 @@ def _method_pairs(spec):
     ]
 
 
-def _run_fields(ns, h):
+def _run_fields(ns):
     """The `RunSpec` fields that the flags of `integrate` and `converge` set
     besides the problem, method, stage count, stepsize and end time."""
     return dict(
         t0=ns.t0, e=ns.e, y0=ns.y0, alpha=ns.alpha, perturb_index=ns.perturb_index,
-        step_cfg=StepConfig(h=h, stage_tol=ns.stage_tol),
+        stage_tol=ns.stage_tol,
     )
 
 
@@ -275,7 +278,7 @@ def _run_tableau(ns):
 
 def _run_integrate(ns):
     h = ns.h if ns.h is not None else DEFAULT_H.get(ns.problem, 2.0 ** -5)
-    spec = RunSpec(ns.problem, ns.method, ns.stages, h, ns.t_end, **_run_fields(ns, h))
+    spec = RunSpec(ns.problem, ns.method, ns.stages, h, ns.t_end, **_run_fields(ns))
     record = integrate(spec)
     inv_names = list(record.invariant_errors)
     header = _header(
@@ -318,7 +321,7 @@ def _run_integrate(ns):
 
 def _run_converge(ns):
     h_list = parse_value_list(ns.h_list)
-    fields = _run_fields(ns, h_list[0])
+    fields = _run_fields(ns)
     rows = convergence_table(ns.problem, ns.method, ns.stages, h_list, ns.t_end, **fields)
     spec = RunSpec(ns.problem, ns.method, ns.stages, h_list[0], ns.t_end, **fields)
     header = _header(

@@ -10,7 +10,7 @@ the band containing all per-step roots, scaled by the predicted power of h.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -66,7 +66,7 @@ class RunSpec:
     alpha: float = 0.0
     perturb_index: int | None = None
     search: AlphaSearchConfig = field(default_factory=AlphaSearchConfig)
-    step_cfg: StepConfig | None = None
+    stage_tol: float = 1e-14
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -80,6 +80,12 @@ class RunSpec:
             raise ValueError("run stepsize must be positive")
         if not math.isfinite((self.t_end - self.t0) / self.h):
             raise ValueError("the step count (t_end - t0) / h must be finite")
+        if self.t_end - self.t0 <= _PARTIAL_STEP_REL * self.h:
+            raise ValueError(
+                f"the run makes no step: t_end - t0 = {self.t_end - self.t0!r} "
+                f"is at most {_PARTIAL_STEP_REL:g} h"
+            )
+        StepConfig(h=self.h, stage_tol=self.stage_tol)
         gauss_quadrature(self.s)
         if self.method != "gauss":
             PerturbationSpec.single(self.s, self.resolved_perturb_index(), self.alpha)
@@ -92,10 +98,6 @@ class RunSpec:
         if self.method == "gauss":
             return None
         return resolve_perturb_index(self.method, self.s, self.perturb_index)
-
-    def make_step_cfg(self, h=None):
-        cfg = self.step_cfg if self.step_cfg is not None else StepConfig(h=self.h)
-        return replace(cfg, h=self.h if h is None else h)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,8 +209,8 @@ def integrate(spec: RunSpec) -> TrajectoryRecord:
     states[0] = y
 
     # one StepConfig per distinct step size: the full steps and the partial one
-    full_cfg = spec.make_step_cfg()
-    last_cfg = spec.make_step_cfg(remainder) if partial else full_cfg
+    full_cfg = StepConfig(h=spec.h, stage_tol=spec.stage_tol)
+    last_cfg = StepConfig(h=remainder, stage_tol=spec.stage_tol) if partial else full_cfg
     for k in range(n_steps):
         if k < n_full:
             h, cfg = spec.h, full_cfg
@@ -230,11 +232,7 @@ def integrate(spec: RunSpec) -> TrajectoryRecord:
                     guess = result.y1 + h * (predictor @ result.stage_fields)
                 result = step(system, fixed_tableau, y, cfg, guess)
                 if not result.converged:
-                    raise StageSolveError(
-                        f"stage iteration failed (residual {result.stage_residual:.3e})",
-                        result=result,
-                        alpha=alpha_k,
-                    )
+                    raise StageSolveError(result, alpha_k)
         except (
             StageSolveError, NoRootError, problems_mod.SingularPotentialError
         ) as exc:
@@ -322,7 +320,7 @@ def convergence_table(problem, method, s, h_list, t_end, reference=None, **field
 
     `h_list` must be strictly decreasing.  The other keywords are `RunSpec`
     fields (`t0`, `e`, `y0`, `alpha`, `perturb_index`, `search`,
-    `step_cfg`) shared by every run.  The problems are autonomous, so each
+    `stage_tol`) shared by every run.  The problems are autonomous, so each
     run is measured after `t_end - t0`: `reference` may be the exact state
     at that time; by default it is computed via `reference_state`.
     """

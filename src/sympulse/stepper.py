@@ -58,10 +58,11 @@ class StepResult:
 
     `y0` and `h` anchor the dense output and `stage_fields` holds f at the
     stages; `increment` is h (b @ stage_fields), so y1 = y0 + increment;
-    `stage_residual` is the scaled max-norm defect of the stage
-    equations at return.  `converged` false means the iteration budget ran
-    out; the caller decides what to do.  A batched solve (see `step`) gives
-    `y1`, `increment`, `stages` and `stage_fields` a leading member axis.
+    `stage_residual` is the scaled max-norm defect of the stage equations
+    at return, and `converged` says whether it meets `stage_tol`; the
+    caller decides what to do when it does not.  A batched solve (see
+    `step`) gives `y1`, `increment`, `stages` and `stage_fields` a leading
+    member axis.
     """
 
     y1: np.ndarray
@@ -149,7 +150,6 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     jacobians = 0
     history = []
     iterations = 0
-    converged = False
     last = None  # the iterate before (Y, F), with its residual
 
     while True:
@@ -159,7 +159,6 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
         if not math.isfinite(res):
             # a field of this iterate is not finite, so its residual is not
             # either: end at the iterate before (a start ends the first sweep)
-            converged = False
             if last is None:
                 iterations = 1
             else:
@@ -170,7 +169,6 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
         iterations += 1
         history.append(res)
         if res <= tol:
-            converged = True
             if not polish:
                 break
             polish = False
@@ -195,7 +193,6 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
         try:
             F_next = field(Y_next)
         except SingularPotentialError:
-            converged = False
             break
         last = Y, F, res
         Y, F = Y_next, F_next
@@ -206,7 +203,7 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
         increment=increment,
         stages=Y,
         iterations=iterations,
-        converged=bool(converged and res <= tol),
+        converged=bool(res <= tol),
         stage_residual=float(res),
         y0=y0,
         h=h,

@@ -8,6 +8,9 @@ from sympulse.cli import UsageError, parse_stepsize, parse_value_list, run
 from sympulse.tableau import PerturbationSpec, butcher, gauss_quadrature
 
 
+KEPLER = ["integrate", "--problem", "kepler"]
+
+
 def run_capture(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
@@ -35,7 +38,9 @@ class TestParsing:
         with pytest.raises(UsageError):
             parse_value_list(text)
 
-    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "0.1,nan", "inf:0.1", "0:nan:3"])
+    @pytest.mark.parametrize(
+        "text", ["nan", "inf", "-inf", "0.1,nan", "inf:0.1", "0:nan:3", "2^1024"]
+    )
     def test_rejects_non_finite_values(self, text):
         with pytest.raises(UsageError, match="finite"):
             parse_value_list(text)
@@ -161,25 +166,43 @@ class TestIntegrateCommand:
         assert "step 0" in err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["integrate", "--problem", "quartic", "--h", "0.5", "--t-end", "1e-12"],
+            ["converge", "--problem", "kepler", "--h-list", "0.1", "--t-end", "1e-300"],
+        ],
+    )
+    def test_run_without_a_step_usage_error(self, capsys, argv):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert "the run makes no step" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "flags",
         [
-            ["--t-end", "inf"],
-            ["--h", "nan", "--t-end", "1"],
-            ["--t0", "nan", "--t-end", "1"],
+            [*KEPLER, "--t-end", "inf"],
+            [*KEPLER, "--h", "nan", "--t-end", "1"],
+            [*KEPLER, "--t0", "nan", "--t-end", "1"],
             # the stage tolerance is checked where it is configured
-            ["--t-end", "1", "--stage-tol", "nan"],
-            ["--t-end", "1", "--stage-tol", "inf"],
-            ["--t-end", "1", "--method", "fixed-alpha", "--alpha", "nan"],
+            [*KEPLER, "--t-end", "1", "--stage-tol", "nan"],
+            [*KEPLER, "--t-end", "1", "--stage-tol", "inf"],
+            [*KEPLER, "--t-end", "1", "--method", "fixed-alpha", "--alpha", "nan"],
             # the start state is checked where the problem is built
-            ["--h", "2^-5", "--t-end", "1", "--y0=nan,0,0,1"],
-            ["--h", "2^-5", "--t-end", "1", "--y0=0.4,0,0,inf"],
+            [*KEPLER, "--h", "2^-5", "--t-end", "1", "--y0=nan,0,0,1"],
+            [*KEPLER, "--h", "2^-5", "--t-end", "1", "--y0=0.4,0,0,inf"],
             # so is the step count, where the span or its quotient by h overflows
-            ["--h", "1e-300", "--t-end", "1e300"],
-            ["--t0=-1e308", "--t-end", "1e308"],
+            [*KEPLER, "--h", "1e-300", "--t-end", "1e300"],
+            [*KEPLER, "--t0=-1e308", "--t-end", "1e308"],
+            # a power of two beyond the float range, in each command's stepsizes
+            [*KEPLER, "--h", "2^99999"],
+            ["converge", "--problem", "kepler", "--h-list", "2^2000:2^1999"],
+            ["levelmap", "--problem", "kepler", "--h-list", "2^5000"],
         ],
     )
     def test_non_finite_input_usage_error(self, capsys, flags):
-        code, out, err = run_capture(capsys, ["integrate", "--problem", "kepler"] + flags)
+        code, out, err = run_capture(capsys, flags)
         assert code == 1
         assert out == ""
         assert "must be finite" in err

@@ -39,3 +39,16 @@ def test_convergence_demo_compiles(tmp_path):
     py_compile.compile(
         str(DEMOS / "04_convergence_study.py"), cfile=str(tmp_path / "demo.pyc"), doraise=True
     )
+
+
+def test_readme_quickstart_runs(tmp_path):
+    readme = (DEMOS.parent / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", block],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 3

@@ -6,7 +6,7 @@ import pytest
 
 from sympulse import experiments
 from sympulse import problems as problems_mod
-from sympulse.conserve import NoRootError
+from sympulse.conserve import NoRootError, StageSolveError
 from sympulse.experiments import (
     IntegrationError,
     RunSpec,
@@ -47,6 +47,20 @@ class TestRunSpec:
         base = {"problem": "kepler", "method": "gauss", "s": 2, "h": 0.1, "t_end": 1.0}
         with pytest.raises(ValueError, match="finite"):
             RunSpec(**{**base, **kwargs})
+
+    @pytest.mark.parametrize("method", ["gauss", "ep-gauss"])
+    @pytest.mark.parametrize("span", [1e-12, 4e-10])
+    def test_run_without_a_step_rejected(self, method, span):
+        # a span of at most 1e-9 h (5e-10 here) has no full step and no partial one
+        with pytest.raises(ValueError, match="the run makes no step"):
+            RunSpec(problem="kepler", method=method, s=2, h=0.5, t_end=span)
+        with pytest.raises(ValueError, match="the run makes no step"):
+            RunSpec(problem="quartic", method=method, s=2, h=0.5, t0=1.0, t_end=1.0 + span)
+
+    @pytest.mark.parametrize("stage_tol", [float("nan"), float("inf"), 0.0, -1e-14])
+    def test_bad_stage_tol_rejected(self, stage_tol):
+        with pytest.raises(ValueError, match="stage_tol"):
+            RunSpec(problem="kepler", method="gauss", s=2, h=0.1, t_end=1.0, stage_tol=stage_tol)
 
     def test_perturb_index_defaults(self):
         assert resolve_perturb_index("ep-gauss", 3) == 2
@@ -116,8 +130,7 @@ class TestIntegrate:
 
             monkeypatch.setattr(module, "step", spy)
         spec = RunSpec(
-            problem="quartic", method=method, s=2, h=0.25, t_end=1.03,
-            step_cfg=StepConfig(h=0.25, stage_tol=1e-13),
+            problem="quartic", method=method, s=2, h=0.25, t_end=1.03, stage_tol=1e-13,
         )
         traj = integrate(spec)
         assert traj.partial_final
@@ -157,6 +170,23 @@ class TestIntegrate:
         assert err.value.time == 76.0
         assert err.value.state.tobytes() == np.array(y0).tobytes()
 
+    def test_fixed_tableau_failure_names_alpha_h_residual_and_sweeps(self):
+        # the message energy_defect gives for a failed probe
+        spec = RunSpec(
+            problem="kepler", method="fixed-alpha", s=2, h=2**-5, t_end=1.0, e=0.6,
+            alpha=1e-3, stage_tol=1e-30,
+        )
+        with pytest.raises(IntegrationError) as err:
+            integrate(spec)
+        cause = err.value.__cause__
+        assert isinstance(cause, StageSolveError)
+        assert cause.alpha == 1e-3
+        assert str(cause) == (
+            "stage iteration failed at alpha=0.001, h=0.03125 "
+            f"(residual {cause.result.stage_residual:.3e} "
+            f"after {cause.result.iterations} iterations)"
+        )
+
     def test_rootless_step_ends_the_run_with_no_root_error(self):
         # with s=2 Henon-Heiles meets a step at t=76 whose defect has no sign
         # change; the search gives up there after its fallback scan
@@ -177,7 +207,7 @@ def cold_loop(spec):
         else PerturbationSpec.single(spec.s, spec.resolved_perturb_index(), spec.alpha)
     )
     tab = butcher(gauss_quadrature(spec.s), pert)
-    cfg = spec.make_step_cfg()
+    cfg = StepConfig(h=spec.h, stage_tol=spec.stage_tol)
     y, iters = ic.y0, []
     for _ in range(round((spec.t_end - spec.t0) / spec.h)):
         result = step(system, tab, y, cfg)
@@ -393,8 +423,8 @@ class TestConvergenceTable:
         assert late[-1].e_h < 1e-3
 
     def test_keywords_are_run_spec_fields(self):
-        with pytest.raises(TypeError, match="stage_tol"):
-            convergence_table("harmonic", "gauss", 2, [0.1], 1.0, stage_tol=1e-13)
+        with pytest.raises(TypeError, match="max_iters"):
+            convergence_table("harmonic", "gauss", 2, [0.1], 1.0, max_iters=10)
 
     def test_h_list_must_not_be_empty(self):
         with pytest.raises(ValueError, match="empty"):

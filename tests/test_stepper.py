@@ -187,6 +187,20 @@ class TestStep:
         assert res.iterations == 5
         assert res.stage_residual > 0.0
 
+    def test_budget_that_ends_on_a_converged_iterate_reports_it_converged(self):
+        # plain 2-stage Gauss on Kepler at 2^-5 reads its first residual
+        # within stage_tol on its last sweep; a budget one sweep shorter
+        # returns the same stages, whose residual also meets stage_tol
+        system, ic = kepler(0.6)
+        tab = make_tableau(2)
+        full = step(system, tab, ic.y0, StepConfig(h=2**-5))
+        cut = step(system, tab, ic.y0, StepConfig(h=2**-5, max_iters=full.iterations - 1))
+        assert full.converged and cut.converged
+        assert cut.iterations == full.iterations - 1
+        assert cut.stage_residual == full.stage_residual <= 1e-14
+        np.testing.assert_array_equal(cut.stages, full.stages)
+        np.testing.assert_array_equal(cut.y1, full.y1)
+
     def test_stage_equations_satisfied(self):
         system, ic = kepler(0.6)
         tab = make_tableau(3, 2, 1e-3)
