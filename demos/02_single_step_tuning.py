@@ -27,7 +27,7 @@ print(f"H(y0) = {float(system.energy(ic.y0)):+.15f}")
 
 print("\ndefect g(alpha) around zero (note the sign change):")
 for alpha in (-2e-4, -1e-4, 0.0, 5e-5, 1e-4, 2e-4):
-    g, _ = sp.energy_defect(system, 2, 1, ic.y0, h, alpha, cfg)
+    g, _ = sp.energy_defect(system, 2, 1, ic.y0, alpha, cfg)
     print(f"  alpha={alpha:+.1e}   g={g:+.3e}")
 
 rec = sp.solve_alpha(system, 2, 1, ic.y0, h, sp.AlphaSearchConfig(), cfg)

@@ -113,10 +113,10 @@ class AlphaSolveRecord:
     step: StepResult = field(compare=False, repr=False)
 
 
-def energy_defect(system, s, perturb_index, y0, h, alpha, cfg: StepConfig, guess=None):
-    """One step at perturbation `alpha`; returns (H(y0 + D) - H(y0),
-    StepResult), where D is the step's increment, evaluated by the problem's
-    `energy_increment` kernel.
+def energy_defect(system, s, perturb_index, y0, alpha, cfg: StepConfig, guess=None):
+    """One step of size `cfg.h` at perturbation `alpha`; returns
+    (H(y0 + D) - H(y0), StepResult), where D is the step's increment,
+    evaluated by the problem's `energy_increment` kernel.
 
     This is one stage solve, warm-started from the stages `guess` when given
     (see `step`).  `alpha` may also be a sequence of values: their tableaux
@@ -124,8 +124,6 @@ def energy_defect(system, s, perturb_index, y0, h, alpha, cfg: StepConfig, guess
     the batched StepResult.  Raises StageSolveError if the stage iteration
     does not converge.
     """
-    if cfg.h != h:
-        cfg = replace(cfg, h=h)
     q = gauss_quadrature(s)
     batched = np.ndim(alpha) > 0
     if batched:
@@ -178,14 +176,19 @@ def solve_alpha(
     Round 1 starts from y0, every later probe from the stages extrapolated
     linearly in alpha through the two nearest converged probes.
 
-    The returned record carries the probe at the root as `step`, so the
-    caller accepts that step instead of solving it again.  The search
-    depends only on (y0, h) and the settings.  Raises NoRootError when no
+    `h` must equal `step_cfg.h`, the stepsize every probe is solved at;
+    a config that disagrees is rejected, not overwritten.  The returned
+    record carries the probe at the root as `step`, so the caller accepts
+    that step instead of solving it again.  The search depends only on
+    (y0, h) and the settings.  Raises NoRootError when no
     sign change is found.  Every search ends by construction: at most
     _SECANT_STEPS rounds of pairs, one triple, a scan of two probes per
     doubling of the radius up to _BRACKET_MAX, and Brent's method, which
     stops on the bracket width.
     """
+    if h != step_cfg.h:
+        replace(step_cfg, h=h)  # an invalid h fails StepConfig's own checks first
+        raise ValueError(f"stepsize h={h!r} differs from step_cfg.h={step_cfg.h!r}")
     r = s - perturb_index
     seed = _seed(h, r)
     width = search_cfg.alpha_tol * abs(h) ** (2 * r)
@@ -199,7 +202,7 @@ def solve_alpha(
         evals += len(alphas)
         guess = _line_starts(probes, alphas) if len(probes) >= 2 else None
         defects, result = energy_defect(
-            system, s, perturb_index, y0, h, alphas, step_cfg, guess
+            system, s, perturb_index, y0, alphas, step_cfg, guess
         )
         for i, a in enumerate(alphas):
             probes[a] = (result.stages[i], result, i)
@@ -396,9 +399,10 @@ def _bracketed_root(g, lo, hi, glo, ghi, width):
 def level_grid(system, s, perturb_index, y0, h_values, alpha_values, step_cfg):
     """Energy defect g(alpha, h) over a full grid.
 
-    Returns (G, failures): G[i, j] = g(alpha_values[i], h_values[j]); cells
-    whose stage solve fails hold NaN and are listed in `failures` as
-    (i, j, message).
+    Column j is solved with the settings of `step_cfg` at the stepsize
+    h_values[j]; the config's own `h` is not read.  Returns (G, failures):
+    G[i, j] = g(alpha_values[i], h_values[j]); cells whose stage solve
+    fails hold NaN and are listed in `failures` as (i, j, message).
     """
     h_values = np.asarray(h_values, float)
     alpha_values = np.asarray(alpha_values, float)
@@ -407,11 +411,10 @@ def level_grid(system, s, perturb_index, y0, h_values, alpha_values, step_cfg):
     G = np.empty((alpha_values.size, h_values.size))
     failures = []
     for j, h in enumerate(h_values):
+        cfg = replace(step_cfg, h=float(h))
         for i, alpha in enumerate(alpha_values):
             try:
-                G[i, j], _ = energy_defect(
-                    system, s, perturb_index, y0, h, alpha, step_cfg
-                )
+                G[i, j], _ = energy_defect(system, s, perturb_index, y0, alpha, cfg)
             except StageSolveError as exc:
                 G[i, j] = np.nan
                 failures.append((i, j, str(exc)))

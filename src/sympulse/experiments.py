@@ -175,8 +175,11 @@ def integrate(spec: RunSpec) -> TrajectoryRecord:
     conserves the energy of the state it starts from, so such a run depends
     only on its start state.  Fixed-tableau methods start each full step
     after the first from the stages that the step before predicts
-    (`stepper.stage_predictor`).  The energy and invariant errors are
-    evaluated once, over all states, after the last step."""
+    (`stepper.stage_predictor`, O(h^{s+1})) plus that prediction's miss on
+    the step before, which leaves O(h^{s+2}); the second step has no miss
+    yet and starts from the plain prediction, and the first and a shortened
+    last step start from y0.  The energy and invariant errors are evaluated
+    once, over all states, after the last step."""
     system, ic = problems_mod.get_problem(spec.problem, e=spec.e, y0=spec.y0)
     y = np.asarray(ic.y0, float)
     t = spec.t0
@@ -226,13 +229,17 @@ def integrate(spec: RunSpec) -> TrajectoryRecord:
             else:
                 alpha_k = spec.alpha if spec.method == "fixed-alpha" else 0.0
                 # a full step after the first starts from the stages that the
-                # step before predicts; the first and a partial step start cold
+                # step before predicts plus that prediction's miss on the
+                # step before; the first and a partial step start cold
                 guess = None
                 if 0 < k < n_full:
-                    guess = result.y1 + h * (predictor @ result.stage_fields)
+                    prediction = result.y1 + h * (predictor @ result.stage_fields)
+                    guess = prediction if k == 1 else prediction + miss
                 result = step(system, fixed_tableau, y, cfg, guess)
                 if not result.converged:
                     raise StageSolveError(result, alpha_k)
+                if guess is not None:
+                    miss = result.stages - prediction
         except (
             StageSolveError, NoRootError, problems_mod.SingularPotentialError
         ) as exc:
@@ -404,9 +411,9 @@ def energy_defect_order(
     g0, ga = [], []
     for h in h_list:
         cfg = StepConfig(h=h)
-        g, _ = energy_defect(system, s, index, ic.y0, h, 0.0, cfg)
+        g, _ = energy_defect(system, s, index, ic.y0, 0.0, cfg)
         g0.append(g)
-        g, _ = energy_defect(system, s, index, ic.y0, h, alpha, cfg)
+        g, _ = energy_defect(system, s, index, ic.y0, alpha, cfg)
         ga.append(g)
     return DefectOrderReport(
         slope_zero=_loglog_slope(h_list, g0),

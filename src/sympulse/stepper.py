@@ -8,8 +8,10 @@ the coupled system through its Kronecker structure) takes over from the
 current iterate when the fixed-point residual stalls.  The stages start from
 y0 or from a caller's guess: a root search passes the line through two
 converged probes of the same step, a fixed-tableau run the previous step's
-stage fields extrapolated by `stage_predictor`.  Only a root search's
-stacked solves take a polish sweep after a guessed start (see `step`).
+stage fields extrapolated by `stage_predictor` plus that prediction's miss
+on the previous step, a start O(h^{s+2}) from the solution.  Only a root
+search's stacked solves take a polish sweep after a guessed start (see
+`step`).
 """
 
 from __future__ import annotations
@@ -105,15 +107,15 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     The stages start from y0, or from `guess`, an (s, n) array ((k, s, n)
     for a stack): in a root search, the stages extrapolated through the two
     nearest converged probes from the same y0 (see `conserve.solve_alpha`);
-    in a fixed-tableau run, the stages predicted from the step before (see
-    `stage_predictor`).  A stack started from a guess takes one more sweep
-    after its residual first meets `stage_tol`.  Every probe of a root
-    search is a stack, and there the error left at that point depends on
-    where the guess came from; the extra sweep shrinks it by the contraction
-    factor, so that y1 varies smoothly with alpha across the probes however
-    each was started.  A single tableau serves a fixed-tableau run, where no
-    such smoothness is asked for, and stops at its first residual within
-    `stage_tol`.
+    in a fixed-tableau run, the stages predicted from the step before plus
+    that prediction's miss on the step before (see `stage_predictor`).  A
+    stack started from a guess takes one more sweep after its residual
+    first meets `stage_tol`.  Every probe of a root search is a stack, and
+    there the error left at that point depends on where the guess came
+    from; the extra sweep shrinks it by the contraction factor, so that y1
+    varies smoothly with alpha across the probes however each was started.
+    A single tableau serves a fixed-tableau run, where no such smoothness is
+    asked for, and stops at its first residual within `stage_tol`.
 
     Non-convergence is reported through the `converged` flag, not raised: an
     iterate whose field is singular or not finite ends the solve at the last
@@ -128,7 +130,9 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     s = tableau.s
     n = y0.size
     h = cfg.h
-    scale = 1.0 + np.abs(y0).max()
+    # the max-norms below read Python floats: on a few dozen values numpy's
+    # reductions cost several times an element-wise operation
+    scale = 1.0 + max(map(abs, y0.tolist()))
     tol = cfg.stage_tol
     shape = A.shape[:-1] + (n,)
 
@@ -155,7 +159,10 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     while True:
         hAF = h * (A @ F)
         defect = Y - y0 - hAF
-        res = np.abs(defect).max() / scale
+        values = defect.ravel().tolist()
+        # max() passes over a NaN that is not its first value, but the sum of
+        # a list that holds one is NaN (a finite sum that overflows is inf)
+        res = math.nan if math.isnan(sum(values)) else max(map(abs, values)) / scale
         if not math.isfinite(res):
             # a field of this iterate is not finite, so its residual is not
             # either: end at the iterate before (a start ends the first sweep)
@@ -221,6 +228,11 @@ def stage_predictor(tableau) -> np.ndarray:
     *Geometric Numerical Integration*, VIII.6.1).  For Gauss this is the
     collocation polynomial at 1 + c_i; unlike the quasi-collocation
     interpolant it stays consistent with y1 for a perturbed tableau.
+
+    The miss of the prediction, stages - (y1 + h E F), is O(h^{s+1}) and
+    smooth along the solution, so it changes by O(h^{s+2}) from one step to
+    the next, and the previous step's miss added to the next prediction
+    leaves O(h^{s+2}) (see `experiments.integrate`).
     """
     c = tableau.c
     L = np.empty((tableau.s, tableau.s))

@@ -54,20 +54,20 @@ class TestEnergyDefect:
     def test_harmonic_defect_vanishes_for_any_alpha(self):
         system, ic = harmonic()
         for alpha in (0.0, 0.02, -0.4):
-            g, res = energy_defect(system, 2, 1, ic.y0, 0.1, alpha, StepConfig(h=0.1))
+            g, res = energy_defect(system, 2, 1, ic.y0, alpha, StepConfig(h=0.1))
             assert res.converged
             assert abs(g) <= 1e-14
 
     def test_kepler_gauss_defect_magnitude(self):
         system, ic = kepler(0.6)
-        g, _ = energy_defect(system, 2, 1, ic.y0, H5, 0.0, StepConfig(h=H5))
+        g, _ = energy_defect(system, 2, 1, ic.y0, 0.0, StepConfig(h=H5))
         assert 0.0 < abs(g) <= 1e-7
 
     def test_sign_change_over_documented_range(self):
         # the zero curve lies inside alpha in (0, 4e-3] for moderate h
         system, ic = kepler(0.6)
-        g0, _ = energy_defect(system, 2, 1, ic.y0, H5, 0.0, StepConfig(h=H5))
-        g1, _ = energy_defect(system, 2, 1, ic.y0, H5, 4e-3, StepConfig(h=H5))
+        g0, _ = energy_defect(system, 2, 1, ic.y0, 0.0, StepConfig(h=H5))
+        g1, _ = energy_defect(system, 2, 1, ic.y0, 4e-3, StepConfig(h=H5))
         assert g0 * g1 < 0.0
 
     def test_single_sign_change_at_a_flat_quartic_step(self):
@@ -81,7 +81,7 @@ class TestEnergyDefect:
         )])
         alphas = np.linspace(3.0625e-5 - 1.5e-5, 3.0625e-5 + 1.5e-5, 13)
         g = np.array([
-            energy_defect(system, 3, 2, y, H5, a, StepConfig(h=H5))[0] for a in alphas
+            energy_defect(system, 3, 2, y, a, StepConfig(h=H5))[0] for a in alphas
         ])
         steps = np.diff(g)
         assert np.all(steps > 0) or np.all(steps < 0)
@@ -91,7 +91,7 @@ class TestEnergyDefect:
         system, ic = kepler(0.6)
         with pytest.raises(StageSolveError) as err:
             energy_defect(
-                system, 2, 1, ic.y0, H5, 0.0, StepConfig(h=H5, stage_tol=1e-30, max_iters=3)
+                system, 2, 1, ic.y0, 0.0, StepConfig(h=H5, stage_tol=1e-30, max_iters=3)
             )
         assert err.value.result is not None
         assert err.value.alpha == 0.0
@@ -125,7 +125,7 @@ class TestSolveAlpha:
         record = solve_alpha(system, 2, 1, ic.y0, H5, AlphaSearchConfig(), cfg)
         d = 1e-6
         gp, gm = (
-            energy_defect(system, 2, 1, ic.y0, H5, record.alpha_star + x, cfg)[0]
+            energy_defect(system, 2, 1, ic.y0, record.alpha_star + x, cfg)[0]
             for x in (d, -d)
         )
         central = (gp - gm) / (2 * d)
@@ -145,7 +145,7 @@ class TestSolveAlpha:
         cfg = StepConfig(h=H5)
         record = solve_alpha(system, 3, 2, y, H5, AlphaSearchConfig(), cfg)
         alphas = np.linspace(record.alpha_star - 1.5e-5, record.alpha_star + 1.5e-5, 17)
-        g = [energy_defect(system, 3, 2, y, H5, a, cfg)[0] for a in alphas]
+        g = [energy_defect(system, 3, 2, y, a, cfg)[0] for a in alphas]
         fit = np.polyfit(alphas, g, 1)[0]
         assert record.slope == pytest.approx(fit, rel=0.2)
 
@@ -155,8 +155,8 @@ class TestSolveAlpha:
         # through the two converged probes of earlier rounds nearest to it
         rounds = []
 
-        def recorded(system, s, index, y0, h, alpha, cfg, guess=None):
-            defects, result = energy_defect(system, s, index, y0, h, alpha, cfg, guess)
+        def recorded(system, s, index, y0, alpha, cfg, guess=None):
+            defects, result = energy_defect(system, s, index, y0, alpha, cfg, guess)
             rounds.append((tuple(alpha), guess, result.stages))
             return defects, result
 
@@ -179,7 +179,7 @@ class TestSolveAlpha:
             system, 2, 1, ic.y0, H5, AlphaSearchConfig(), StepConfig(h=H5)
         )
         g, res = energy_defect(
-            system, 2, 1, ic.y0, H5, record.alpha_star, StepConfig(h=H5)
+            system, 2, 1, ic.y0, record.alpha_star, StepConfig(h=H5)
         )
         assert res.converged
         assert abs(g) <= 2 * 1e-13 * max(1.0, 0.5)
@@ -227,6 +227,11 @@ class TestSolveAlpha:
         assert hi in scan_radii
         assert 0.0 < record.alpha_star < 0.0625
         assert record.step.converged
+
+    def test_config_with_another_stepsize_rejected(self):
+        system, ic = kepler(0.6)
+        with pytest.raises(ValueError, match="differs from step_cfg.h"):
+            solve_alpha(system, 2, 1, ic.y0, H5, AlphaSearchConfig(), StepConfig(h=0.5))
 
     def test_zero_stepsize_rejected(self):
         system, ic = kepler(0.6)
@@ -338,7 +343,7 @@ class TestLevelGrid:
         for j, h in enumerate(h_values):
             for i, alpha in enumerate(alpha_values):
                 direct, _ = energy_defect(
-                    system, 2, 1, ic.y0, h, alpha, StepConfig(h=h)
+                    system, 2, 1, ic.y0, alpha, StepConfig(h=h)
                 )
                 assert G[i, j] == direct
 

@@ -17,7 +17,7 @@ from sympulse.experiments import (
     resolve_perturb_index,
 )
 from sympulse.problems import SingularPotentialError, kepler_reference
-from sympulse.stepper import StepConfig, step
+from sympulse.stepper import StepConfig, stage_predictor, step
 from sympulse.tableau import PerturbationSpec, butcher, gauss_quadrature
 
 
@@ -220,14 +220,34 @@ def cold_loop(spec):
 class TestFixedTableauWarmStart:
     def test_quartic_gauss_takes_fewer_sweeps_to_the_cold_end_state(self):
         # the quartic reference's finest-but-one level: 6.0 sweeps per step
-        # from y0, about 3.6 from the previous step's prediction (a single
-        # tableau takes no polish sweep)
+        # from y0, about 3.0 from the previous step's prediction plus its
+        # miss (a single tableau takes no polish sweep)
         spec = RunSpec(problem="quartic", method="gauss", s=3, h=2**-8, t_end=2.0)
         traj = integrate(spec)
         cold_y, cold_iters = cold_loop(spec)
         assert cold_iters.mean() == 6.0
-        assert traj.stage_iters.mean() <= 4.0
+        assert traj.stage_iters.mean() <= 3.1
         assert np.max(np.abs(traj.final_state - cold_y)) <= 1e-12
+
+    def test_corrected_start_gains_a_power_of_h(self, monkeypatch):
+        # the plain prediction misses by O(h^{s+1}) per step, so the residual
+        # of its first sweep falls 16-fold per halving for s=3; adding the
+        # step before's miss leaves O(h^{s+2}), 32-fold
+        first = []
+
+        def spy(system, tab, y0, cfg, guess=None, _original=experiments.step):
+            if guess is not None:
+                defect = guess - y0 - cfg.h * (tab.A @ system.vector_field(guess))
+                first.append(np.abs(defect).max() / (1.0 + np.abs(y0).max()))
+            return _original(system, tab, y0, cfg, guess)
+
+        monkeypatch.setattr(experiments, "step", spy)
+        medians = []
+        for h in (2**-8, 2**-9):
+            first.clear()
+            integrate(RunSpec(problem="quartic", method="gauss", s=3, h=h, t_end=2.0))
+            medians.append(np.median(first))
+        assert medians[0] / medians[1] >= 24.0
 
     def test_perturbed_tableau_takes_fewer_sweeps_than_the_cold_start(self):
         spec = RunSpec(
@@ -240,11 +260,12 @@ class TestFixedTableauWarmStart:
         assert np.max(np.abs(traj.final_state - cold_y)) <= 1e-12
 
     def test_first_and_partial_steps_start_cold(self, monkeypatch):
-        guesses = []
+        guesses, results = [], []
 
         def spy(system, tab, y0, cfg, guess=None, _original=experiments.step):
             guesses.append(guess)
-            return _original(system, tab, y0, cfg, guess)
+            results.append(_original(system, tab, y0, cfg, guess))
+            return results[-1]
 
         monkeypatch.setattr(experiments, "step", spy)
         spec = RunSpec(problem="quartic", method="gauss", s=3, h=0.25, t_end=1.03)
@@ -254,6 +275,13 @@ class TestFixedTableauWarmStart:
         assert len(guesses) == 5
         assert guesses[0] is None and guesses[-1] is None
         assert all(g is not None for g in guesses[1:-1])
+        # the second full step starts from the plain prediction, the third
+        # from its prediction plus the second step's miss
+        E = stage_predictor(butcher(gauss_quadrature(3), PerturbationSpec.none(3)))
+        predictions = [r.y1 + spec.h * (E @ r.stage_fields) for r in results[:2]]
+        np.testing.assert_array_equal(guesses[1], predictions[0])
+        miss = results[1].stages - predictions[0]
+        np.testing.assert_array_equal(guesses[2], predictions[1] + miss)
 
 
 class TestEnergyBookkeeping:

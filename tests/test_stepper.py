@@ -409,6 +409,28 @@ class TestStep:
         assert res.y1.tobytes() == three.y1.tobytes()
         assert res.stage_residual == three.stage_residual
 
+    @pytest.mark.parametrize("component", [0, 3])
+    def test_one_nan_anywhere_in_the_field_ends_the_solve(self, component):
+        # a NaN in one component of one stage's field, first in the defect
+        # or after finite values, ends the solve as a field of NaN does
+        system, ic = kepler(0.6)
+        calls = []
+
+        def flow(y):
+            calls.append(1)
+            f = system.flow(y)
+            if len(calls) == 5:
+                f[..., -1, component] = np.nan
+            return f
+
+        tab = make_tableau(2)
+        cfg = StepConfig(h=2**-5, stage_tol=1e-30, max_iters=4)
+        res = step(dataclasses.replace(system, flow=flow), tab, ic.y0, cfg)
+        three = step(system, tab, ic.y0, dataclasses.replace(cfg, max_iters=3))
+        assert res.iterations == 4 and not res.converged
+        assert res.stages.tobytes() == three.stages.tobytes()
+        assert res.stage_residual == three.stage_residual
+
 
 def member_residuals(res, tab, y0, h):
     """Each member's scaled stage-equation residual, from its own stages."""
@@ -587,7 +609,7 @@ class TestLocalEnergyDefectOrder:
         system, _ = kepler(0.6)
         y0 = kepler_reference(0.6, 0.4)
         g = [
-            energy_defect(system, 2, 1, y0, h, 0.0, StepConfig(h=h))[0]
+            energy_defect(system, 2, 1, y0, 0.0, StepConfig(h=h))[0]
             for h in (2**-4, 2**-5, 2**-6)
         ]
         # 2^(2s+1) = 32 at a generic state
@@ -598,7 +620,7 @@ class TestLocalEnergyDefectOrder:
         # odd powers of h cancel and the defect gains one extra order
         system, ic = kepler(0.6)
         g = [
-            energy_defect(system, 2, 1, ic.y0, h, 0.0, StepConfig(h=h))[0]
+            energy_defect(system, 2, 1, ic.y0, 0.0, StepConfig(h=h))[0]
             for h in (2**-5, 2**-6, 2**-7)
         ]
         for ratio in (g[0] / g[1], g[1] / g[2]):
@@ -608,7 +630,7 @@ class TestLocalEnergyDefectOrder:
         system, _ = kepler(0.6)
         y0 = kepler_reference(0.6, 0.4)
         g = [
-            energy_defect(system, 2, 1, y0, h, 1e-3, StepConfig(h=h))[0]
+            energy_defect(system, 2, 1, y0, 1e-3, StepConfig(h=h))[0]
             for h in (2**-5, 2**-6, 2**-7)
         ]
         for ratio in (g[0] / g[1], g[1] / g[2]):
