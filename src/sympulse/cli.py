@@ -392,7 +392,9 @@ def run(argv=None) -> int:
         if ns.t_end is None:
             ns.t_end = DEFAULT_T_END[ns.problem]
     try:
-        ns.handler(ns)
+        # a run that overflows is reported by its typed error, not by numpy
+        with np.errstate(all="ignore"):
+            ns.handler(ns)
     except (UsageError, ValueError) as exc:
         print(f"sympulse: error: {exc}", file=sys.stderr)
         return 1

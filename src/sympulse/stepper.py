@@ -7,11 +7,12 @@ Newton iteration (vector-field Jacobian frozen at the step start, applied to
 the coupled system through its Kronecker structure) takes over from the
 current iterate when the fixed-point residual stalls.  The stages start from
 y0 or from a caller's guess: a root search passes the line through two
-converged probes of the same step, a fixed-tableau run the previous step's
-stage fields extrapolated by `stage_predictor` plus that prediction's miss
-on the previous step, a start O(h^{s+2}) from the solution.  Only a root
-search's stacked solves take a polish sweep after a guessed start (see
-`step`).
+converged probes of the same step, a fixed-tableau run the stage fields of
+its last five steps extrapolated by `stage_predictor`, a start O(h^{s+5})
+from the solution.  A fixed-tableau step whose guessed start does not
+converge is solved once more from y0, and counts the sweeps of that cold
+solve (see `experiments.integrate`).  Only a root search's stacked solves
+take a polish sweep after a guessed start (see `step`).
 """
 
 from __future__ import annotations
@@ -107,8 +108,8 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     The stages start from y0, or from `guess`, an (s, n) array ((k, s, n)
     for a stack): in a root search, the stages extrapolated through the two
     nearest converged probes from the same y0 (see `conserve.solve_alpha`);
-    in a fixed-tableau run, the stages predicted from the step before plus
-    that prediction's miss on the step before (see `stage_predictor`).  A
+    in a fixed-tableau run, the stages predicted from the stage fields of
+    the steps before (see `stage_predictor`).  A
     stack started from a guess takes one more sweep after its residual
     first meets `stage_tol`.  Every probe of a root search is a stack, and
     there the error left at that point depends on where the guess came
@@ -136,18 +137,13 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     tol = cfg.stage_tol
     shape = A.shape[:-1] + (n,)
 
+    # the flows broadcast over a stack, but one flat (k*s, n) block runs
+    # faster; y0 broadcast once spares each sweep a broadcasting operation
     field = system.vector_field
-    if A.ndim == 3:
-        # the flows broadcast over a stack, but one flat (k*s, n) block runs faster
-        def field(Y, flat=field):
-            return flat(Y.reshape(-1, n)).reshape(Y.shape)
-
-    if guess is None:
-        Y = np.empty(shape)
-        Y[...] = y0
-    else:
-        Y = guess
-    F = field(Y)
+    Y0 = np.empty(shape)
+    Y0[...] = y0
+    Y = Y0 if guess is None else guess
+    F = field(Y.reshape(-1, n)).reshape(shape)
     polish = guess is not None and A.ndim == 3
 
     M = None  # simplified-Newton matrices; None while fixed-point sweeps run
@@ -157,8 +153,10 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     last = None  # the iterate before (Y, F), with its residual
 
     while True:
-        hAF = h * (A @ F)
-        defect = Y - y0 - hAF
+        hAF = A @ F
+        hAF *= h
+        defect = Y - Y0
+        defect -= hAF
         values = defect.ravel().tolist()
         # max() passes over a NaN that is not its first value, but the sum of
         # a list that holds one is NaN (a finite sum that overflows is inf)
@@ -193,12 +191,12 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
             jacobians += 1
             history = []
         if M is None:
-            Y_next = y0 + hAF
+            Y_next = Y0 + hAF
         else:
             rhs = defect.reshape(A.shape[:-2] + (s * n, 1))
             Y_next = Y - np.linalg.solve(M, rhs).reshape(shape)
         try:
-            F_next = field(Y_next)
+            F_next = field(Y_next.reshape(-1, n)).reshape(shape)
         except SingularPotentialError:
             break
         last = Y, F, res
@@ -218,25 +216,38 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     )
 
 
-def stage_predictor(tableau) -> np.ndarray:
-    """The (s, s) matrix E = A L that predicts the stages of the next step.
+def stage_predictor(tableau, history=1) -> np.ndarray:
+    """The (s, history s) matrix E that predicts the stages of the next step
+    from the stage fields of the last `history` steps, stacked newest first.
 
     With L[i, j] = l_j(1 + c_i), the Lagrange basis on the nodes c evaluated
     one step ahead, L F extrapolates a step's stage fields F to the nodes of
-    the next step of the same size, and y1 + h E F predicts its stages to
+    the next step of the same size, and y1 + h A L F predicts its stages to
     O(h^{s+1}) (the starting approximation of Hairer, Lubich & Wanner,
     *Geometric Numerical Integration*, VIII.6.1).  For Gauss this is the
     collocation polynomial at 1 + c_i; unlike the quasi-collocation
     interpolant it stays consistent with y1 for a perturbed tableau.
+    `history=1` gives E = A L.
 
-    The miss of the prediction, stages - (y1 + h E F), is O(h^{s+1}) and
-    smooth along the solution, so it changes by O(h^{s+2}) from one step to
-    the next, and the previous step's miss added to the next prediction
-    leaves O(h^{s+2}) (see `experiments.integrate`).
+    The carry's misses d_j = F_j - L F_{j+1} (F_0 the newest fields) are
+    smooth along the solution, so the m-1 of them that m = `history` steps
+    give extrapolate to the next step's miss with the binomial weights
+    w_j = (-1)^j C(m-1, j+1), and each step of history gains one power of h:
+    y1 + h E F predicts to O(h^{s+m}).  Expanded, E = A [B_0, ..., B_{m-1}]
+    with B_j = w_j I - w_{j-1} L, where the same formula gives w_{-1} = -1
+    and w_{m-1} = 0; for m=5, A [L+4I, -(4L+6I), 6L+4I, -(4L+I), L].  The
+    extrapolation also amplifies the fields' own solve error, which bounds
+    how much history pays (see `experiments._STAGE_HISTORY`).
     """
     c = tableau.c
-    L = np.empty((tableau.s, tableau.s))
-    for j in range(tableau.s):
+    s = tableau.s
+    L = np.empty((s, s))
+    for j in range(s):
         others = np.delete(c, j)
         L[:, j] = np.prod((1.0 + c[:, None] - others) / (c[j] - others), axis=1)
-    return tableau.A @ L
+
+    def w(j):
+        return (-1) ** (j % 2) * math.comb(history - 1, j + 1)
+
+    eye = np.eye(s)
+    return tableau.A @ np.hstack([w(j) * eye - w(j - 1) * L for j in range(history)])

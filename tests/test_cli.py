@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,19 @@ class TestIntegrateCommand:
         )
         assert code == 2
         assert "step 0" in err
+
+    def test_overflow_is_one_numerical_failure_without_warnings(self, capsys):
+        # the tableau and the stage sweep overflow; the typed error reports it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_capture(
+                capsys,
+                ["integrate", "--problem", "kepler", "--method", "fixed-alpha",
+                 "--alpha", "1e308", "--h", "2^-3", "--t-end", "1"],
+            )
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert "numerical failure" in err
 
     @pytest.mark.parametrize(
         "argv",

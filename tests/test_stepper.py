@@ -647,6 +647,25 @@ class TestStagePredictor:
         ahead = npoly.polyval(1.0 + tab.c, I.T).T - npoly.polyval(1.0, I.T)
         assert np.max(np.abs(stage_predictor(tab) - ahead)) <= 1e-13
 
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_one_step_of_history_is_a_times_l(self, s):
+        # L[i, j] = l_j(1 + c_i), the Lagrange basis fitted on the nodes
+        tab = make_tableau(s)
+        basis = npoly.polyfit(tab.c, np.eye(s), s - 1)
+        L = npoly.polyval(1.0 + tab.c, basis).T
+        assert np.max(np.abs(stage_predictor(tab, 1) - tab.A @ L)) <= 1e-13
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_history_blocks_extrapolate_the_carry_misses(self, s):
+        tab = make_tableau(s, s - 1, 0.01)
+        AL, A = stage_predictor(tab), tab.A
+        blocks = {
+            2: [AL + A, -AL],
+            5: [AL + 4 * A, -(4 * AL + 6 * A), 6 * AL + 4 * A, -(4 * AL + A), AL],
+        }
+        for m, expected in blocks.items():
+            assert np.max(np.abs(stage_predictor(tab, m) - np.hstack(expected))) <= 1e-14
+
     @pytest.mark.parametrize("s", [2, 3])
     def test_predicted_stages_are_accurate_to_order_s_plus_1(self, s):
         system, ic = kepler(0.6)
