@@ -395,7 +395,8 @@ def run(argv=None) -> int:
         # a run that overflows is reported by its typed error, not by numpy
         with np.errstate(all="ignore"):
             ns.handler(ns)
-    except (UsageError, ValueError) as exc:
+    # a run too long for its record to be allocated is a usage error too
+    except (UsageError, ValueError, MemoryError) as exc:
         print(f"sympulse: error: {exc}", file=sys.stderr)
         return 1
     except IntegrationError as exc:

@@ -142,7 +142,6 @@ def _member(result, i):
     """Member i of a batched StepResult, as a StepResult of its own that
     holds copies, so that it does not keep the rest of the batch alive."""
     return StepResult(
-        y1=result.y1[i].copy(),
         increment=result.increment[i].copy(),
         stages=result.stages[i].copy(),
         iterations=result.iterations,

@@ -92,8 +92,11 @@ class RunSpec:
             )
         StepConfig(h=self.h, stage_tol=self.stage_tol)
         gauss_quadrature(self.s)
-        if self.method != "gauss":
-            PerturbationSpec.single(self.s, self.resolved_perturb_index(), self.alpha)
+        # an index is checked whether or not the method reads it; plain Gauss
+        # names none by default, and s = 1 has none to name
+        if self.method != "gauss" or self.perturb_index is not None:
+            index = resolve_perturb_index(self.method, self.s, self.perturb_index)
+            PerturbationSpec.single(self.s, index, self.alpha)
 
     @property
     def tunes_alpha(self):
@@ -170,9 +173,10 @@ def _raise_at_first_singular_state(system, times, states):
             for inv in system.quadratic_invariants:
                 inv.fn(states[k + 1])
         except problems_mod.SingularPotentialError as exc:
+            t = float(times[k])
             raise IntegrationError(
-                f"step {k} at t={times[k]!r} ended at a singular state: {exc}",
-                k, times[k], states[k].copy(),
+                f"step {k} at t={t!r} ended at a singular state: {exc}",
+                k, t, states[k].copy(),
             ) from exc
 
 
@@ -186,24 +190,34 @@ def integrate(spec: RunSpec) -> TrajectoryRecord:
     once five are kept); the first and a shortened last step start from y0.
     At extreme h the predicted start can land outside the fixed point's
     basin: a step whose solve from it does not converge is solved once
-    more from y0, and raises only if that fails too.  The energy and
-    invariant errors are evaluated once, over all states, after the last
-    step."""
+    more from y0, and raises only if that fails too.
+
+    The time grid is laid out before the first step: t0 itself, then
+    t0 + k h for the full steps, and t_end for a shortened last step; a
+    failed step reports its start time from it.  H and the invariants are
+    evaluated at y0 before the first step, so a singular start raises
+    there, and once over all states after the last step, which gives the
+    errors of every state."""
     system, ic = problems_mod.get_problem(spec.problem, e=spec.e, y0=spec.y0)
     y = np.asarray(ic.y0, float)
-    t = spec.t0
     h0_energy = float(system.energy(y))
     inv0 = {inv.name: float(inv.fn(y)) for inv in system.quadratic_invariants}
 
     n_full, remainder, partial = _step_grid(spec.t0, spec.t_end, spec.h)
     n_steps = n_full + (1 if partial else 0)
+    # the grid opens with t0 itself: t0 + 0 h would turn a -0.0 start into 0.0
+    full_times = spec.t0 + np.arange(1, n_full + 1) * spec.h
+    times = np.concatenate(([spec.t0], full_times, [spec.t_end] if partial else []))
+    states = np.empty((n_steps + 1, system.dim))
+    states[0] = y
+
     index = spec.resolved_perturb_index()
-    fixed_tableau = None
+    alpha = spec.alpha if spec.method == "fixed-alpha" else 0.0
     if not spec.tunes_alpha:
         pert = (
             PerturbationSpec.none(spec.s)
             if spec.method == "gauss"
-            else PerturbationSpec.single(spec.s, index, spec.alpha)
+            else PerturbationSpec.single(spec.s, index, alpha)
         )
         fixed_tableau = butcher(gauss_quadrature(spec.s), pert)
         predictors = [stage_predictor(fixed_tableau, m) for m in range(1, _STAGE_HISTORY + 1)]
@@ -211,66 +225,54 @@ def integrate(spec: RunSpec) -> TrajectoryRecord:
         fields = np.empty((_STAGE_HISTORY * spec.s, system.dim))
         s = spec.s
 
-    times = np.empty(n_steps + 1)
-    states = np.empty((n_steps + 1, system.dim))
-    energy_error = np.zeros(n_steps + 1)
-    invariant_errors = {name: np.zeros(n_steps + 1) for name in inv0}
-    alpha_trace = np.empty(n_steps)
+    alpha_trace = np.full(n_steps, alpha)
     g_evals = np.zeros(n_steps, dtype=int)
     g_residual = np.zeros(n_steps)
     stage_iters = np.zeros(n_steps, dtype=int)
-
-    times[0] = t
-    states[0] = y
 
     # one StepConfig per distinct step size: the full steps and the partial one
     full_cfg = StepConfig(h=spec.h, stage_tol=spec.stage_tol)
     last_cfg = StepConfig(h=remainder, stage_tol=spec.stage_tol) if partial else full_cfg
     for k in range(n_steps):
-        if k < n_full:
-            h, cfg = spec.h, full_cfg
-        else:
-            h, cfg = remainder, last_cfg
+        cfg = full_cfg if k < n_full else last_cfg
         try:
             if spec.tunes_alpha:
-                record = solve_alpha(system, spec.s, index, y, h, spec.search, cfg)
-                alpha_k = record.alpha_star
+                record = solve_alpha(system, spec.s, index, y, cfg.h, spec.search, cfg)
+                alpha_trace[k] = record.alpha_star
                 g_evals[k] = record.g_evals
                 g_residual[k] = record.g_residual
                 result = record.step
             else:
-                alpha_k = spec.alpha if spec.method == "fixed-alpha" else 0.0
                 # a full step after the first starts from the stages that the
                 # last full steps predict; the first and a partial step start
                 # cold, and so does a second try after a guess that failed
                 guess = None
                 if 0 < k < n_full:
                     m = min(k, _STAGE_HISTORY)
-                    guess = y + h * (predictors[m - 1] @ fields[: m * s])
+                    guess = y + cfg.h * (predictors[m - 1] @ fields[: m * s])
                 result = step(system, fixed_tableau, y, cfg, guess)
                 if guess is not None and not result.converged:
                     result = step(system, fixed_tableau, y, cfg)
                 if not result.converged:
-                    raise StageSolveError(result, alpha_k)
+                    raise StageSolveError(result, alpha)
                 fields[s:] = fields[:-s]
                 fields[:s] = result.stage_fields
         except (
             StageSolveError, NoRootError, problems_mod.SingularPotentialError
         ) as exc:
+            t = float(times[k])
             raise IntegrationError(
                 f"step {k} at t={t!r} failed: {exc}", k, t, y.copy()
             ) from exc
         y = result.y1
-        t = spec.t0 + (k + 1) * spec.h if k < n_full else spec.t_end
-        alpha_trace[k] = alpha_k
         stage_iters[k] = result.iterations
-        times[k + 1] = t
         states[k + 1] = y
 
     try:
-        energy_error[1:] = system.energy(states[1:]) - h0_energy
-        for inv in system.quadratic_invariants:
-            invariant_errors[inv.name][1:] = inv.fn(states[1:]) - inv0[inv.name]
+        energy_error = system.energy(states) - h0_energy
+        invariant_errors = {
+            inv.name: inv.fn(states) - inv0[inv.name] for inv in system.quadratic_invariants
+        }
     except problems_mod.SingularPotentialError:
         _raise_at_first_singular_state(system, times, states)
         raise
@@ -310,12 +312,11 @@ def _fine_reference_cached(problem, e, y0_key, t_end, h_ref):
     therefore agree to 6.3e-11, not 1e-12; the bound on the returned state's
     estimated error stays 1e-12; a tighter gap would only chase the
     round-off of the finer runs."""
-    y0 = None if y0_key is None else tuple(y0_key)
     previous = None
     h = h_ref
     for _ in range(6):
         spec = RunSpec(
-            problem=problem, method="gauss", s=3, h=h, t_end=t_end, e=e, y0=y0
+            problem=problem, method="gauss", s=3, h=h, t_end=t_end, e=e, y0=y0_key
         )
         state = integrate(spec).final_state
         if previous is not None and np.max(np.abs(state - previous)) / (2**6 - 1) <= 1e-12:

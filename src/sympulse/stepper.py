@@ -60,15 +60,15 @@ class StepResult:
     """Accepted state, internal stages and solver diagnostics for one step.
 
     `y0` and `h` anchor the dense output and `stage_fields` holds f at the
-    stages; `increment` is h (b @ stage_fields), so y1 = y0 + increment;
+    stages; `increment` is h (b @ stage_fields), and the accepted state
+    `y1` is the property y0 + increment, formed when it is read;
     `stage_residual` is the scaled max-norm defect of the stage equations
     at return, and `converged` says whether it meets `stage_tol`; the
     caller decides what to do when it does not.  A batched solve (see
-    `step`) gives `y1`, `increment`, `stages` and `stage_fields` a leading
-    member axis.
+    `step`) gives `increment`, `stages` and `stage_fields` a leading
+    member axis, and so `y1` too.
     """
 
-    y1: np.ndarray
     increment: np.ndarray
     stages: np.ndarray
     iterations: int
@@ -77,6 +77,10 @@ class StepResult:
     y0: np.ndarray
     h: float
     stage_fields: np.ndarray
+
+    @property
+    def y1(self):
+        return self.y0 + self.increment
 
 
 def _fd_jacobian(system, y):
@@ -202,10 +206,8 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
         last = Y, F, res
         Y, F = Y_next, F_next
 
-    increment = h * (tableau.b @ F)
     return StepResult(
-        y1=y0 + increment,
-        increment=increment,
+        increment=h * (tableau.b @ F),
         stages=Y,
         iterations=iterations,
         converged=bool(res <= tol),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -5,7 +6,10 @@ import numpy as np
 import pytest
 
 from sympulse import __version__
+from sympulse import problems as problems_mod
 from sympulse.cli import UsageError, parse_stepsize, parse_value_list, run
+from sympulse.experiments import RunSpec, integrate
+from sympulse.problems import SingularPotentialError
 from sympulse.tableau import PerturbationSpec, butcher, gauss_quadrature
 
 
@@ -165,6 +169,62 @@ class TestIntegrateCommand:
         )
         assert code == 2
         assert "step 0" in err
+
+    def test_singular_end_state_reports_a_plain_time(self, capsys, monkeypatch):
+        # the energy raises at the end state of step 6 only, as in
+        # test_experiments' singular-end-state test
+        spec = RunSpec(problem="harmonic", method="gauss", s=2, h=0.25, t_end=3.0)
+        singular = integrate(spec).states[7]
+        original = problems_mod.get_problem
+
+        def get_problem(*args, **kwargs):
+            system, ic = original(*args, **kwargs)
+
+            def energy(y):
+                if (np.atleast_2d(y) == singular).all(axis=-1).any():
+                    raise SingularPotentialError("energy evaluated at the marked state")
+                return system.energy(y)
+
+            return dataclasses.replace(system, energy=energy), ic
+
+        monkeypatch.setattr(problems_mod, "get_problem", get_problem)
+        code, out, err = run_capture(
+            capsys,
+            ["integrate", "--problem", "harmonic", "--method", "gauss", "--stages", "2",
+             "--h", "0.25", "--t-end", "3"],
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "sympulse: numerical failure at step 6 (t=1.5): step 6 at t=1.5 ended "
+            "at a singular state: energy evaluated at the marked state"
+        ]
+
+    def test_run_too_long_to_allocate_usage_error(self, capsys):
+        # 3.2e15 steps: the record's arrays cannot be allocated, and the
+        # allocation fails at once, so the test uses no memory
+        code, out, err = run_capture(
+            capsys, [*KEPLER, "--method", "gauss", "--t-end", "1e14"]
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("sympulse: error: Unable to allocate")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [*KEPLER, "--method", "gauss", "--perturb-index", "7", "--t-end", "0.1"],
+            ["converge", "--problem", "kepler", "--method", "gauss", "--stages", "2",
+             "--perturb-index", "9", "--h-list", "0.1,0.05", "--t-end", "0.2"],
+        ],
+    )
+    def test_perturb_index_out_of_range_with_gauss_usage_error(self, capsys, argv):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("sympulse: error: perturbation index")
 
     def test_overflow_is_one_numerical_failure_without_warnings(self, capsys):
         # the tableau and the stage sweep overflow; the typed error reports it

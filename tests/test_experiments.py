@@ -8,6 +8,7 @@ from sympulse import experiments
 from sympulse import problems as problems_mod
 from sympulse.conserve import NoRootError, StageSolveError
 from sympulse.experiments import (
+    METHODS,
     IntegrationError,
     RunSpec,
     convergence_table,
@@ -61,6 +62,19 @@ class TestRunSpec:
     def test_bad_stage_tol_rejected(self, stage_tol):
         with pytest.raises(ValueError, match="stage_tol"):
             RunSpec(problem="kepler", method="gauss", s=2, h=0.1, t_end=1.0, stage_tol=stage_tol)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_perturb_index_checked_for_every_method(self, method):
+        base = {"problem": "kepler", "method": method, "s": 2, "h": 0.1, "t_end": 1.0}
+        for bad in (0, 2, 7):
+            with pytest.raises(ValueError, match="perturbation index"):
+                RunSpec(**base, perturb_index=bad)
+        # an index in range stands whether or not the method reads it
+        assert RunSpec(**base, perturb_index=1).perturb_index == 1
+
+    def test_single_stage_gauss_needs_no_index(self):
+        spec = RunSpec(problem="kepler", method="gauss", s=1, h=0.1, t_end=1.0)
+        assert spec.resolved_perturb_index() is None
 
     def test_perturb_index_defaults(self):
         assert resolve_perturb_index("ep-gauss", 3) == 2
@@ -350,6 +364,8 @@ class TestEnergyBookkeeping:
         assert isinstance(err.value.__cause__, SingularPotentialError)
         assert err.value.step_index == 6
         assert err.value.time == 1.5
+        assert type(err.value.time) is float
+        assert "step 6 at t=1.5 ended at a singular state" in str(err.value)
         assert err.value.state.tobytes() == states[6].tobytes()
 
 

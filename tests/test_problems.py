@@ -5,6 +5,7 @@ import pytest
 
 from sympulse.problems import (
     SingularPotentialError,
+    _eccentric_anomaly,
     get_problem,
     harmonic,
     henon_heiles,
@@ -262,6 +263,14 @@ class TestGetProblem:
 
 
 class TestKeplerReference:
+    @pytest.mark.parametrize("e", [0.999, 0.9999, 0.99999])
+    def test_eccentric_anomaly_converges_near_parabolic(self, e):
+        # plain Newton from M + e sin M wanders off at some M near 0 and 2 pi
+        for t in np.linspace(0.0, 2.0 * np.pi, 2001):
+            E = _eccentric_anomaly(e, t)
+            assert abs(E - e * np.sin(E) - np.remainder(t, 2.0 * np.pi)) <= 1e-14
+            assert np.isfinite(kepler_reference(e, t)).all()
+
     def test_time_zero_is_start_state(self):
         _, ic = kepler(0.6)
         np.testing.assert_allclose(kepler_reference(0.6, 0.0), ic.y0, atol=1e-15)
