@@ -1,14 +1,19 @@
 """Command-line front end: tableau inspection, single integrations,
 convergence studies and the energy-defect level grid.
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure (stage iteration or
-root search).  Output files are written atomically (temp file + rename) and
-identical invocations produce byte-identical output.
+Every table goes through one writer, `_emit_table`: the `#` header that
+echoes the run's inputs, then one CSV line per row of string cells; each
+subcommand states its columns once.  Exit codes: 0 success, 1 usage error
+(`sympulse: error: ...`), 2 numerical failure (`sympulse: numerical failure:
+...`, which names the failed step and its time).  Output files are written
+atomically (temp file + rename) and identical invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -22,7 +27,6 @@ from . import __version__
 from .conserve import level_grid
 from .experiments import (
     METHODS,
-    IntegrationError,
     RunSpec,
     convergence_table,
     integrate,
@@ -205,6 +209,12 @@ def _header(pairs):
     return "\n".join(lines) + "\n"
 
 
+def _emit_table(ns, pairs, rows):
+    """Write the header of `pairs`, then one CSV line per row of string cells."""
+    lines = (",".join(row) + "\n" for row in rows)
+    _emit(ns, "".join(itertools.chain([_header(pairs)], lines)))
+
+
 def _problem_pairs(ns):
     """Header lines shared by the subcommands that run a problem; only
     kepler gets this far with `--e` set, the other problems reject it."""
@@ -246,42 +256,27 @@ def _run_tableau(ns):
         else PerturbationSpec.single(ns.stages, index, ns.alpha)
     )
     tab = butcher(quadrature, pert)
-    if ns.format == "json":
-        payload = {
-            "stages": tab.s,
-            "alpha": ns.alpha,
-            "perturb_index": index,
-            "order": tab.order,
-            "c": [g17(v) for v in tab.c],
-            "b": [g17(v) for v in tab.b],
-            "A": [[g17(v) for v in row] for row in tab.A],
-        }
-        _emit(ns, json.dumps(payload, indent=2) + "\n")
-        return
-    lines = [
-        _header(
-            [
-                ("subcommand", "tableau"),
-                ("stages", ns.stages),
-                ("alpha", ns.alpha),
-                ("perturb_index", index),
-                ("order", tab.order),
-            ]
-        )
+    fields = [
+        ("stages", tab.s), ("alpha", ns.alpha), ("perturb_index", index), ("order", tab.order)
     ]
-    lines.append("c," + ",".join(g17(v) for v in tab.c) + "\n")
-    lines.append("b," + ",".join(g17(v) for v in tab.b) + "\n")
-    for row in tab.A:
-        lines.append("A," + ",".join(g17(v) for v in row) + "\n")
-    _emit(ns, "".join(lines))
+    # c and b are one row each, A one row per stage
+    arrays = [
+        (label, np.vectorize(g17, otypes=[object])(values))
+        for label, values in (("c", tab.c), ("b", tab.b), ("A", tab.A))
+    ]
+    if ns.format == "json":
+        payload = dict(fields + [(label, cells.tolist()) for label, cells in arrays])
+        _emit(ns, json.dumps(payload, indent=2) + "\n")
+    else:
+        rows = [[label, *row] for label, cells in arrays for row in np.atleast_2d(cells)]
+        _emit_table(ns, [("subcommand", "tableau")] + fields, rows)
 
 
 def _run_integrate(ns):
     h = ns.h if ns.h is not None else DEFAULT_H.get(ns.problem, 2.0 ** -5)
     spec = RunSpec(ns.problem, ns.method, ns.stages, h, ns.t_end, **_run_fields(ns))
     record = integrate(spec)
-    inv_names = list(record.invariant_errors)
-    header = _header(
+    header = (
         _problem_pairs(ns)
         + _method_pairs(spec)
         + [
@@ -292,31 +287,21 @@ def _run_integrate(ns):
             ("partial_final", str(record.partial_final).lower()),
         ]
     )
-    dim = record.states.shape[1]
+    # a per-step column describes the step that ends at its row; the start
+    # row, which no step ends at, reads zero
     columns = (
-        ["step", "t"]
-        + [f"y{i + 1}" for i in range(dim)]
-        + ["H_err"]
-        + [f"{name}_err" for name in inv_names]
-        + ["alpha_star", "g_evals", "stage_iters"]
+        [("step", map(str, range(record.times.size))), ("t", map(g17, record.times))]
+        + [(f"y{i + 1}", map(g17, y)) for i, y in enumerate(record.states.T)]
+        + [("H_err", map(g17, record.energy_error))]
+        + [(f"{name}_err", map(g17, err)) for name, err in record.invariant_errors.items()]
+        + [
+            ("alpha_star", itertools.chain(["0"], map(g17, record.alpha_trace))),
+            ("g_evals", itertools.chain(["0"], map(str, record.g_evals))),
+            ("stage_iters", itertools.chain(["0"], map(str, record.stage_iters))),
+        ]
     )
-    out = [header, ",".join(columns) + "\n"]
-    n_rows = record.times.size
-    for k in range(n_rows):
-        row = [str(k), g17(record.times[k])]
-        row += [g17(v) for v in record.states[k]]
-        row.append(g17(record.energy_error[k]))
-        row += [g17(record.invariant_errors[name][k]) for name in inv_names]
-        if k == 0:
-            row += [g17(0.0), "0", "0"]
-        else:
-            row += [
-                g17(record.alpha_trace[k - 1]),
-                str(int(record.g_evals[k - 1])),
-                str(int(record.stage_iters[k - 1])),
-            ]
-        out.append(",".join(row) + "\n")
-    _emit(ns, "".join(out))
+    names, cells = zip(*columns)
+    _emit_table(ns, header, itertools.chain([names], zip(*cells)))
 
 
 def _run_converge(ns):
@@ -324,7 +309,7 @@ def _run_converge(ns):
     fields = _run_fields(ns)
     rows = convergence_table(ns.problem, ns.method, ns.stages, h_list, ns.t_end, **fields)
     spec = RunSpec(ns.problem, ns.method, ns.stages, h_list[0], ns.t_end, **fields)
-    header = _header(
+    header = (
         _problem_pairs(ns)
         + _method_pairs(spec)
         + [
@@ -335,13 +320,12 @@ def _run_converge(ns):
             ("error_norm", "euclidean"),
         ]
     )
-    out = [header, "h,e_h,order,delta_h,delta_scaled\n"]
-    for row in rows:
-        order = g17(row.order) if row.order is not None else ""
-        out.append(
-            f"{g17(row.h)},{g17(row.e_h)},{order},{g17(row.delta_h)},{g17(row.delta_scaled)}\n"
-        )
-    _emit(ns, "".join(out))
+    table = [
+        [g17(row.h), g17(row.e_h), "" if row.order is None else g17(row.order),
+         g17(row.delta_h), g17(row.delta_scaled)]
+        for row in rows
+    ]
+    _emit_table(ns, header, [["h", "e_h", "order", "delta_h", "delta_scaled"], *table])
 
 
 def _run_levelmap(ns):
@@ -360,7 +344,7 @@ def _run_levelmap(ns):
         alpha_values,
         StepConfig(h=h_values[0], stage_tol=ns.stage_tol),
     )
-    header = _header(
+    header = (
         _problem_pairs(ns)
         + [
             ("stages", ns.stages),
@@ -371,11 +355,12 @@ def _run_levelmap(ns):
             ("failed_cells", len(failures)),
         ]
     )
-    out = [header, "h,alpha,g\n"]
-    for j, h in enumerate(h_values):
-        for i, alpha in enumerate(alpha_values):
-            out.append(f"{g17(h)},{g17(alpha)},{g17(G[i, j])}\n")
-    _emit(ns, "".join(out))
+    table = [
+        [g17(h), g17(alpha), g17(G[i, j])]
+        for j, h in enumerate(h_values)
+        for i, alpha in enumerate(alpha_values)
+    ]
+    _emit_table(ns, header, [["h", "alpha", "g"], *table])
 
 
 def run(argv=None) -> int:
@@ -399,12 +384,6 @@ def run(argv=None) -> int:
     except (UsageError, ValueError, MemoryError) as exc:
         print(f"sympulse: error: {exc}", file=sys.stderr)
         return 1
-    except IntegrationError as exc:
-        print(
-            f"sympulse: numerical failure at step {exc.step_index} (t={exc.time!r}): {exc}",
-            file=sys.stderr,
-        )
-        return 2
     except (SingularPotentialError, RuntimeError) as exc:
         print(f"sympulse: numerical failure: {exc}", file=sys.stderr)
         return 2

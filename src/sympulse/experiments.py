@@ -10,6 +10,7 @@ the band containing all per-step roots, scaled by the predicted power of h.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -97,6 +98,24 @@ class RunSpec:
         if self.method != "gauss" or self.perturb_index is not None:
             index = resolve_perturb_index(self.method, self.s, self.perturb_index)
             PerturbationSpec.single(self.s, index, self.alpha)
+        # -0.0 too: the record would carry it as every step's alpha
+        if self.method != "fixed-alpha" and (self.alpha or math.copysign(1.0, self.alpha) < 0):
+            raise ValueError(
+                f"alpha applies to method fixed-alpha only, not {self.method!r}; "
+                f"got alpha={self.alpha!r}"
+            )
+        # the root search is seeded, and the root band scaled, by h^{2r}
+        try:
+            scale = self.root_scale
+        except OverflowError:
+            scale = math.inf
+        if not 0.0 < scale < math.inf:
+            power = 2 * self.root_exponent
+            raise ValueError(
+                f"the root scale h^{power} must be a positive finite float, so h must "
+                f"lie within about ({math.ulp(0.0) ** (1 / power):.3g}, "
+                f"{sys.float_info.max ** (1 / power):.3g}); got h={self.h!r}"
+            )
 
     @property
     def tunes_alpha(self):
@@ -106,6 +125,18 @@ class RunSpec:
         if self.method == "gauss":
             return None
         return resolve_perturb_index(self.method, self.s, self.perturb_index)
+
+    @property
+    def root_exponent(self):
+        """r of the root scale h^{2r}: s - index for a perturbed tableau, 1
+        for plain Gauss."""
+        index = self.resolved_perturb_index()
+        return 1 if index is None else self.s - index
+
+    @property
+    def root_scale(self):
+        """h^{2r}, the scale of the per-step roots and of their band."""
+        return self.h ** (2 * self.root_exponent)
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,12 +243,11 @@ def integrate(spec: RunSpec) -> TrajectoryRecord:
     states[0] = y
 
     index = spec.resolved_perturb_index()
-    alpha = spec.alpha if spec.method == "fixed-alpha" else 0.0
     if not spec.tunes_alpha:
         pert = (
             PerturbationSpec.none(spec.s)
             if spec.method == "gauss"
-            else PerturbationSpec.single(spec.s, index, alpha)
+            else PerturbationSpec.single(spec.s, index, spec.alpha)
         )
         fixed_tableau = butcher(gauss_quadrature(spec.s), pert)
         predictors = [stage_predictor(fixed_tableau, m) for m in range(1, _STAGE_HISTORY + 1)]
@@ -225,7 +255,7 @@ def integrate(spec: RunSpec) -> TrajectoryRecord:
         fields = np.empty((_STAGE_HISTORY * spec.s, system.dim))
         s = spec.s
 
-    alpha_trace = np.full(n_steps, alpha)
+    alpha_trace = np.full(n_steps, spec.alpha)
     g_evals = np.zeros(n_steps, dtype=int)
     g_residual = np.zeros(n_steps)
     stage_iters = np.zeros(n_steps, dtype=int)
@@ -254,7 +284,7 @@ def integrate(spec: RunSpec) -> TrajectoryRecord:
                 if guess is not None and not result.converged:
                     result = step(system, fixed_tableau, y, cfg)
                 if not result.converged:
-                    raise StageSolveError(result, alpha)
+                    raise StageSolveError(result, spec.alpha)
                 fields[s:] = fields[:-s]
                 fields[:s] = result.stage_fields
         except (
@@ -363,13 +393,11 @@ def convergence_table(problem, method, s, h_list, t_end, reference=None, **field
             problem, t_end - first.t0, min(h_list), e=first.e, y0=first.y0
         )
     reference = np.asarray(reference, float)
-    index = first.resolved_perturb_index()
-    r = s - index if index is not None else 1
     records = [integrate(spec) for spec in specs]
 
     rows = []
     previous_error = None
-    for h, record in zip(h_list, records):
+    for spec, record in zip(specs, records):
         e_h = float(np.linalg.norm(record.final_state - reference))
         order = None
         if previous_error is not None and e_h > 0.0 and previous_error > 0.0:
@@ -377,11 +405,11 @@ def convergence_table(problem, method, s, h_list, t_end, reference=None, **field
         delta = record.delta
         rows.append(
             ConvergenceRow(
-                h=h,
+                h=spec.h,
                 e_h=e_h,
                 order=order,
                 delta_h=delta,
-                delta_scaled=delta / h ** (2 * r),
+                delta_scaled=delta / spec.root_scale,
             )
         )
         previous_error = e_h

@@ -127,6 +127,45 @@ class TestIntegrateCommand:
         for line in lines[header_idx + 1:]:
             assert float(line.split(",")[alpha_col]) == 0.0
 
+    @pytest.mark.parametrize(
+        "flags, spec",
+        [
+            (
+                ["--problem", "kepler", "--h", "2^-4", "--t-end", "0.5"],
+                RunSpec(problem="kepler", method="ep-gauss", s=2, h=2**-4, t_end=0.5),
+            ),
+            # a shortened last step of 0.05
+            (
+                ["--problem", "quartic", "--method", "fixed-alpha", "--alpha", "0.01",
+                 "--h", "2^-4", "--t-end", "0.3"],
+                RunSpec(
+                    problem="quartic", method="fixed-alpha", s=2, h=2**-4, t_end=0.3,
+                    alpha=0.01,
+                ),
+            ),
+        ],
+    )
+    def test_every_cell_matches_the_record(self, capsys, flags, spec):
+        code, out, err = run_capture(capsys, ["integrate", *flags])
+        assert code == 0, err
+        lines = [l for l in out.splitlines() if not l.startswith("#")]
+        names = lines[0].split(",")
+        table = np.array([[float(v) for v in l.split(",")] for l in lines[1:]])
+        col = {name: table[:, names.index(name)] for name in names}
+        record = integrate(spec)
+        assert record.partial_final == (spec.method == "fixed-alpha")
+        assert names == ["step", "t", "y1", "y2", "y3", "y4", "H_err", "L_err",
+                         "alpha_star", "g_evals", "stage_iters"]
+        np.testing.assert_array_equal(col["step"], np.arange(record.times.size))
+        np.testing.assert_array_equal(col["t"], record.times)
+        np.testing.assert_array_equal(table[:, 2:6], record.states)
+        np.testing.assert_array_equal(col["H_err"], record.energy_error)
+        np.testing.assert_array_equal(col["L_err"], record.invariant_errors["L"])
+        # row k + 1 holds step k; the start row holds zeros
+        for name, values in [("alpha_star", record.alpha_trace), ("g_evals", record.g_evals),
+                             ("stage_iters", record.stage_iters)]:
+            np.testing.assert_array_equal(col[name], [0, *values])
+
     def test_header_round_trips_inputs(self, capsys):
         code, out, _ = run_capture(
             capsys,
@@ -196,7 +235,7 @@ class TestIntegrateCommand:
         assert code == 2
         assert out == ""
         assert err.splitlines() == [
-            "sympulse: numerical failure at step 6 (t=1.5): step 6 at t=1.5 ended "
+            "sympulse: numerical failure: step 6 at t=1.5 ended "
             "at a singular state: energy evaluated at the marked state"
         ]
 
@@ -238,6 +277,36 @@ class TestIntegrateCommand:
         assert code == 2
         assert len(err.splitlines()) == 1
         assert "numerical failure" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # an alpha the method would ignore
+            ("integrate --problem kepler --method gauss --alpha 0.5 --t-end 0.1",
+             "alpha applies to method fixed-alpha only, not 'gauss'"),
+            ("integrate --problem kepler --method ep-gauss --alpha 0.5 --t-end 0.1",
+             "alpha applies to method fixed-alpha only, not 'ep-gauss'"),
+            ("converge --problem kepler --method ep-gauss-type2 --alpha=-0.001"
+             " --h-list 0.25,0.125 --t-end 0.5",
+             "alpha applies to method fixed-alpha only, not 'ep-gauss-type2'"),
+            # a root scale h^{2r} that overflows or underflows
+            ("integrate --problem quartic --t-end 1e308 --h 1e300",
+             "the root scale h^2 must be a positive finite float"),
+            ("integrate --problem kepler --method ep-gauss --stages 3 --h 1e200 --t-end 1e201",
+             "the root scale h^2 must be a positive finite float"),
+            ("converge --problem quartic --h-list 1e-320 --t-end 1e-318",
+             "the root scale h^2 must be a positive finite float"),
+            ("converge --problem quartic --method gauss --h-list 1e-200 --t-end 1e-198",
+             "the root scale h^2 must be a positive finite float"),
+        ],
+    )
+    def test_run_spec_limit_is_one_usage_error_line(self, capsys, argv, message):
+        code, out, err = run_capture(capsys, argv.split())
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"sympulse: error: {message}")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv",

@@ -72,6 +72,53 @@ class TestRunSpec:
         # an index in range stands whether or not the method reads it
         assert RunSpec(**base, perturb_index=1).perturb_index == 1
 
+    @pytest.mark.parametrize("method", ["gauss", "ep-gauss", "ep-gauss-type2"])
+    @pytest.mark.parametrize("alpha", [0.5, -1e-3, -0.0])
+    def test_alpha_only_for_fixed_alpha(self, method, alpha):
+        base = {"problem": "kepler", "s": 3, "h": 0.1, "t_end": 1.0}
+        with pytest.raises(ValueError, match=f"fixed-alpha only, not {method!r}"):
+            RunSpec(**base, method=method, alpha=alpha)
+        assert RunSpec(**base, method="fixed-alpha", alpha=alpha).alpha == alpha
+
+    @pytest.mark.parametrize(
+        "method, s, perturb_index, r",
+        [
+            ("gauss", 3, None, 1),
+            ("ep-gauss", 3, None, 1),
+            ("ep-gauss-type2", 3, None, 2),
+            ("fixed-alpha", 4, 1, 3),
+        ],
+    )
+    def test_root_scale(self, method, s, perturb_index, r):
+        spec = RunSpec(
+            problem="kepler", method=method, s=s, h=0.5, t_end=1.0,
+            perturb_index=perturb_index,
+        )
+        assert spec.root_exponent == r
+        assert spec.root_scale == 0.5 ** (2 * r)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"problem": "quartic", "h": 1e300, "t_end": 1e308},
+            {"s": 3, "h": 1e200, "t_end": 1e201},
+            {"problem": "quartic", "h": 1e-320, "t_end": 1e-318},
+            {"problem": "quartic", "method": "gauss", "h": 1e-200, "t_end": 1e-198},
+            # r = 2: h^4 underflows where h^2 would not
+            {"method": "ep-gauss-type2", "s": 3, "h": 1e-100, "t_end": 1e-98},
+            {"method": "fixed-alpha", "s": 3, "perturb_index": 1, "h": 1e80, "t_end": 1e81},
+        ],
+    )
+    def test_root_scale_outside_the_float_range_rejected(self, kwargs):
+        base = {"problem": "kepler", "method": "ep-gauss", "s": 2}
+        with pytest.raises(ValueError, match=r"root scale h\^\d must be a positive finite"):
+            RunSpec(**{**base, **kwargs})
+
+    @pytest.mark.parametrize("h", [1e-150, 1e150])
+    def test_root_scale_near_the_ends_of_the_float_range_accepted(self, h):
+        spec = RunSpec(problem="kepler", method="ep-gauss", s=2, h=h, t_end=10 * h)
+        assert 0.0 < spec.root_scale < float("inf")
+
     def test_single_stage_gauss_needs_no_index(self):
         spec = RunSpec(problem="kepler", method="gauss", s=1, h=0.1, t_end=1.0)
         assert spec.resolved_perturb_index() is None
