@@ -2,17 +2,26 @@
 
 State vectors are laid out as y = (q_1..q_m, p_1..p_m); the canonical flow is
 f = J grad H, that is q' = dH/dp, p' = -dH/dq.  Each problem supplies its
-energy and one fused kernel for the flow, which fills a single output array
-with no gradient temporary; the gradient is derived from the flow exactly,
-grad H = -J f (a copy and a negation), so no problem keeps two copies of its
-derivative.  Both callables broadcast over leading axes so that a whole block
-of stage vectors can be evaluated in one call.
+energy and one kernel for the flow; the gradient is derived from the flow
+exactly, grad H = -J f (a copy and a negation), so no problem keeps two
+copies of its derivative.  Both callables take any leading axes, so that a
+whole block of stage vectors is evaluated in one call.
+
+The Kepler, quartic and Henon-Heiles flows loop over the rows of the block
+on Python floats (`.tolist()`) and build one array at the end.  The stage
+solver sends them 2 to 9 states at a time (6 for a triple of Kepler probes
+at s=2, 9 for a triple at s=3, 8 for the Jacobian's shifted states), where
+numpy's per-call dispatch, not arithmetic, sets the price: a numpy kernel
+costs 6-9 us at any of these sizes, a float kernel 2.2-2.6 us at 2 rows and
+6-6.5 us at 9, 0.5-0.7 us more per further row.  Past 10-12 rows (triples
+at s >= 4) the float kernel is the slower one.  The harmonic flow,
+a copy and a negation, stays two numpy calls, cheaper than a row loop on
+any block of more than two rows.
 
 Each problem also supplies `energy_increment(y, d) = H(y + d) - H(y)` for one
 state, written so that no O(|H|) terms cancel: its round-off scales with the
 increment, not with the energy (the kinetic part is d_p.(p + d_p/2) for every
-problem).  It works on Python floats, which for a 4-vector is cheaper than
-any numpy call.
+problem).  It works on Python floats too.
 """
 
 from __future__ import annotations
@@ -90,14 +99,18 @@ def kepler(e: float = 0.6):
     if not 0.0 <= e < 1.0:
         raise ValueError(f"eccentricity must be in [0, 1), got {e}")
 
+    def singular():
+        return SingularPotentialError(
+            f"state within {SINGULARITY_RADIUS} of the gravitational singularity"
+        )
+
     def _radius(q):
-        # two components added outright: on a few stages numpy's .sum(-1)
-        # costs several times the arithmetic
+        # the two squares added outright: on a few states numpy's .sum(-1)
+        # costs several times the arithmetic; any() and not min(), whose NaN
+        # on a block with a NaN row would let a singular row through
         r = np.sqrt(q[..., 0] * q[..., 0] + q[..., 1] * q[..., 1])
-        if r.min() < SINGULARITY_RADIUS:
-            raise SingularPotentialError(
-                f"state within {SINGULARITY_RADIUS} of the gravitational singularity"
-            )
+        if (r < SINGULARITY_RADIUS).any():
+            raise singular()
         return r
 
     def energy(y):
@@ -106,13 +119,17 @@ def kepler(e: float = 0.6):
         return 0.5 * (p * p).sum(-1) - 1.0 / r
 
     def flow(y):
-        # p' = -q / r^3, with the sign folded into the divisor (exact)
-        q = y[..., :2]
-        r = _radius(q)
-        f = np.empty_like(y)
-        f[..., :2] = y[..., 2:]
-        np.divide(q, -r[..., None] ** 3, out=f[..., 2:])
-        return f
+        # p' = -q / r^3, with r^3 formed as r^2 r and the sign folded into
+        # the divisor (exact); a NaN row fails the test and gives a NaN field
+        rows = []
+        for q1, q2, p1, p2 in y.reshape(-1, 4).tolist():
+            r2 = q1 * q1 + q2 * q2
+            r = math.sqrt(r2)
+            if r < SINGULARITY_RADIUS:
+                raise singular()
+            c = -(r2 * r)
+            rows.append((p1, p2, q1 / c, q2 / c))
+        return np.array(rows).reshape(y.shape)
 
     def energy_increment(y, d):
         # r1 - r0 = (r1^2 - r0^2) / (r0 + r1), and -1/r1 + 1/r0 = (r1 - r0) / (r0 r1)
@@ -121,9 +138,7 @@ def kepler(e: float = 0.6):
         r0 = math.hypot(q1, q2)
         r1 = math.hypot(q1 + d1, q2 + d2)
         if min(r0, r1) < SINGULARITY_RADIUS:
-            raise SingularPotentialError(
-                f"state within {SINGULARITY_RADIUS} of the gravitational singularity"
-            )
+            raise singular()
         dr = (d1 * (2.0 * q1 + d1) + d2 * (2.0 * q2 + d2)) / (r0 + r1)
         return d3 * (p1 + 0.5 * d3) + d4 * (p2 + 0.5 * d4) + dr / (r0 * r1)
 
@@ -155,12 +170,11 @@ def quartic(y0=(1.2, 0.0, 0.3, 1.4)):
 
     def flow(y):
         # p' = -4 q |q|^2, with the sign folded into the factor (exact)
-        q = y[..., :2]
-        q2 = y[..., 0] * y[..., 0] + y[..., 1] * y[..., 1]
-        f = np.empty_like(y)
-        f[..., :2] = y[..., 2:]
-        np.multiply(-4.0 * q, q2[..., None], out=f[..., 2:])
-        return f
+        rows = []
+        for q1, q2, p1, p2 in y.reshape(-1, 4).tolist():
+            r2 = q1 * q1 + q2 * q2
+            rows.append((p1, p2, -4.0 * q1 * r2, -4.0 * q2 * r2))
+        return np.array(rows).reshape(y.shape)
 
     def energy_increment(y, d):
         # with a = |q + d_q|^2 - |q|^2, the potential changes by a (2|q|^2 + a)
@@ -196,13 +210,11 @@ def henon_heiles():
         return 0.5 * p2 + u
 
     def flow(y):
-        q1, q2 = y[..., 0], y[..., 1]
-        f = np.empty_like(y)
-        f[..., :2] = y[..., 2:]
-        f[..., 2] = q1 + 2.0 * q1 * q2
-        f[..., 3] = q2 + q1 * q1 - q2 * q2
-        np.negative(f[..., 2:], out=f[..., 2:])
-        return f
+        rows = [
+            (p1, p2, -(q1 + 2.0 * q1 * q2), -(q2 + q1 * q1 - q2 * q2))
+            for q1, q2, p1, p2 in y.reshape(-1, 4).tolist()
+        ]
+        return np.array(rows).reshape(y.shape)
 
     def energy_increment(y, d):
         # the cubic expanded: (q1 + d1)^2 (q2 + d2) - q1^2 q2

@@ -102,8 +102,8 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     `tableau.A` may also be a (k, s, s) stack of coefficient matrices
     sharing b (see `tableau.butcher_batch`): the k methods are then solved
     from the same y0 in one iteration, every member sweeping together until
-    the worst member's residual meets `stage_tol`, and the vector field sees
-    all k s stages as one (k s, n) block.  The arrays of the result carry a
+    the worst member's residual meets `stage_tol`, and one vector-field
+    call takes all k s stages.  The arrays of the result carry a
     leading member axis, and `iterations`, `converged` and `stage_residual`
     are the batch's.  A stack of one started cold solves exactly as its
     single tableau; started from a guess it takes the polish sweep below,
@@ -141,13 +141,13 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     tol = cfg.stage_tol
     shape = A.shape[:-1] + (n,)
 
-    # the flows broadcast over a stack, but one flat (k*s, n) block runs
-    # faster; y0 broadcast once spares each sweep a broadcasting operation
+    # the flows take a stack as it is and flatten it to (k*s, n) rows
+    # themselves; y0 broadcast once spares each sweep a broadcasting operation
     field = system.vector_field
     Y0 = np.empty(shape)
     Y0[...] = y0
     Y = Y0 if guess is None else guess
-    F = field(Y.reshape(-1, n)).reshape(shape)
+    F = field(Y)
     polish = guess is not None and A.ndim == 3
 
     M = None  # simplified-Newton matrices; None while fixed-point sweeps run
@@ -200,7 +200,7 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
             rhs = defect.reshape(A.shape[:-2] + (s * n, 1))
             Y_next = Y - np.linalg.solve(M, rhs).reshape(shape)
         try:
-            F_next = field(Y_next.reshape(-1, n)).reshape(shape)
+            F_next = field(Y_next)
         except SingularPotentialError:
             break
         last = Y, F, res

@@ -92,8 +92,8 @@ def reference_flow(name, y):
     bit."""
     q, p = (y[..., :1], y[..., 1:]) if name == "harmonic" else (y[..., :2], y[..., 2:])
     if name == "kepler":
-        r = np.sqrt(np.sum(q * q, axis=-1))
-        dq = q / r[..., None] ** 3
+        r2 = np.sum(q * q, axis=-1)
+        dq = q / (r2 * np.sqrt(r2))[..., None]
     elif name == "quartic":
         dq = 4.0 * q * np.sum(q**2, axis=-1)[..., None]
     elif name == "henon-heiles":
@@ -105,12 +105,20 @@ def reference_flow(name, y):
 
 
 class TestFlowKernel:
-    @pytest.mark.parametrize("shape", [(), (3,), (5, 3)])
+    # one state, a block of rows, a (k, s, n) stack and an empty block; a
+    # NaN row gives a NaN field row and leaves the other rows alone
+    @pytest.mark.parametrize(
+        "shape, nan_row",
+        [((), False), ((3,), False), ((3,), True), ((5, 3), False), ((2, 3), True), ((0,), False)],
+        ids=["state", "block", "block-nan", "stack", "stack-nan", "empty"],
+    )
     @pytest.mark.parametrize("name", sorted(ALL_SYSTEMS))
-    def test_flow_is_the_canonical_formula_bit_for_bit(self, name, shape):
+    def test_flow_is_the_canonical_formula_bit_for_bit(self, name, shape, nan_row):
         system, _ = ALL_SYSTEMS[name]()
         n = int(np.prod(shape))
         y = sample_states(name, n).reshape(shape + (system.dim,))
+        if nan_row:
+            y.reshape(-1, system.dim)[1, 0] = np.nan
         f = system.vector_field(y)
         assert f.shape == y.shape
         np.testing.assert_array_equal(f, reference_flow(name, y))
@@ -188,6 +196,14 @@ class TestKepler:
             system.energy(np.array([0.0, 0.0, 0.1, 0.1]))
         with pytest.raises(SingularPotentialError):
             system.gradient(np.array([1e-9, 0.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("path", ["vector_field", "energy"])
+    def test_a_nan_row_does_not_hide_a_singular_row(self, path):
+        # the min of these radii is NaN, which compares false with any bound
+        system, _ = kepler(0.6)
+        y = np.array([[np.nan, 0.0, 0.0, 1.0], [1e-9, 0.0, 0.0, 1.0]])
+        with pytest.raises(SingularPotentialError):
+            getattr(system, path)(y)
 
 
 class TestQuartic:

@@ -308,7 +308,7 @@ class TestStep:
         )])
         res = step(system, make_tableau(2), y0, StepConfig(h=1.5))
         assert res.converged
-        assert res.iterations == 92
+        assert res.iterations == 90
         assert len(calls) == 2
         assert np.array_equal(calls[0], y0)
         assert not np.array_equal(calls[1], y0)
