@@ -32,8 +32,8 @@ from .experiments import (
     integrate,
     resolve_perturb_index,
 )
-from .problems import PROBLEMS, SingularPotentialError, get_problem
-from .stepper import StepConfig
+from .problems import KEPLER_E, PROBLEMS, SingularPotentialError, get_problem
+from .stepper import STAGE_TOL, StepConfig
 from .tableau import PerturbationSpec, butcher, gauss_quadrature
 
 DEFAULT_T_END = {"kepler": 50.0, "quartic": 50.0, "harmonic": 50.0, "henon-heiles": 500.0}
@@ -140,9 +140,9 @@ def _emit(ns, text):
 
 def _add_problem_flags(p):
     p.add_argument("--problem", required=True, choices=tuple(PROBLEMS))
-    p.add_argument("--e", type=float, default=None, help="Kepler eccentricity (default 0.6)")
+    p.add_argument("--e", type=float, default=None, help=f"Kepler eccentricity (default {KEPLER_E})")
     p.add_argument("--y0", type=parse_y0, default=None, help="start state override v1,v2,...")
-    p.add_argument("--stage-tol", type=float, default=1e-14, help="stage-equation tolerance")
+    p.add_argument("--stage-tol", type=float, default=STAGE_TOL, help="stage-equation tolerance")
     p.add_argument("--output", "-o", default=None)
 
 
@@ -228,7 +228,7 @@ def _method_pairs(spec):
     return [
         ("method", spec.method),
         ("stages", spec.s),
-        ("perturb_index", spec.resolved_perturb_index()),
+        ("perturb_index", spec.perturbation.index or None),
         ("alpha", spec.alpha if spec.method == "fixed-alpha" else None),
     ]
 
@@ -243,21 +243,17 @@ def _run_fields(ns):
 
 
 def _run_tableau(ns):
-    if not math.isfinite(ns.alpha):
-        raise UsageError(f"--alpha must be finite, got {ns.alpha!r}")
     quadrature = gauss_quadrature(ns.stages)
-    # the rule and the perturbation reject a bad stage count or index
-    index = ns.perturb_index
-    if index is None and (ns.stages > 1 or ns.alpha != 0.0):
-        index = ns.stages - 1
-    pert = (
-        PerturbationSpec.none(ns.stages)
-        if index is None
-        else PerturbationSpec.single(ns.stages, index, ns.alpha)
-    )
+    # the rule and the perturbation reject a bad stage count, index or
+    # value; a given index must name a coupling, but the default one may
+    # be the 0 of a single stage, which takes only alpha = 0
+    index = resolve_perturb_index("fixed-alpha", ns.stages, ns.perturb_index)
+    make = PerturbationSpec if ns.perturb_index is None else PerturbationSpec.single
+    pert = make(ns.stages, index, ns.alpha)
     tab = butcher(quadrature, pert)
     fields = [
-        ("stages", tab.s), ("alpha", ns.alpha), ("perturb_index", index), ("order", tab.order)
+        ("stages", tab.s), ("alpha", ns.alpha), ("perturb_index", pert.index or None),
+        ("order", tab.order),
     ]
     # c and b are one row each, A one row per stage
     arrays = [

@@ -24,7 +24,7 @@ from .conserve import (
     energy_defect,
     solve_alpha,
 )
-from .stepper import StepConfig, stage_predictor, step
+from .stepper import STAGE_TOL, StepConfig, stage_predictor, step
 from .tableau import PerturbationSpec, butcher, gauss_quadrature
 
 METHODS = ("gauss", "fixed-alpha", "ep-gauss", "ep-gauss-type2")
@@ -59,7 +59,13 @@ def resolve_perturb_index(method, s, perturb_index=None):
 
 @dataclass(frozen=True)
 class RunSpec:
-    """Everything needed to reproduce one integration run."""
+    """Everything needed to reproduce one integration run.
+
+    Construction validates every field once: the problem with its `e` and
+    `y0` (as `get_problem` builds it), the method, the time grid, the stage
+    tolerance, and the run's coupling `perturbation`, which `integrate`
+    then runs.  `perturb_index` is checked whether or not the method reads
+    it."""
 
     problem: str
     method: str
@@ -72,9 +78,10 @@ class RunSpec:
     alpha: float = 0.0
     perturb_index: int | None = None
     search: AlphaSearchConfig = field(default_factory=AlphaSearchConfig)
-    stage_tol: float = 1e-14
+    stage_tol: float = STAGE_TOL
 
     def __post_init__(self):
+        problems_mod.get_problem(self.problem, e=self.e, y0=self.y0)
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         for name in ("h", "t0", "t_end", "alpha"):
@@ -93,11 +100,10 @@ class RunSpec:
             )
         StepConfig(h=self.h, stage_tol=self.stage_tol)
         gauss_quadrature(self.s)
-        # an index is checked whether or not the method reads it; plain Gauss
-        # names none by default, and s = 1 has none to name
-        if self.method != "gauss" or self.perturb_index is not None:
-            index = resolve_perturb_index(self.method, self.s, self.perturb_index)
-            PerturbationSpec.single(self.s, index, self.alpha)
+        # a numpy integer keys a rule of its own in gauss_quadrature's cache,
+        # which no tableau accepts
+        object.__setattr__(self, "s", int(self.s))
+        self.perturbation  # builds the run's coupling, which checks it
         # -0.0 too: the record would carry it as every step's alpha
         if self.method != "fixed-alpha" and (self.alpha or math.copysign(1.0, self.alpha) < 0):
             raise ValueError(
@@ -121,17 +127,25 @@ class RunSpec:
     def tunes_alpha(self):
         return self.method in ("ep-gauss", "ep-gauss-type2")
 
-    def resolved_perturb_index(self):
+    @property
+    def perturbation(self):
+        """The run's `PerturbationSpec`: `none(s)` for plain Gauss, else the
+        coupling `resolve_perturb_index` names, moved by `alpha` (zero for
+        the tuned methods, whose search sets each step's value).  Plain
+        Gauss reads no index, but one it is given must name a coupling."""
         if self.method == "gauss":
-            return None
-        return resolve_perturb_index(self.method, self.s, self.perturb_index)
+            if self.perturb_index is not None:
+                PerturbationSpec.single(self.s, self.perturb_index, 0.0)
+            return PerturbationSpec.none(self.s)
+        index = resolve_perturb_index(self.method, self.s, self.perturb_index)
+        return PerturbationSpec.single(self.s, index, self.alpha)
 
     @property
     def root_exponent(self):
         """r of the root scale h^{2r}: s - index for a perturbed tableau, 1
         for plain Gauss."""
-        index = self.resolved_perturb_index()
-        return 1 if index is None else self.s - index
+        index = self.perturbation.index
+        return 1 if index == 0 else self.s - index
 
     @property
     def root_scale(self):
@@ -226,13 +240,11 @@ def integrate(spec: RunSpec) -> TrajectoryRecord:
     The time grid is laid out before the first step: t0 itself, then
     t0 + k h for the full steps, and t_end for a shortened last step; a
     failed step reports its start time from it.  H and the invariants are
-    evaluated at y0 before the first step, so a singular start raises
-    there, and once over all states after the last step, which gives the
-    errors of every state."""
+    evaluated once, over all states after the last step, and their errors
+    are taken against states[0]; a singular start fails in the solve of
+    step 0."""
     system, ic = problems_mod.get_problem(spec.problem, e=spec.e, y0=spec.y0)
     y = np.asarray(ic.y0, float)
-    h0_energy = float(system.energy(y))
-    inv0 = {inv.name: float(inv.fn(y)) for inv in system.quadratic_invariants}
 
     n_full, remainder, partial = _step_grid(spec.t0, spec.t_end, spec.h)
     n_steps = n_full + (1 if partial else 0)
@@ -242,13 +254,8 @@ def integrate(spec: RunSpec) -> TrajectoryRecord:
     states = np.empty((n_steps + 1, system.dim))
     states[0] = y
 
-    index = spec.resolved_perturb_index()
+    pert = spec.perturbation
     if not spec.tunes_alpha:
-        pert = (
-            PerturbationSpec.none(spec.s)
-            if spec.method == "gauss"
-            else PerturbationSpec.single(spec.s, index, spec.alpha)
-        )
         fixed_tableau = butcher(gauss_quadrature(spec.s), pert)
         predictors = [stage_predictor(fixed_tableau, m) for m in range(1, _STAGE_HISTORY + 1)]
         # the stage fields of the last full steps, newest first
@@ -267,7 +274,7 @@ def integrate(spec: RunSpec) -> TrajectoryRecord:
         cfg = full_cfg if k < n_full else last_cfg
         try:
             if spec.tunes_alpha:
-                record = solve_alpha(system, spec.s, index, y, cfg.h, spec.search, cfg)
+                record = solve_alpha(system, spec.s, pert.index, y, cfg.h, spec.search, cfg)
                 alpha_trace[k] = record.alpha_star
                 g_evals[k] = record.g_evals
                 g_residual[k] = record.g_residual
@@ -299,10 +306,8 @@ def integrate(spec: RunSpec) -> TrajectoryRecord:
         states[k + 1] = y
 
     try:
-        energy_error = system.energy(states) - h0_energy
-        invariant_errors = {
-            inv.name: inv.fn(states) - inv0[inv.name] for inv in system.quadratic_invariants
-        }
+        energy = system.energy(states)
+        invariants = {inv.name: inv.fn(states) for inv in system.quadratic_invariants}
     except problems_mod.SingularPotentialError:
         _raise_at_first_singular_state(system, times, states)
         raise
@@ -311,8 +316,8 @@ def integrate(spec: RunSpec) -> TrajectoryRecord:
         spec=spec,
         times=times,
         states=states,
-        energy_error=energy_error,
-        invariant_errors=invariant_errors,
+        energy_error=energy - energy[0],
+        invariant_errors={name: v - v[0] for name, v in invariants.items()},
         alpha_trace=alpha_trace,
         g_evals=g_evals,
         g_residual=g_residual,
@@ -362,7 +367,9 @@ def reference_state(problem, t_end, h_min, e=None, y0=None):
     """End-point oracle: exact for the Kepler problem, fine-step Gauss with a
     Richardson-style agreement check otherwise."""
     if problem == "kepler" and y0 is None:
-        return problems_mod.kepler_reference(0.6 if e is None else e, t_end)
+        return problems_mod.kepler_reference(
+            problems_mod.KEPLER_E if e is None else e, t_end
+        )
     y0_key = None if y0 is None else tuple(float(v) for v in y0)
     return _fine_reference_cached(problem, e, y0_key, float(t_end), h_min / 8.0)
 

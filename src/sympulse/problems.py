@@ -33,6 +33,8 @@ from typing import Callable
 import numpy as np
 
 SINGULARITY_RADIUS = 1e-8
+# the eccentricity of the Kepler problem when none is given
+KEPLER_E = 0.6
 
 
 class SingularPotentialError(ArithmeticError):
@@ -90,7 +92,7 @@ def _angular_momentum(y):
 ANGULAR_MOMENTUM = Invariant("L", _angular_momentum)
 
 
-def kepler(e: float = 0.6):
+def kepler(e: float = KEPLER_E):
     """Planar two-body problem with eccentricity e, started at perihelion.
 
     H = (p1^2 + p2^2)/2 - 1/|q|, conserving the angular momentum
@@ -283,12 +285,9 @@ def get_problem(name, e=None, y0=None):
         raise ValueError(
             f"unknown problem {name!r}; choose from {sorted(PROBLEMS)}"
         ) from None
-    if name == "kepler":
-        system, ic = factory(0.6 if e is None else e)
-    else:
-        if e is not None:
-            raise ValueError(f"--e only applies to the kepler problem, not {name!r}")
-        system, ic = factory()
+    if e is not None and name != "kepler":
+        raise ValueError(f"--e only applies to the kepler problem, not {name!r}")
+    system, ic = factory() if e is None else factory(e)
     if y0 is not None:
         y0 = np.asarray(y0, float)
         if y0.shape != (system.dim,):

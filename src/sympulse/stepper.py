@@ -28,6 +28,11 @@ from .problems import SingularPotentialError
 # has not halved over this many iterations
 _STALL_WINDOW = 10
 _MAX_JACOBIAN_REFRESH = 4
+# sweeps one stage solve may take; a solve that has not converged by then
+# is returned unconverged
+_MAX_ITERS = 100
+# the stage tolerance of a step, a run and the command line unless one is given
+STAGE_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -36,12 +41,12 @@ class StepConfig:
 
     `h` may be negative (time-reversed steps are legal and used by the
     symmetry checks).  Convergence is measured on the max-norm of the stage
-    increment, scaled by 1 + |y0|_inf.
+    defect, scaled by 1 + |y0|_inf, against `stage_tol`; a solve takes at
+    most `_MAX_ITERS` sweeps.
     """
 
     h: float
-    stage_tol: float = 1e-14
-    max_iters: int = 100
+    stage_tol: float = STAGE_TOL
 
     def __post_init__(self):
         for name in ("h", "stage_tol"):
@@ -51,8 +56,6 @@ class StepConfig:
             raise ValueError("stepsize must be nonzero")
         if self.stage_tol <= 0.0:
             raise ValueError("stage_tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +176,7 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
             else:
                 Y, F, res = last
             break
-        if iterations == cfg.max_iters:
+        if iterations == _MAX_ITERS:
             break
         iterations += 1
         history.append(res)

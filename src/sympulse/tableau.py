@@ -11,6 +11,7 @@ symplectic for every alpha and reduce to the Gauss method at alpha = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -49,7 +50,14 @@ class LegendreBasis:
     Pinv: np.ndarray
 
 
+def _check_integer(name, value):
+    # bool is an int, and a float index would truncate; numpy's integers pass
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_index(s, index):
+    _check_integer("perturbation index", index)
     if not 1 <= index <= s - 1:
         raise ValueError(f"perturbation index {index} outside 1..{s - 1} for s={s}")
 
@@ -62,12 +70,13 @@ class PerturbationSpec:
     (1-based, 1 <= index <= s-1); the induced matrix is skew-symmetric by
     construction, so the perturbed method stays symplectic for every value.
     A zero value leaves the Gauss method untouched; `none(s)` states it with
-    index 0, which no nonzero value may take.  The orientation of the pair
-    is a fixed convention (the two orientations differ only by the sign
-    relabeling value -> -value).  With it the energy-conserving root of the
-    first Kepler step from perihelion is positive; along the orbit the roots
-    take both signs, mostly negative (62 of 1600 positive for e=0.6, s=2,
-    h=2^-5, t=50).
+    index 0, which no nonzero value may take.  The index must be a Python
+    or numpy integer (a bool or a float is refused, not truncated) and the
+    value finite.  The orientation of the pair is a fixed convention (the
+    two orientations differ only by the sign relabeling value -> -value).
+    With it the energy-conserving root of the first Kepler step from
+    perihelion is positive; along the orbit the roots take both signs,
+    mostly negative (62 of 1600 positive for e=0.6, s=2, h=2^-5, t=50).
     """
 
     s: int
@@ -75,6 +84,9 @@ class PerturbationSpec:
     value: float
 
     def __post_init__(self):
+        _check_integer("perturbation index", self.index)
+        if not math.isfinite(self.value):
+            raise ValueError(f"perturbation value must be finite, got {self.value!r}")
         object.__setattr__(self, "index", int(self.index))
         object.__setattr__(self, "value", float(self.value))
         if not (self.index == 0 and self.value == 0.0):
@@ -147,8 +159,7 @@ def gauss_quadrature(s: int) -> QuadratureRule:
     The result is symmetrized so that c_i + c_{s+1-i} = 1 and
     b_i = b_{s+1-i} hold to machine precision.
     """
-    if not isinstance(s, (int, np.integer)) or isinstance(s, bool):
-        raise ValueError(f"stage count must be an integer, got {s!r}")
+    _check_integer("stage count", s)
     if not 1 <= s <= MAX_STAGES:
         raise ValueError(f"stage count {s} outside 1..{MAX_STAGES}")
     k = np.arange(1, s + 1)

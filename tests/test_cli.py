@@ -109,7 +109,7 @@ class TestTableauCommand:
         code, out, err = run_capture(capsys, ["tableau", "--stages", "2", "--alpha", alpha])
         assert code == 1
         assert out == ""
-        assert "must be finite" in err
+        assert err.splitlines() == [f"sympulse: error: perturbation value must be finite, got {alpha}"]
 
 
 class TestIntegrateCommand:
@@ -208,6 +208,19 @@ class TestIntegrateCommand:
         )
         assert code == 2
         assert "step 0" in err
+
+    @pytest.mark.parametrize("method", ["gauss", "ep-gauss"])
+    def test_singular_start_names_step_zero(self, capsys, method):
+        # at e = 1 - 1e-10 the perihelion lies inside the singular radius 1e-8
+        code, out, err = run_capture(
+            capsys, [*KEPLER, "--e", "0.9999999999", "--method", method, "--t-end", "1"]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "sympulse: numerical failure: step 0 at t=0.0 failed: "
+            "state within 1e-08 of the gravitational singularity"
+        ]
 
     def test_singular_end_state_reports_a_plain_time(self, capsys, monkeypatch):
         # the energy raises at the end state of step 6 only, as in

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from sympulse import conserve, experiments
+from sympulse import conserve, experiments, stepper
 from sympulse.conserve import (
     AlphaSearchConfig,
     NoRootError,
@@ -87,12 +87,11 @@ class TestEnergyDefect:
         assert np.all(steps > 0) or np.all(steps < 0)
         assert np.count_nonzero(np.diff(np.sign(g))) == 1
 
-    def test_stage_failure_raises_with_diagnostics(self):
+    def test_stage_failure_raises_with_diagnostics(self, monkeypatch):
         system, ic = kepler(0.6)
+        monkeypatch.setattr(stepper, "_MAX_ITERS", 3)
         with pytest.raises(StageSolveError) as err:
-            energy_defect(
-                system, 2, 1, ic.y0, 0.0, StepConfig(h=H5, stage_tol=1e-30, max_iters=3)
-            )
+            energy_defect(system, 2, 1, ic.y0, 0.0, StepConfig(h=H5, stage_tol=1e-30))
         assert err.value.result is not None
         assert err.value.alpha == 0.0
 
@@ -359,12 +358,10 @@ class TestLevelGrid:
             magnitudes = np.abs(G[i])
             assert np.all(np.diff(magnitudes) < 0)
 
-    def test_failed_cells_marked(self):
+    def test_failed_cells_marked(self, monkeypatch):
         system, ic = kepler(0.6)
-        G, failures = level_grid(
-            system, 2, 1, ic.y0, [0.5], [0.49],
-            StepConfig(h=0.5, max_iters=2),
-        )
+        monkeypatch.setattr(stepper, "_MAX_ITERS", 2)
+        G, failures = level_grid(system, 2, 1, ic.y0, [0.5], [0.49], StepConfig(h=0.5))
         assert len(failures) == 1
         assert np.isnan(G[0, 0])
 

@@ -119,9 +119,57 @@ class TestRunSpec:
         spec = RunSpec(problem="kepler", method="ep-gauss", s=2, h=h, t_end=10 * h)
         assert 0.0 < spec.root_scale < float("inf")
 
+    @pytest.mark.parametrize("method", ["gauss", "fixed-alpha", "ep-gauss"])
+    @pytest.mark.parametrize("perturb_index", [1.5, 1.0, True])
+    def test_perturb_index_that_is_not_an_integer_rejected(self, method, perturb_index):
+        # refused, not truncated to index 1
+        with pytest.raises(ValueError, match="perturbation index must be an integer"):
+            RunSpec("quartic", method, 3, 2**-3, 0.5, perturb_index=perturb_index)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"problem": "nope"}, "unknown problem"),
+            ({"problem": "quartic", "e": 0.5}, "only applies to the kepler problem"),
+            ({"e": 1.5}, "eccentricity"),
+            ({"e": float("nan")}, "eccentricity"),
+            ({"y0": (1.0, 0.0, 0.5)}, "y0 must have 4 components"),
+            ({"y0": (0.4, 0.0, 0.0, float("nan"))}, "y0 must be finite"),
+        ],
+        ids=["unknown-problem", "e-not-kepler", "e-above-1", "e-nan", "y0-shape", "y0-nan"],
+    )
+    def test_problem_inputs_rejected_at_construction(self, kwargs, match):
+        base = {"problem": "kepler", "method": "ep-gauss", "s": 2, "h": 0.1, "t_end": 1.0}
+        with pytest.raises(ValueError, match=match):
+            RunSpec(**{**base, **kwargs})
+
+    @pytest.mark.parametrize(
+        "method, s, perturb_index, alpha, expected",
+        [
+            ("gauss", 3, None, 0.0, PerturbationSpec.none(3)),
+            ("gauss", 3, 1, 0.0, PerturbationSpec.none(3)),
+            ("fixed-alpha", 3, None, 1e-3, PerturbationSpec(3, 2, 1e-3)),
+            ("ep-gauss", 3, None, 0.0, PerturbationSpec(3, 2, 0.0)),
+            ("ep-gauss-type2", 3, None, 0.0, PerturbationSpec(3, 1, 0.0)),
+            ("ep-gauss", 4, 2, 0.0, PerturbationSpec(4, 2, 0.0)),
+        ],
+    )
+    def test_perturbation_is_the_run_coupling(self, method, s, perturb_index, alpha, expected):
+        spec = RunSpec(
+            "kepler", method, s, 0.1, 1.0, alpha=alpha, perturb_index=perturb_index
+        )
+        assert spec.perturbation == expected
+
+    @pytest.mark.parametrize("method", ["gauss", "ep-gauss"])
+    def test_numpy_integer_stage_count_runs_as_an_int(self, method):
+        spec = RunSpec("kepler", method, np.int64(2), 2**-5, 0.25)
+        assert type(spec.s) is int
+        plain = integrate(RunSpec("kepler", method, 2, 2**-5, 0.25))
+        assert integrate(spec).states.tobytes() == plain.states.tobytes()
+
     def test_single_stage_gauss_needs_no_index(self):
         spec = RunSpec(problem="kepler", method="gauss", s=1, h=0.1, t_end=1.0)
-        assert spec.resolved_perturb_index() is None
+        assert spec.perturbation == PerturbationSpec.none(1)
 
     def test_perturb_index_defaults(self):
         assert resolve_perturb_index("ep-gauss", 3) == 2
@@ -262,12 +310,7 @@ def cold_loop(spec):
     """The run's full steps, each solved from y0 by `stepper.step`: the
     states and sweeps of a fixed-tableau run without the warm start."""
     system, ic = problems_mod.get_problem(spec.problem, e=spec.e)
-    pert = (
-        PerturbationSpec.none(spec.s)
-        if spec.method == "gauss"
-        else PerturbationSpec.single(spec.s, spec.resolved_perturb_index(), spec.alpha)
-    )
-    tab = butcher(gauss_quadrature(spec.s), pert)
+    tab = butcher(gauss_quadrature(spec.s), spec.perturbation)
     cfg = StepConfig(h=spec.h, stage_tol=spec.stage_tol)
     y, iters = ic.y0, []
     for _ in range(round((spec.t_end - spec.t0) / spec.h)):
@@ -367,6 +410,22 @@ class TestFixedTableauWarmStart:
 
 
 class TestEnergyBookkeeping:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_singular_start_fails_in_step_zero(self, method):
+        # at e = 1 - 1e-10 the perihelion lies inside the singular radius 1e-8
+        spec = RunSpec(
+            "kepler", method, 2, 2**-5, 1.0, e=0.9999999999,
+            alpha=1e-3 if method == "fixed-alpha" else 0.0,
+        )
+        with pytest.raises(IntegrationError) as err:
+            integrate(spec)
+        assert isinstance(err.value.__cause__, SingularPotentialError)
+        assert err.value.step_index == 0
+        assert err.value.time == 0.0
+        assert str(err.value).startswith("step 0 at t=0.0 failed: ")
+        _, ic = problems_mod.get_problem("kepler", e=0.9999999999)
+        assert err.value.state.tobytes() == ic.y0.tobytes()
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -520,6 +579,19 @@ class TestConvergenceTable:
                 "quartic", "ep-gauss", s, [2**-1, 2**-2, 2**-3], 50.0,
                 perturb_index=perturb_index,
             )
+
+    @pytest.mark.parametrize(
+        "fields, match",
+        [({"y0": (1.2, 0.0, 0.3)}, "y0 must have 4"),
+         ({"e": 0.5}, "only applies to the kepler problem")],
+    )
+    def test_bad_problem_inputs_fail_before_the_reference(self, monkeypatch, fields, match):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("reference computed before the inputs were checked")
+
+        monkeypatch.setattr(experiments, "reference_state", forbidden)
+        with pytest.raises(ValueError, match=match):
+            convergence_table("quartic", "ep-gauss", 3, [2**-1, 2**-2], 50.0, **fields)
 
     @pytest.mark.parametrize(
         "problem, method", [("kepler", "ep-gauss"), ("quartic", "gauss")]

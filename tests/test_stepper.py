@@ -48,7 +48,6 @@ class TestStepConfig:
         [
             {"h": 0.0},
             {"h": 0.1, "stage_tol": 0.0},
-            {"h": 0.1, "max_iters": 0},
             {"h": float("nan")},
             {"h": float("inf")},
             {"h": 0.1, "stage_tol": float("nan")},
@@ -163,7 +162,7 @@ class TestStep:
         assert calls == [(2, 2, 2)]
 
     @pytest.mark.parametrize("start", ["cold", "warm", "out_of_budget"])
-    def test_stage_residual_is_the_residual_of_the_returned_stages(self, start):
+    def test_stage_residual_is_the_residual_of_the_returned_stages(self, start, monkeypatch):
         system, ic = kepler(0.6)
         tab = make_tableau(3, 2, 1e-3)
         cfg = StepConfig(h=2**-5)
@@ -171,7 +170,8 @@ class TestStep:
         if start == "warm":
             guess = step(system, make_tableau(3, 2, 2e-3), ic.y0, cfg).stages
         elif start == "out_of_budget":
-            cfg = StepConfig(h=2**-5, stage_tol=1e-30, max_iters=4)
+            cfg = StepConfig(h=2**-5, stage_tol=1e-30)
+            monkeypatch.setattr(stepper, "_MAX_ITERS", 4)
         res = step(system, tab, ic.y0, cfg, guess)
         assert res.converged == (start != "out_of_budget")
         F = system.vector_field(res.stages)
@@ -179,22 +179,24 @@ class TestStep:
         assert res.stage_residual == fresh / (1.0 + np.max(np.abs(ic.y0)))
         np.testing.assert_array_equal(res.stage_fields, F)
 
-    def test_non_convergence_is_flagged_not_raised(self):
+    def test_non_convergence_is_flagged_not_raised(self, monkeypatch):
         system, ic = kepler(0.6)
         tab = make_tableau(2)
-        res = step(system, tab, ic.y0, StepConfig(h=2**-5, stage_tol=1e-30, max_iters=5))
+        monkeypatch.setattr(stepper, "_MAX_ITERS", 5)
+        res = step(system, tab, ic.y0, StepConfig(h=2**-5, stage_tol=1e-30))
         assert not res.converged
         assert res.iterations == 5
         assert res.stage_residual > 0.0
 
-    def test_budget_that_ends_on_a_converged_iterate_reports_it_converged(self):
+    def test_budget_that_ends_on_a_converged_iterate_reports_it_converged(self, monkeypatch):
         # plain 2-stage Gauss on Kepler at 2^-5 reads its first residual
         # within stage_tol on its last sweep; a budget one sweep shorter
         # returns the same stages, whose residual also meets stage_tol
         system, ic = kepler(0.6)
         tab = make_tableau(2)
         full = step(system, tab, ic.y0, StepConfig(h=2**-5))
-        cut = step(system, tab, ic.y0, StepConfig(h=2**-5, max_iters=full.iterations - 1))
+        monkeypatch.setattr(stepper, "_MAX_ITERS", full.iterations - 1)
+        cut = step(system, tab, ic.y0, StepConfig(h=2**-5))
         assert full.converged and cut.converged
         assert cut.iterations == full.iterations - 1
         assert cut.stage_residual == full.stage_residual <= 1e-14
@@ -316,7 +318,7 @@ class TestStep:
     def test_stall_after_the_last_refresh_ends_the_solve(self, monkeypatch):
         # plain 2-stage Gauss on Kepler at h=1 from the state after one step
         # of h=0.02: Newton still stalls after its last Jacobian refresh, and
-        # the solve stops there instead of sweeping on to max_iters
+        # the solve stops there instead of sweeping on to _MAX_ITERS
         calls = []
 
         def counted(system, y):
@@ -334,7 +336,7 @@ class TestStep:
         res = step(system, make_tableau(2), y0, cfg)
         assert not res.converged
         assert len(calls) == stepper._MAX_JACOBIAN_REFRESH + 1
-        assert res.iterations < cfg.max_iters
+        assert res.iterations < stepper._MAX_ITERS
 
     def test_singular_iterate_fails_without_raising(self):
         # a field that is singular far from y0: the diverging fixed-point
@@ -385,7 +387,7 @@ class TestStep:
         np.testing.assert_array_equal(res.stages, guess)
         assert np.isnan(res.stage_residual)
 
-    def test_field_not_finite_on_the_last_sweep_returns_the_iterate_before(self):
+    def test_field_not_finite_on_the_last_sweep_returns_the_iterate_before(self, monkeypatch):
         # with a budget of 4 sweeps, the field of the 4th iterate (the 5th
         # call) is NaN: the solve returns the 3rd iterate, with its field and
         # residual, exactly as a budget of 3 sweeps returns it
@@ -398,9 +400,11 @@ class TestStep:
             return np.full_like(f, np.nan) if len(calls) == 5 else f
 
         tab = make_tableau(2)
-        cfg = StepConfig(h=2**-5, stage_tol=1e-30, max_iters=4)
+        cfg = StepConfig(h=2**-5, stage_tol=1e-30)
+        monkeypatch.setattr(stepper, "_MAX_ITERS", 4)
         res = step(dataclasses.replace(system, flow=flow), tab, ic.y0, cfg)
-        three = step(system, tab, ic.y0, dataclasses.replace(cfg, max_iters=3))
+        monkeypatch.setattr(stepper, "_MAX_ITERS", 3)
+        three = step(system, tab, ic.y0, cfg)
         assert len(calls) == 5
         assert not res.converged and not three.converged
         assert res.iterations == 4
@@ -410,7 +414,7 @@ class TestStep:
         assert res.stage_residual == three.stage_residual
 
     @pytest.mark.parametrize("component", [0, 3])
-    def test_one_nan_anywhere_in_the_field_ends_the_solve(self, component):
+    def test_one_nan_anywhere_in_the_field_ends_the_solve(self, component, monkeypatch):
         # a NaN in one component of one stage's field, first in the defect
         # or after finite values, ends the solve as a field of NaN does
         system, ic = kepler(0.6)
@@ -424,9 +428,11 @@ class TestStep:
             return f
 
         tab = make_tableau(2)
-        cfg = StepConfig(h=2**-5, stage_tol=1e-30, max_iters=4)
+        cfg = StepConfig(h=2**-5, stage_tol=1e-30)
+        monkeypatch.setattr(stepper, "_MAX_ITERS", 4)
         res = step(dataclasses.replace(system, flow=flow), tab, ic.y0, cfg)
-        three = step(system, tab, ic.y0, dataclasses.replace(cfg, max_iters=3))
+        monkeypatch.setattr(stepper, "_MAX_ITERS", 3)
+        three = step(system, tab, ic.y0, cfg)
         assert res.iterations == 4 and not res.converged
         assert res.stages.tobytes() == three.stages.tobytes()
         assert res.stage_residual == three.stage_residual
@@ -715,8 +721,9 @@ class TestDenseOutput:
             with pytest.raises(ValueError):
                 dense_output(self.res, self.tab, tau)
 
-    def test_requires_converged_step(self):
-        bad = step(self.system, self.tab, self.ic.y0, StepConfig(h=2**-5, stage_tol=1e-30, max_iters=2))
+    def test_requires_converged_step(self, monkeypatch):
+        monkeypatch.setattr(stepper, "_MAX_ITERS", 2)
+        bad = step(self.system, self.tab, self.ic.y0, StepConfig(h=2**-5, stage_tol=1e-30))
         with pytest.raises(ValueError):
             dense_output(bad, self.tab, 0.5)
 

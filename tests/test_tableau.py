@@ -170,6 +170,27 @@ class TestPerturbationSpec:
             with pytest.raises(ValueError):
                 PerturbationSpec.single(3, index, value)
 
+    @pytest.mark.parametrize("index", [1.7, 1.0, 0.0, True, False])
+    def test_rejects_an_index_that_is_not_an_integer(self, index):
+        # the rule gauss_quadrature applies to s: an index is never truncated
+        for value in (0.1, 0.0):
+            with pytest.raises(ValueError, match="perturbation index must be an integer"):
+                PerturbationSpec(3, index, value)
+            with pytest.raises(ValueError, match="perturbation index must be an integer"):
+                PerturbationSpec.single(3, index, value)
+
+    def test_numpy_integer_index_is_stored_as_int(self):
+        spec = PerturbationSpec(3, np.int64(2), 0.1)
+        assert type(spec.index) is int and spec == PerturbationSpec(3, 2, 0.1)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_a_value_that_is_not_finite(self, value):
+        with pytest.raises(ValueError, match="perturbation value must be finite"):
+            PerturbationSpec(3, 1, value)
+        # the spec, not the tableau, is where it is caught
+        with pytest.raises(ValueError, match="perturbation value must be finite"):
+            butcher(gauss_quadrature(2), PerturbationSpec.single(2, 1, value))
+
 
 class TestButcher:
     @pytest.mark.parametrize("s", [1, 2, 3])
