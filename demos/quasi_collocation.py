@@ -94,7 +94,7 @@ def collocation_defect(result: StepResult, system, tableau):
     sigma'(t0 + c_i h) = f(sigma_i) + alpha sum_j G_ij f(sigma_j), with the
     tableau's perturbation value alpha and its defect weights G; the left
     side is evaluated from the derivative of the dense-output polynomial.
-    For converged steps all residuals are O(stage_tol / |h|).
+    For converged steps all residuals are O(STAGE_TOL / |h|).
     """
     if not result.converged:
         raise ValueError("collocation defect requires a converged step")

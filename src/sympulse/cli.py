@@ -33,7 +33,7 @@ from .experiments import (
     resolve_perturb_index,
 )
 from .problems import KEPLER_E, PROBLEMS, SingularPotentialError, get_problem
-from .stepper import STAGE_TOL, StepConfig
+from .stepper import StepConfig
 from .tableau import PerturbationSpec, butcher, gauss_quadrature
 
 DEFAULT_T_END = {"kepler": 50.0, "quartic": 50.0, "harmonic": 50.0, "henon-heiles": 500.0}
@@ -142,7 +142,6 @@ def _add_problem_flags(p):
     p.add_argument("--problem", required=True, choices=tuple(PROBLEMS))
     p.add_argument("--e", type=float, default=None, help=f"Kepler eccentricity (default {KEPLER_E})")
     p.add_argument("--y0", type=parse_y0, default=None, help="start state override v1,v2,...")
-    p.add_argument("--stage-tol", type=float, default=STAGE_TOL, help="stage-equation tolerance")
     p.add_argument("--output", "-o", default=None)
 
 
@@ -236,10 +235,7 @@ def _method_pairs(spec):
 def _run_fields(ns):
     """The `RunSpec` fields that the flags of `integrate` and `converge` set
     besides the problem, method, stage count, stepsize and end time."""
-    return dict(
-        t0=ns.t0, e=ns.e, y0=ns.y0, alpha=ns.alpha, perturb_index=ns.perturb_index,
-        stage_tol=ns.stage_tol,
-    )
+    return dict(t0=ns.t0, e=ns.e, y0=ns.y0, alpha=ns.alpha, perturb_index=ns.perturb_index)
 
 
 def _run_tableau(ns):
@@ -279,7 +275,6 @@ def _run_integrate(ns):
             ("h", h),
             ("t0", ns.t0),
             ("t_end", ns.t_end),
-            ("stage_tol", ns.stage_tol),
             ("partial_final", str(record.partial_final).lower()),
         ]
     )
@@ -312,7 +307,6 @@ def _run_converge(ns):
             ("h_list", h_list),
             ("t0", ns.t0),
             ("t_end", ns.t_end),
-            ("stage_tol", ns.stage_tol),
             ("error_norm", "euclidean"),
         ]
     )
@@ -331,15 +325,8 @@ def _run_levelmap(ns):
     if ns.stages < 2:
         raise UsageError("levelmap needs at least 2 stages")
     index = resolve_perturb_index("ep-gauss", ns.stages, ns.perturb_index)
-    G, failures = level_grid(
-        system,
-        ns.stages,
-        index,
-        ic.y0,
-        h_values,
-        alpha_values,
-        StepConfig(h=h_values[0], stage_tol=ns.stage_tol),
-    )
+    cfg = StepConfig(h=h_values[0])
+    G, failures = level_grid(system, ns.stages, index, ic.y0, h_values, alpha_values, cfg)
     header = (
         _problem_pairs(ns)
         + [
@@ -347,7 +334,6 @@ def _run_levelmap(ns):
             ("perturb_index", index),
             ("h_list", h_values),
             ("alpha_list", alpha_values),
-            ("stage_tol", ns.stage_tol),
             ("failed_cells", len(failures)),
         ]
     )

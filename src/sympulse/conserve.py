@@ -25,7 +25,7 @@ detected and reported instead of searched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -186,7 +186,7 @@ def solve_alpha(
     stops on the bracket width.
     """
     if h != step_cfg.h:
-        replace(step_cfg, h=h)  # an invalid h fails StepConfig's own checks first
+        StepConfig(h=h)  # an invalid h fails StepConfig's own checks first
         raise ValueError(f"stepsize h={h!r} differs from step_cfg.h={step_cfg.h!r}")
     r = s - perturb_index
     seed = _seed(h, r)
@@ -398,8 +398,9 @@ def _bracketed_root(g, lo, hi, glo, ghi, width):
 def level_grid(system, s, perturb_index, y0, h_values, alpha_values, step_cfg):
     """Energy defect g(alpha, h) over a full grid.
 
-    Column j is solved with the settings of `step_cfg` at the stepsize
-    h_values[j]; the config's own `h` is not read.  Returns (G, failures):
+    Column j is solved at the stepsize h_values[j].  `step_cfg` is not
+    read: a `StepConfig` holds only a stepsize, which the grid sets; the
+    parameter stays for the callers that pass it.  Returns (G, failures):
     G[i, j] = g(alpha_values[i], h_values[j]); cells whose stage solve
     fails hold NaN and are listed in `failures` as (i, j, message).
     """
@@ -410,7 +411,7 @@ def level_grid(system, s, perturb_index, y0, h_values, alpha_values, step_cfg):
     G = np.empty((alpha_values.size, h_values.size))
     failures = []
     for j, h in enumerate(h_values):
-        cfg = replace(step_cfg, h=float(h))
+        cfg = StepConfig(h=float(h))
         for i, alpha in enumerate(alpha_values):
             try:
                 G[i, j], _ = energy_defect(system, s, perturb_index, y0, alpha, cfg)

@@ -24,7 +24,7 @@ from .conserve import (
     energy_defect,
     solve_alpha,
 )
-from .stepper import STAGE_TOL, StepConfig, stage_predictor, step
+from .stepper import StepConfig, stage_predictor, step
 from .tableau import PerturbationSpec, butcher, gauss_quadrature
 
 METHODS = ("gauss", "fixed-alpha", "ep-gauss", "ep-gauss-type2")
@@ -62,10 +62,10 @@ class RunSpec:
     """Everything needed to reproduce one integration run.
 
     Construction validates every field once: the problem with its `e` and
-    `y0` (as `get_problem` builds it), the method, the time grid, the stage
-    tolerance, and the run's coupling `perturbation`, which `integrate`
-    then runs.  `perturb_index` is checked whether or not the method reads
-    it."""
+    `y0` (as `get_problem` builds it), the method, the time grid, the
+    search settings, and the run's coupling `perturbation`, which
+    `integrate` then runs.  `perturb_index` is checked whether or not the
+    method reads it."""
 
     problem: str
     method: str
@@ -78,7 +78,6 @@ class RunSpec:
     alpha: float = 0.0
     perturb_index: int | None = None
     search: AlphaSearchConfig = field(default_factory=AlphaSearchConfig)
-    stage_tol: float = STAGE_TOL
 
     def __post_init__(self):
         problems_mod.get_problem(self.problem, e=self.e, y0=self.y0)
@@ -98,10 +97,9 @@ class RunSpec:
                 f"the run makes no step: t_end - t0 = {self.t_end - self.t0!r} "
                 f"is at most {_PARTIAL_STEP_REL:g} h"
             )
-        StepConfig(h=self.h, stage_tol=self.stage_tol)
+        if not isinstance(self.search, AlphaSearchConfig):
+            raise ValueError(f"search must be an AlphaSearchConfig, got {self.search!r}")
         gauss_quadrature(self.s)
-        # a numpy integer keys a rule of its own in gauss_quadrature's cache,
-        # which no tableau accepts
         object.__setattr__(self, "s", int(self.s))
         self.perturbation  # builds the run's coupling, which checks it
         # -0.0 too: the record would carry it as every step's alpha
@@ -268,8 +266,8 @@ def integrate(spec: RunSpec) -> TrajectoryRecord:
     stage_iters = np.zeros(n_steps, dtype=int)
 
     # one StepConfig per distinct step size: the full steps and the partial one
-    full_cfg = StepConfig(h=spec.h, stage_tol=spec.stage_tol)
-    last_cfg = StepConfig(h=remainder, stage_tol=spec.stage_tol) if partial else full_cfg
+    full_cfg = StepConfig(h=spec.h)
+    last_cfg = StepConfig(h=remainder) if partial else full_cfg
     for k in range(n_steps):
         cfg = full_cfg if k < n_full else last_cfg
         try:
@@ -374,14 +372,13 @@ def reference_state(problem, t_end, h_min, e=None, y0=None):
     return _fine_reference_cached(problem, e, y0_key, float(t_end), h_min / 8.0)
 
 
-def convergence_table(problem, method, s, h_list, t_end, reference=None, **fields):
+def convergence_table(problem, method, s, h_list, t_end, **fields):
     """Global error, observed order and root-band statistics per stepsize.
 
     `h_list` must be strictly decreasing.  The other keywords are `RunSpec`
-    fields (`t0`, `e`, `y0`, `alpha`, `perturb_index`, `search`,
-    `stage_tol`) shared by every run.  The problems are autonomous, so each
-    run is measured after `t_end - t0`: `reference` may be the exact state
-    at that time; by default it is computed via `reference_state`.
+    fields (`t0`, `e`, `y0`, `alpha`, `perturb_index`, `search`) shared by
+    every run.  The problems are autonomous, so each run is measured
+    against `reference_state` after `t_end - t0`.
     """
     h_list = [float(h) for h in h_list]
     if not h_list:
@@ -395,11 +392,7 @@ def convergence_table(problem, method, s, h_list, t_end, reference=None, **field
         for h in h_list
     ]
     first = specs[0]
-    if reference is None:
-        reference = reference_state(
-            problem, t_end - first.t0, min(h_list), e=first.e, y0=first.y0
-        )
-    reference = np.asarray(reference, float)
+    reference = reference_state(problem, t_end - first.t0, min(h_list), e=first.e, y0=first.y0)
     records = [integrate(spec) for spec in specs]
 
     rows = []

@@ -156,13 +156,14 @@ def kepler(e: float = KEPLER_E):
     return system, InitialCondition(y0=y0)
 
 
-def quartic(y0=(1.2, 0.0, 0.3, 1.4)):
+def quartic():
     """Polynomial system H = (p1^2 + p2^2)/2 + (q1^2 + q2^2)^2.
 
     Shares the angular-momentum invariant with the Kepler problem.  The
-    default start state is a library choice (no canonical one exists): a
-    generic non-apsidal point energetic enough that the per-step roots of
-    the conservation equation stay well above float resolution.
+    start state is a library choice (no canonical one exists; `get_problem`
+    takes another as `y0`): a generic non-apsidal point energetic enough
+    that the per-step roots of the conservation equation stay well above
+    float resolution.
     """
 
     def energy(y):
@@ -194,7 +195,7 @@ def quartic(y0=(1.2, 0.0, 0.3, 1.4)):
         energy_increment=energy_increment,
         quadratic_invariants=(ANGULAR_MOMENTUM,),
     )
-    return system, InitialCondition(y0=np.asarray(y0, float))
+    return system, InitialCondition(y0=np.array([1.2, 0.0, 0.3, 1.4]))
 
 
 def henon_heiles():
@@ -286,7 +287,7 @@ def get_problem(name, e=None, y0=None):
             f"unknown problem {name!r}; choose from {sorted(PROBLEMS)}"
         ) from None
     if e is not None and name != "kepler":
-        raise ValueError(f"--e only applies to the kepler problem, not {name!r}")
+        raise ValueError(f"e only applies to the kepler problem, not {name!r}")
     system, ic = factory() if e is None else factory(e)
     if y0 is not None:
         y0 = np.asarray(y0, float)

@@ -5,7 +5,8 @@ advances y1 = y0 + h sum_j b_j f(Y_j).  The solver is plain fixed-point
 iteration, adequate for nonstiff problems at moderate stepsizes; a simplified
 Newton iteration (vector-field Jacobian frozen at the step start, applied to
 the coupled system through its Kronecker structure) takes over from the
-current iterate when the fixed-point residual stalls.  The stages start from
+current iterate when the fixed-point residual stalls, and a Newton
+iteration that stalls too ends the solve unconverged.  The stages start from
 y0 or from a caller's guess: a root search passes the line through two
 converged probes of the same step, a fixed-tableau run the stage fields of
 its last five steps extrapolated by `stage_predictor`, a start O(h^{s+5})
@@ -27,35 +28,30 @@ from .problems import SingularPotentialError
 # fixed-point iteration hands over to simplified Newton when the increment
 # has not halved over this many iterations
 _STALL_WINDOW = 10
-_MAX_JACOBIAN_REFRESH = 4
 # sweeps one stage solve may take; a solve that has not converged by then
 # is returned unconverged
 _MAX_ITERS = 100
-# the stage tolerance of a step, a run and the command line unless one is given
+# the stage tolerance of every solve
 STAGE_TOL = 1e-14
 
 
 @dataclass(frozen=True)
 class StepConfig:
-    """Stepsize and stage-solver settings for a single step.
+    """The stepsize of a single step.
 
     `h` may be negative (time-reversed steps are legal and used by the
     symmetry checks).  Convergence is measured on the max-norm of the stage
-    defect, scaled by 1 + |y0|_inf, against `stage_tol`; a solve takes at
+    defect, scaled by 1 + |y0|_inf, against `STAGE_TOL`; a solve takes at
     most `_MAX_ITERS` sweeps.
     """
 
     h: float
-    stage_tol: float = STAGE_TOL
 
     def __post_init__(self):
-        for name in ("h", "stage_tol"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not math.isfinite(self.h):
+            raise ValueError(f"h must be finite, got {self.h!r}")
         if self.h == 0.0:
             raise ValueError("stepsize must be nonzero")
-        if self.stage_tol <= 0.0:
-            raise ValueError("stage_tol must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,7 +62,7 @@ class StepResult:
     stages; `increment` is h (b @ stage_fields), and the accepted state
     `y1` is the property y0 + increment, formed when it is read;
     `stage_residual` is the scaled max-norm defect of the stage equations
-    at return, and `converged` says whether it meets `stage_tol`; the
+    at return, and `converged` says whether it meets `STAGE_TOL`; the
     caller decides what to do when it does not.  A batched solve (see
     `step`) gives `increment`, `stages` and `stage_fields` a leading
     member axis, and so `y1` too.
@@ -105,7 +101,7 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     `tableau.A` may also be a (k, s, s) stack of coefficient matrices
     sharing b (see `tableau.butcher_batch`): the k methods are then solved
     from the same y0 in one iteration, every member sweeping together until
-    the worst member's residual meets `stage_tol`, and one vector-field
+    the worst member's residual meets `STAGE_TOL`, and one vector-field
     call takes all k s stages.  The arrays of the result carry a
     leading member axis, and `iterations`, `converged` and `stage_residual`
     are the batch's.  A stack of one started cold solves exactly as its
@@ -118,20 +114,20 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     in a fixed-tableau run, the stages predicted from the stage fields of
     the steps before (see `stage_predictor`).  A
     stack started from a guess takes one more sweep after its residual
-    first meets `stage_tol`.  Every probe of a root search is a stack, and
+    first meets `STAGE_TOL`.  Every probe of a root search is a stack, and
     there the error left at that point depends on where the guess came
     from; the extra sweep shrinks it by the contraction factor, so that y1
     varies smoothly with alpha across the probes however each was started.
     A single tableau serves a fixed-tableau run, where no such smoothness is
-    asked for, and stops at its first residual within `stage_tol`.
+    asked for, and stops at its first residual within `STAGE_TOL`.
 
     Non-convergence is reported through the `converged` flag, not raised: an
     iterate whose field is singular or not finite ends the solve at the last
-    iterate with a finite field, and a Newton iteration that stalls after its
-    last Jacobian refresh ends it at once.  A field that is not finite makes
-    the next sweep's residual not finite, and that is where it is noticed.
-    A singular start raises; a start whose field is not finite ends the
-    first sweep.
+    iterate with a finite field, and a Newton iteration that stalls ends it
+    at once, so a solve forms at most one Jacobian.  A field that is not
+    finite makes the next sweep's residual not finite, and that is where it
+    is noticed.  A singular start raises; a start whose field is not finite
+    ends the first sweep.
     """
     y0 = np.asarray(y0, dtype=float)
     A = tableau.A
@@ -141,7 +137,6 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     # the max-norms below read Python floats: on a few dozen values numpy's
     # reductions cost several times an element-wise operation
     scale = 1.0 + max(map(abs, y0.tolist()))
-    tol = cfg.stage_tol
     shape = A.shape[:-1] + (n,)
 
     # the flows take a stack as it is and flatten it to (k*s, n) rows
@@ -154,7 +149,6 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     polish = guess is not None and A.ndim == 3
 
     M = None  # simplified-Newton matrices; None while fixed-point sweeps run
-    jacobians = 0
     history = []
     iterations = 0
     last = None  # the iterate before (Y, F), with its residual
@@ -180,22 +174,20 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
             break
         iterations += 1
         history.append(res)
-        if res <= tol:
+        if res <= STAGE_TOL:
             if not polish:
                 break
             polish = False
         elif M is not None and res > 1e8 * scale:
             break  # Newton is diverging; report failure instead of burning iterations
         elif len(history) > _STALL_WINDOW and history[-1] > 0.5 * history[-1 - _STALL_WINDOW]:
-            if jacobians > _MAX_JACOBIAN_REFRESH:
-                break  # stalled with no refresh left
-            # a stalled fixed point turns to simplified Newton with J at y0;
-            # a stalled Newton refreshes J at the stage average.  One J
-            # serves every member: I - h kron(A_k, J) for each A_k
-            J = _fd_jacobian(system, y0 if M is None else Y.reshape(-1, n).mean(axis=0))
+            if M is not None:
+                break  # Newton stalled too
+            # a stalled fixed point turns to simplified Newton with J at y0.
+            # One J serves every member: I - h kron(A_k, J) for each A_k
+            J = _fd_jacobian(system, y0)
             kron = A[..., :, None, :, None] * J[:, None, :]
             M = np.eye(s * n) - h * kron.reshape(A.shape[:-2] + (s * n, s * n))
-            jacobians += 1
             history = []
         if M is None:
             Y_next = Y0 + hAF
@@ -213,7 +205,7 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
         increment=h * (tableau.b @ F),
         stages=Y,
         iterations=iterations,
-        converged=bool(res <= tol),
+        converged=bool(res <= STAGE_TOL),
         stage_residual=float(res),
         y0=y0,
         h=h,

@@ -149,7 +149,9 @@ def _legendre(n, x):
     return P[: n + 1]
 
 
-@lru_cache(maxsize=MAX_STAGES + 2)
+# unbounded, so that no rule a tableau refers to is ever evicted and built
+# anew; it keys at most one rule per stage count and integer type
+@lru_cache(maxsize=None)
 def gauss_quadrature(s: int) -> QuadratureRule:
     """s-point Gauss-Legendre nodes and weights on [0, 1].
 
@@ -157,11 +159,14 @@ def gauss_quadrature(s: int) -> QuadratureRule:
     started from the Chebyshev-node approximation; iteration stops once the
     update drops below 1e-15, which takes at most 5 updates for s <= 10.
     The result is symmetrized so that c_i + c_{s+1-i} = 1 and
-    b_i = b_{s+1-i} hold to machine precision.
+    b_i = b_{s+1-i} hold to machine precision.  A numpy integer `s` gets
+    the rule of the equal `int`, the same object.
     """
     _check_integer("stage count", s)
     if not 1 <= s <= MAX_STAGES:
         raise ValueError(f"stage count {s} outside 1..{MAX_STAGES}")
+    if type(s) is not int:
+        return gauss_quadrature(int(s))
     k = np.arange(1, s + 1)
     x = np.cos(np.pi * (4 * k - 1) / (4 * s + 2))  # descending in (-1, 1)
     dx = np.inf
@@ -177,7 +182,7 @@ def gauss_quadrature(s: int) -> QuadratureRule:
     b = w[::-1] / 2.0
     c = 0.5 * (c + 1.0 - c[::-1])
     b = 0.5 * (b + b[::-1])
-    return QuadratureRule(s=int(s), c=_frozen(c), b=_frozen(b))
+    return QuadratureRule(s=s, c=_frozen(c), b=_frozen(b))
 
 
 def _check_gauss(q):

@@ -15,6 +15,13 @@ from sympulse.conserve import (
 from sympulse.experiments import RunSpec, integrate
 from sympulse.problems import harmonic, henon_heiles, kepler, quartic
 from sympulse.stepper import StepConfig, step
+from sympulse.tableau import (
+    PerturbationSpec,
+    butcher,
+    butcher_batch,
+    gauss_quadrature,
+    legendre_basis,
+)
 
 H5 = 2.0**-5
 # the start of step 304 of the Henon-Heiles run (ep-gauss, s=2, h=0.25):
@@ -89,9 +96,10 @@ class TestEnergyDefect:
 
     def test_stage_failure_raises_with_diagnostics(self, monkeypatch):
         system, ic = kepler(0.6)
+        monkeypatch.setattr(stepper, "STAGE_TOL", 1e-30)
         monkeypatch.setattr(stepper, "_MAX_ITERS", 3)
         with pytest.raises(StageSolveError) as err:
-            energy_defect(system, 2, 1, ic.y0, 0.0, StepConfig(h=H5, stage_tol=1e-30))
+            energy_defect(system, 2, 1, ic.y0, 0.0, StepConfig(h=H5))
         assert err.value.result is not None
         assert err.value.alpha == 0.0
 
@@ -369,3 +377,34 @@ class TestLevelGrid:
         system, ic = kepler(0.6)
         with pytest.raises(ValueError):
             level_grid(system, 2, 1, ic.y0, [], [0.0], StepConfig(h=0.1))
+
+
+def entry_point_arrays(name, s):
+    """What the library entry point `name` returns at stage count `s`, as a
+    list of arrays."""
+    system, ic = kepler(0.6)
+    q, cfg = gauss_quadrature(s), StepConfig(h=H5)
+    if name == "butcher":
+        return [butcher(q, PerturbationSpec.single(s, 1, 1e-3)).A]
+    if name == "butcher_batch":
+        return [butcher_batch(q, 1, (0.0, 1e-3)).A]
+    if name == "legendre_basis":
+        return [legendre_basis(q).P]
+    if name == "energy_defect":
+        g, res = energy_defect(system, s, 1, ic.y0, 1e-3, cfg)
+        return [g, res.y1]
+    if name == "solve_alpha":
+        rec = solve_alpha(system, s, 1, ic.y0, H5, AlphaSearchConfig(), cfg)
+        return [rec.alpha_star, rec.g_evals, rec.step.y1]
+    G, failures = level_grid(system, s, 1, ic.y0, [H5, 0.1], [0.0, 1e-3], cfg)
+    return [G, len(failures)]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["butcher", "butcher_batch", "legendre_basis", "energy_defect", "solve_alpha", "level_grid"],
+)
+def test_numpy_integer_stage_count_gives_the_int_result(name):
+    plain = entry_point_arrays(name, 2)
+    numpy_int = entry_point_arrays(name, np.int64(2))
+    assert [np.asarray(v).tobytes() for v in numpy_int] == [np.asarray(v).tobytes() for v in plain]

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sympulse import experiments
+from sympulse import experiments, stepper
 from sympulse import problems as problems_mod
 from sympulse.conserve import NoRootError, StageSolveError
 from sympulse.experiments import (
@@ -58,10 +58,10 @@ class TestRunSpec:
         with pytest.raises(ValueError, match="the run makes no step"):
             RunSpec(problem="quartic", method=method, s=2, h=0.5, t0=1.0, t_end=1.0 + span)
 
-    @pytest.mark.parametrize("stage_tol", [float("nan"), float("inf"), 0.0, -1e-14])
-    def test_bad_stage_tol_rejected(self, stage_tol):
-        with pytest.raises(ValueError, match="stage_tol"):
-            RunSpec(problem="kepler", method="gauss", s=2, h=0.1, t_end=1.0, stage_tol=stage_tol)
+    @pytest.mark.parametrize("search", [None, "bisect", 1e-9])
+    def test_search_that_is_not_a_config_rejected(self, search):
+        with pytest.raises(ValueError, match="search must be an AlphaSearchConfig"):
+            RunSpec("kepler", "ep-gauss", 2, 0.1, 1.0, search=search)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_perturb_index_checked_for_every_method(self, method):
@@ -130,7 +130,8 @@ class TestRunSpec:
         "kwargs, match",
         [
             ({"problem": "nope"}, "unknown problem"),
-            ({"problem": "quartic", "e": 0.5}, "only applies to the kepler problem"),
+            ({"problem": "quartic", "e": 0.5},
+             "^e only applies to the kepler problem, not 'quartic'$"),
             ({"e": 1.5}, "eccentricity"),
             ({"e": float("nan")}, "eccentricity"),
             ({"y0": (1.0, 0.0, 0.5)}, "y0 must have 4 components"),
@@ -225,7 +226,7 @@ class TestIntegrate:
     @pytest.mark.parametrize("method", ["gauss", "ep-gauss"])
     def test_partial_final_step_has_its_own_step_config(self, monkeypatch, method):
         # the full steps share one StepConfig; the shortened last step gets
-        # one of its own, with the run's solver settings and its own h
+        # one of its own, with its own h
         import sympulse.conserve as conserve_mod
         import sympulse.experiments as experiments_mod
 
@@ -238,16 +239,13 @@ class TestIntegrate:
                 return _original(system, tab, y0, cfg, guess)
 
             monkeypatch.setattr(module, "step", spy)
-        spec = RunSpec(
-            problem="quartic", method=method, s=2, h=0.25, t_end=1.03, stage_tol=1e-13,
-        )
+        spec = RunSpec(problem="quartic", method=method, s=2, h=0.25, t_end=1.03)
         traj = integrate(spec)
         assert traj.partial_final
         full, last = seen[0], seen[-1]
         assert {id(cfg) for cfg in seen} == {id(full), id(last)}
         assert full.h == 0.25
         assert last.h == pytest.approx(0.03, abs=1e-15)
-        assert last.stage_tol == 1e-13
 
     def test_g_residual_is_the_energy_error_after_each_step(self):
         spec = RunSpec(problem="kepler", method="ep-gauss", s=2, h=2**-5, t_end=2.0, e=0.6)
@@ -279,11 +277,12 @@ class TestIntegrate:
         assert err.value.time == 76.0
         assert err.value.state.tobytes() == np.array(y0).tobytes()
 
-    def test_fixed_tableau_failure_names_alpha_h_residual_and_sweeps(self):
+    def test_fixed_tableau_failure_names_alpha_h_residual_and_sweeps(self, monkeypatch):
         # the message energy_defect gives for a failed probe
+        monkeypatch.setattr(stepper, "STAGE_TOL", 1e-30)
         spec = RunSpec(
             problem="kepler", method="fixed-alpha", s=2, h=2**-5, t_end=1.0, e=0.6,
-            alpha=1e-3, stage_tol=1e-30,
+            alpha=1e-3,
         )
         with pytest.raises(IntegrationError) as err:
             integrate(spec)
@@ -311,7 +310,7 @@ def cold_loop(spec):
     states and sweeps of a fixed-tableau run without the warm start."""
     system, ic = problems_mod.get_problem(spec.problem, e=spec.e)
     tab = butcher(gauss_quadrature(spec.s), spec.perturbation)
-    cfg = StepConfig(h=spec.h, stage_tol=spec.stage_tol)
+    cfg = StepConfig(h=spec.h)
     y, iters = ic.y0, []
     for _ in range(round((spec.t_end - spec.t0) / spec.h)):
         result = step(system, tab, y, cfg)
@@ -606,20 +605,14 @@ class TestConvergenceTable:
         assert late == early
         assert late[-1].e_h < 1e-3
 
-    def test_keywords_are_run_spec_fields(self):
-        with pytest.raises(TypeError, match="max_iters"):
-            convergence_table("harmonic", "gauss", 2, [0.1], 1.0, max_iters=10)
+    @pytest.mark.parametrize("keyword", ["max_iters", "stage_tol", "reference"])
+    def test_keywords_are_run_spec_fields(self, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            convergence_table("harmonic", "gauss", 2, [0.1], 1.0, **{keyword: 10})
 
     def test_h_list_must_not_be_empty(self):
         with pytest.raises(ValueError, match="empty"):
             convergence_table("harmonic", "gauss", 2, [], 1.0)
-
-    def test_explicit_reference_is_used(self):
-        rows = convergence_table(
-            "kepler", "gauss", 2, [2**-5], 1.0, reference=kepler_reference(0.6, 1.0),
-            e=0.6,
-        )
-        assert rows[0].e_h < 1e-5
 
 
 class TestEnergyDefectOrder:

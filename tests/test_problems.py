@@ -208,8 +208,8 @@ class TestKepler:
 
 class TestQuartic:
     def test_energy_and_momentum_values(self):
-        system, _ = quartic((1.0, 0.0, 0.0, 1.0))
-        y = np.array([1.0, 0.0, 0.0, 1.0])
+        system, ic = get_problem("quartic", y0=(1.0, 0.0, 0.0, 1.0))
+        y = ic.y0
         assert float(system.energy(y)) == pytest.approx(1.5, abs=0)
         assert float(system.quadratic_invariants[0].fn(y)) == pytest.approx(1.0, abs=0)
 
@@ -265,7 +265,9 @@ class TestGetProblem:
             get_problem("three-body")
 
     def test_eccentricity_only_for_kepler(self):
-        with pytest.raises(ValueError):
+        # the library names its parameter, not the command-line flag
+        message = "^e only applies to the kepler problem, not 'quartic'$"
+        with pytest.raises(ValueError, match=message):
             get_problem("quartic", e=0.3)
 
     def test_dimension_check(self):

@@ -18,9 +18,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sympulse.conserve import AlphaSearchConfig
 from sympulse.experiments import METHODS, IntegrationError, RunSpec, integrate
 from sympulse.problems import kepler, quartic
-from sympulse.stepper import StepConfig, step
+from sympulse.stepper import STAGE_TOL, StepConfig, step
 from sympulse.tableau import PerturbationSpec, butcher, gauss_quadrature
 
 EPS = np.finfo(float).eps
@@ -63,7 +64,7 @@ def test_perturbed_tableau_is_symplectic(tab):
 @given(perturbed_tableaux(), planar_states(), stepsizes)
 def test_step_is_time_reversible(tab, y0, h):
     cfg = StepConfig(h=h)
-    bound = 10 * cfg.stage_tol * (1.0 + np.abs(y0).max())
+    bound = 10 * STAGE_TOL * (1.0 + np.abs(y0).max())
     for system in SYSTEMS:
         forward = step(system, tab, y0, cfg)
         back = step(system, tab, forward.y1, StepConfig(h=-h))
@@ -108,6 +109,7 @@ FIELDS = {
     "y0": (None, (1.0, 0.0), (0.5, 0.0, 0.0, 1.2), (1.0, 0.0, 0.5), (NAN, 0.0, 0.0, 1.0),
            (1e200, 0.0, 0.0, 1e200)),
     "steps": (0.0, 1e-12, 0.5, 1.0, 2.5, 20.0),
+    "search": (AlphaSearchConfig(), None, "bisect"),
 }
 
 

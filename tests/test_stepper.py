@@ -17,6 +17,7 @@ from sympulse.problems import (
 )
 from sympulse.stepper import (
     _STALL_WINDOW,
+    STAGE_TOL,
     StepConfig,
     stage_predictor,
     step,
@@ -47,16 +48,16 @@ class TestStepConfig:
         "kwargs",
         [
             {"h": 0.0},
-            {"h": 0.1, "stage_tol": 0.0},
             {"h": float("nan")},
             {"h": float("inf")},
-            {"h": 0.1, "stage_tol": float("nan")},
-            {"h": 0.1, "stage_tol": float("inf")},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             StepConfig(**kwargs)
+
+    def test_the_stepsize_is_the_only_setting(self):
+        assert [f.name for f in dataclasses.fields(StepConfig)] == ["h"]
 
 
 class TestStep:
@@ -170,7 +171,7 @@ class TestStep:
         if start == "warm":
             guess = step(system, make_tableau(3, 2, 2e-3), ic.y0, cfg).stages
         elif start == "out_of_budget":
-            cfg = StepConfig(h=2**-5, stage_tol=1e-30)
+            monkeypatch.setattr(stepper, "STAGE_TOL", 1e-30)
             monkeypatch.setattr(stepper, "_MAX_ITERS", 4)
         res = step(system, tab, ic.y0, cfg, guess)
         assert res.converged == (start != "out_of_budget")
@@ -182,16 +183,17 @@ class TestStep:
     def test_non_convergence_is_flagged_not_raised(self, monkeypatch):
         system, ic = kepler(0.6)
         tab = make_tableau(2)
+        monkeypatch.setattr(stepper, "STAGE_TOL", 1e-30)
         monkeypatch.setattr(stepper, "_MAX_ITERS", 5)
-        res = step(system, tab, ic.y0, StepConfig(h=2**-5, stage_tol=1e-30))
+        res = step(system, tab, ic.y0, StepConfig(h=2**-5))
         assert not res.converged
         assert res.iterations == 5
         assert res.stage_residual > 0.0
 
     def test_budget_that_ends_on_a_converged_iterate_reports_it_converged(self, monkeypatch):
         # plain 2-stage Gauss on Kepler at 2^-5 reads its first residual
-        # within stage_tol on its last sweep; a budget one sweep shorter
-        # returns the same stages, whose residual also meets stage_tol
+        # within STAGE_TOL on its last sweep; a budget one sweep shorter
+        # returns the same stages, whose residual also meets STAGE_TOL
         system, ic = kepler(0.6)
         tab = make_tableau(2)
         full = step(system, tab, ic.y0, StepConfig(h=2**-5))
@@ -211,7 +213,7 @@ class TestStep:
         F = system.vector_field(res.stages)
         residual = res.stages - ic.y0 - cfg.h * (tab.A @ F)
         scale = 1.0 + np.max(np.abs(ic.y0))
-        assert np.max(np.abs(residual)) / scale <= cfg.stage_tol
+        assert np.max(np.abs(residual)) / scale <= STAGE_TOL
         np.testing.assert_allclose(
             res.y1, ic.y0 + cfg.h * (tab.b @ F), rtol=0, atol=1e-15
         )
@@ -231,7 +233,7 @@ class TestStep:
         cfg = StepConfig(h=2**-5)
         forward = step(system, tab, ic.y0, cfg)
         back = step(system, tab, forward.y1, StepConfig(h=-(2**-5)))
-        assert np.max(np.abs(back.y1 - ic.y0)) <= 10 * cfg.stage_tol
+        assert np.max(np.abs(back.y1 - ic.y0)) <= 10 * STAGE_TOL
 
     def test_huge_step_falls_back_to_newton_and_converges(self, monkeypatch):
         # step 1 of plain 3-stage Gauss on the quartic at h=1: fixed-point
@@ -256,7 +258,7 @@ class TestStep:
         assert res.converged
         F = system.vector_field(res.stages)
         fresh = np.max(np.abs(res.stages - y0 - cfg.h * (tab.A @ F)))
-        assert fresh / (1.0 + np.max(np.abs(y0))) <= cfg.stage_tol
+        assert fresh / (1.0 + np.max(np.abs(y0))) <= STAGE_TOL
 
     def test_diverging_fixed_point_fails_without_restart(self, monkeypatch):
         # plain 2-stage Gauss on the quartic at h=3: the fixed-point iterates
@@ -291,10 +293,22 @@ class TestStep:
         fresh = np.max(np.abs(res.stages - ic.y0 - cfg.h * (tab.A @ F)))
         assert res.stage_residual == fresh / (1.0 + np.max(np.abs(ic.y0)))
 
-    def test_stalled_newton_refreshes_its_jacobian(self, monkeypatch):
-        # plain 2-stage Gauss on Kepler at h=1.5 from a state along the
-        # orbit: Newton with the Jacobian at y0 stalls, and only the refresh
-        # at the stage average finishes the step
+    @pytest.mark.parametrize(
+        "h, state",
+        [
+            # the state after one step of h=0.02
+            (1.0, ("0x1.985265912cfadp-2", "0x1.4756df79cbecep-5",
+                   "-0x1.fe830cc1b7371p-4", "0x1.fe67c2a0f5e10p+0")),
+            # a state along the orbit
+            (1.5, ("0x1.616458d4f643ap-2", "0x1.0bad525f81737p-2",
+                   "-0x1.826daca3f6186p-1", "0x1.bf15b7595a251p+0")),
+        ],
+        ids=["h=1", "h=1.5"],
+    )
+    def test_stalled_newton_ends_the_solve(self, h, state, monkeypatch):
+        # plain 2-stage Gauss on Kepler at a huge step: Newton with the
+        # Jacobian at y0 stalls too, and the solve stops there, after one
+        # Jacobian, instead of sweeping on to _MAX_ITERS
         calls = []
 
         def counted(system, y):
@@ -304,38 +318,11 @@ class TestStep:
         fd_jacobian = stepper._fd_jacobian
         monkeypatch.setattr(stepper, "_fd_jacobian", counted)
         system, _ = kepler(0.6)
-        y0 = np.array([float.fromhex(v) for v in (
-            "0x1.616458d4f643ap-2", "0x1.0bad525f81737p-2",
-            "-0x1.826daca3f6186p-1", "0x1.bf15b7595a251p+0",
-        )])
-        res = step(system, make_tableau(2), y0, StepConfig(h=1.5))
-        assert res.converged
-        assert res.iterations == 90
-        assert len(calls) == 2
-        assert np.array_equal(calls[0], y0)
-        assert not np.array_equal(calls[1], y0)
-
-    def test_stall_after_the_last_refresh_ends_the_solve(self, monkeypatch):
-        # plain 2-stage Gauss on Kepler at h=1 from the state after one step
-        # of h=0.02: Newton still stalls after its last Jacobian refresh, and
-        # the solve stops there instead of sweeping on to _MAX_ITERS
-        calls = []
-
-        def counted(system, y):
-            calls.append(y)
-            return fd_jacobian(system, y)
-
-        fd_jacobian = stepper._fd_jacobian
-        monkeypatch.setattr(stepper, "_fd_jacobian", counted)
-        system, _ = kepler(0.6)
-        y0 = np.array([float.fromhex(v) for v in (
-            "0x1.985265912cfadp-2", "0x1.4756df79cbecep-5",
-            "-0x1.fe830cc1b7371p-4", "0x1.fe67c2a0f5e10p+0",
-        )])
-        cfg = StepConfig(h=1.0)
-        res = step(system, make_tableau(2), y0, cfg)
+        y0 = np.array([float.fromhex(v) for v in state])
+        res = step(system, make_tableau(2), y0, StepConfig(h=h))
         assert not res.converged
-        assert len(calls) == stepper._MAX_JACOBIAN_REFRESH + 1
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], y0)
         assert res.iterations < stepper._MAX_ITERS
 
     def test_singular_iterate_fails_without_raising(self):
@@ -400,7 +387,8 @@ class TestStep:
             return np.full_like(f, np.nan) if len(calls) == 5 else f
 
         tab = make_tableau(2)
-        cfg = StepConfig(h=2**-5, stage_tol=1e-30)
+        cfg = StepConfig(h=2**-5)
+        monkeypatch.setattr(stepper, "STAGE_TOL", 1e-30)
         monkeypatch.setattr(stepper, "_MAX_ITERS", 4)
         res = step(dataclasses.replace(system, flow=flow), tab, ic.y0, cfg)
         monkeypatch.setattr(stepper, "_MAX_ITERS", 3)
@@ -428,7 +416,8 @@ class TestStep:
             return f
 
         tab = make_tableau(2)
-        cfg = StepConfig(h=2**-5, stage_tol=1e-30)
+        cfg = StepConfig(h=2**-5)
+        monkeypatch.setattr(stepper, "STAGE_TOL", 1e-30)
         monkeypatch.setattr(stepper, "_MAX_ITERS", 4)
         res = step(dataclasses.replace(system, flow=flow), tab, ic.y0, cfg)
         monkeypatch.setattr(stepper, "_MAX_ITERS", 3)
@@ -486,7 +475,7 @@ class TestBatchedStep:
         assert isinstance(res.iterations, int) and isinstance(res.converged, bool)
         assert res.y1.shape == (3, 4)
         residuals = member_residuals(res, batch, ic.y0, cfg.h)
-        assert np.all(residuals <= cfg.stage_tol)
+        assert np.all(residuals <= STAGE_TOL)
         assert res.stage_residual == residuals.max()
         np.testing.assert_array_equal(res.y1, ic.y0 + res.increment)
         for k, value in enumerate(values):
@@ -514,7 +503,7 @@ class TestBatchedStep:
         res = step(system, batch, y0, cfg)
         assert len(calls) >= 1
         assert res.converged
-        assert np.all(member_residuals(res, batch, y0, cfg.h) <= cfg.stage_tol)
+        assert np.all(member_residuals(res, batch, y0, cfg.h) <= STAGE_TOL)
 
     def test_singular_member_fails_the_batch_at_the_last_finite_iterate(self):
         # a field singular far from y0; the heavily perturbed member's fixed
@@ -722,8 +711,9 @@ class TestDenseOutput:
                 dense_output(self.res, self.tab, tau)
 
     def test_requires_converged_step(self, monkeypatch):
+        monkeypatch.setattr(stepper, "STAGE_TOL", 1e-30)
         monkeypatch.setattr(stepper, "_MAX_ITERS", 2)
-        bad = step(self.system, self.tab, self.ic.y0, StepConfig(h=2**-5, stage_tol=1e-30))
+        bad = step(self.system, self.tab, self.ic.y0, StepConfig(h=2**-5))
         with pytest.raises(ValueError):
             dense_output(bad, self.tab, 0.5)
 
@@ -751,7 +741,7 @@ class TestCollocationDefect:
         cfg = StepConfig(h=2**-5)
         res = step(system, tab, ic.y0, cfg)
         residuals = collocation_defect(res, system, tab)
-        assert np.max(residuals) <= 10 * cfg.stage_tol / abs(cfg.h)
+        assert np.max(residuals) <= 10 * STAGE_TOL / abs(cfg.h)
 
     def test_zero_field_residuals_vanish(self):
         tab = make_tableau(2)
