@@ -18,9 +18,7 @@ h_values = np.linspace(0.01, 0.2, 24)
 alpha_values = np.linspace(-0.5e-3, 4e-3, 61)
 
 print(f"evaluating g on a {alpha_values.size} x {h_values.size} grid ...")
-grid, failures = sp.level_grid(
-    system, 2, 1, ic.y0, h_values, alpha_values, StepConfig(h=float(h_values[0]))
-)
+grid, failures = sp.level_grid(system, 2, 1, ic.y0, h_values, alpha_values)
 print(f"done, {len(failures)} failed cells")
 
 with open("defect_level_map.csv", "w") as fh:

@@ -33,7 +33,6 @@ from .experiments import (
     resolve_perturb_index,
 )
 from .problems import KEPLER_E, PROBLEMS, SingularPotentialError, get_problem
-from .stepper import StepConfig
 from .tableau import PerturbationSpec, butcher, gauss_quadrature
 
 DEFAULT_T_END = {"kepler": 50.0, "quartic": 50.0, "harmonic": 50.0, "henon-heiles": 500.0}
@@ -51,10 +50,16 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """argparse variant that raises instead of calling sys.exit, so usage
-    problems map to exit code 1."""
+    problems map to exit code 1, and that reads a token opening with `-`
+    and a digit, or `-.` and a digit, as a value: argparse itself takes
+    `-1e-3` or `-.5:1:3` for a flag.  No sympulse flag opens that way."""
 
     def error(self, message):
         raise UsageError(message)
+
+    def _parse_optional(self, arg_string):
+        # None: the token is a value, never a flag
+        return None if re.match(r"-\.?\d", arg_string) else super()._parse_optional(arg_string)
 
 
 def parse_stepsize(token):
@@ -103,7 +108,9 @@ def parse_value_list(text):
             raise UsageError(f"grid count must be an integer in {text!r}") from None
         if n < 1:
             raise UsageError("grid count must be positive")
-        return list(np.linspace(lo, hi, n))
+        if not math.isfinite(hi - lo):
+            raise UsageError(f"grid span hi - lo overflows in {text!r}")
+        return np.linspace(lo, hi, n).tolist()
     return [parse_stepsize(text)]
 
 
@@ -325,8 +332,7 @@ def _run_levelmap(ns):
     if ns.stages < 2:
         raise UsageError("levelmap needs at least 2 stages")
     index = resolve_perturb_index("ep-gauss", ns.stages, ns.perturb_index)
-    cfg = StepConfig(h=h_values[0])
-    G, failures = level_grid(system, ns.stages, index, ic.y0, h_values, alpha_values, cfg)
+    G, failures = level_grid(system, ns.stages, index, ic.y0, h_values, alpha_values)
     header = (
         _problem_pairs(ns)
         + [

@@ -11,7 +11,7 @@ down to far below eps |H|.  Each step's target is its own start energy.  g
 has a root alpha* = O(h^{2r}) near zero (r = s - perturbed index).  The
 search probes g in rounds, each one batched stage solve of all its probes:
 {0, 1e-3 h^{2r}}, then pairs straddling secant points until a probe changes
-sign, then a triple of the stop width alpha_tol h^{2r} around the secant
+sign, then a triple of the stop width ALPHA_TOL h^{2r} around the secant
 point of that sign change, which ends most searches.  Brent's method closes
 the sign change where the triple misses it, and an outward scan, doubling
 |alpha| up to 0.5, looks for one where the pairs fail; the located root is
@@ -50,6 +50,9 @@ _BRACKET_MAX = 0.5
 # the seed and the predicted probes stay within this |alpha|, well inside
 # _BRACKET_MAX, so huge-h searches do not start at unsolvable values
 _REACH = _BRACKET_MAX / 8
+# the search stops on a bracket of width ALPHA_TOL h^{2r}, relative to the
+# root scale
+ALPHA_TOL = 1e-9
 
 
 class StageSolveError(RuntimeError):
@@ -73,19 +76,13 @@ class NoRootError(RuntimeError):
 
 @dataclass(frozen=True)
 class AlphaSearchConfig:
-    """Settings for the per-step root search on the energy defect.
+    """The per-step root search's config, which has no setting: the search
+    stops on a bracket of width ALPHA_TOL h^{2r}.
 
-    `alpha_tol` is relative to the root scale: the search stops on a bracket
-    of absolute width alpha_tol h^{2r}.
+    It stays a type because the acceptance suite builds one and passes it,
+    as `RunSpec.search`, to `convergence_table` and to `solve_alpha`; no
+    search reads it.
     """
-
-    alpha_tol: float = 1e-9
-
-    def __post_init__(self):
-        if not math.isfinite(self.alpha_tol):
-            raise ValueError(f"alpha_tol must be finite, got {self.alpha_tol!r}")
-        if self.alpha_tol <= 0.0:
-            raise ValueError("alpha_tol must be positive")
 
 
 def _seed(h, r):
@@ -169,18 +166,20 @@ def solve_alpha(
     {0, p} with p = _PROBE_FRACTION * seed, then the secant pairs of
     `_find_bracket` until a probe changes sign, then the triple
     {x2 - w, x2, x2 + w} around the secant point x2 of the narrowest sign
-    change, w being the stop width alpha_tol h^{2r}.  A sign change within
+    change, w being the stop width ALPHA_TOL h^{2r}.  A sign change within
     the triple ends the search at the member with the smaller |g|; otherwise
     Brent's method closes the narrowest sign change one probe at a time.
     Round 1 starts from y0, every later probe from the stages extrapolated
     linearly in alpha through the two nearest converged probes.
 
     `h` must equal `step_cfg.h`, the stepsize every probe is solved at;
-    a config that disagrees is rejected, not overwritten.  The returned
+    a config that disagrees is rejected, not overwritten.  `search_cfg` is
+    not read: an `AlphaSearchConfig` has no setting.  Both configs stay for
+    the acceptance suite, which passes them positionally.  The returned
     record carries the probe at the root as `step`, so the caller accepts
     that step instead of solving it again.  The search depends only on
-    (y0, h) and the settings.  Raises NoRootError when no
-    sign change is found.  Every search ends by construction: at most
+    (y0, h).  Raises NoRootError when no sign change is found.  Every
+    search ends by construction: at most
     _SECANT_STEPS rounds of pairs, one triple, a scan of two probes per
     doubling of the radius up to _BRACKET_MAX, and Brent's method, which
     stops on the bracket width.
@@ -190,7 +189,7 @@ def solve_alpha(
         raise ValueError(f"stepsize h={h!r} differs from step_cfg.h={step_cfg.h!r}")
     r = s - perturb_index
     seed = _seed(h, r)
-    width = search_cfg.alpha_tol * abs(h) ** (2 * r)
+    width = ALPHA_TOL * abs(h) ** (2 * r)
     evals = 0
     # alpha -> (stages, batched StepResult, member index) of every converged probe
     probes = {}
@@ -395,12 +394,15 @@ def _bracketed_root(g, lo, hi, glo, ghi, width):
         fb = g(b)
 
 
-def level_grid(system, s, perturb_index, y0, h_values, alpha_values, step_cfg):
+@np.errstate(all="ignore")
+def level_grid(system, s, perturb_index, y0, h_values, alpha_values, step_cfg=None):
     """Energy defect g(alpha, h) over a full grid.
 
     Column j is solved at the stepsize h_values[j].  `step_cfg` is not
     read: a `StepConfig` holds only a stepsize, which the grid sets; the
-    parameter stays for the callers that pass it.  Returns (G, failures):
+    parameter stays for the acceptance suite, which passes one
+    positionally.  A cell whose stage iterate overflows fails as its typed
+    error, without numpy warnings.  Returns (G, failures):
     G[i, j] = g(alpha_values[i], h_values[j]); cells whose stage solve
     fails hold NaN and are listed in `failures` as (i, j, message).
     """

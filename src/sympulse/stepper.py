@@ -58,9 +58,10 @@ class StepConfig:
 class StepResult:
     """Accepted state, internal stages and solver diagnostics for one step.
 
-    `y0` and `h` anchor the dense output and `stage_fields` holds f at the
-    stages; `increment` is h (b @ stage_fields), and the accepted state
-    `y1` is the property y0 + increment, formed when it is read;
+    `y0` and `h` anchor `y1` and the demos' dense output (the package has
+    none) and `stage_fields` holds f at the stages; `increment` is
+    h (b @ stage_fields), and the accepted state `y1` is the property
+    y0 + increment, formed when it is read;
     `stage_residual` is the scaled max-norm defect of the stage equations
     at return, and `converged` says whether it meets `STAGE_TOL`; the
     caller decides what to do when it does not.  A batched solve (see

@@ -50,6 +50,14 @@ class TestParsing:
         with pytest.raises(UsageError, match="finite"):
             parse_value_list(text)
 
+    @pytest.mark.parametrize("text", ["-1e308:1e308:3", "1e308:-1e308:1"])
+    def test_rejects_a_linear_grid_whose_span_overflows(self, text):
+        with pytest.raises(UsageError, match="hi - lo overflows"):
+            parse_value_list(text)
+
+    def test_linear_grid_values_are_floats(self):
+        assert [type(v) for v in parse_value_list("0:1:3")] == [float] * 3
+
 
 class TestTableauCommand:
     def test_csv_matches_library(self, capsys):
@@ -552,6 +560,31 @@ class TestTopLevel:
 
     def test_unknown_flag(self, capsys):
         assert run(["tableau", "--stages", "2", "--frobnicate"]) == 1
+
+    @pytest.mark.parametrize(
+        "flags, header",
+        [
+            ("integrate --problem kepler --h 0.1 --t-end 0.3 --y0 -0.4,0,0,1.5",
+             "# y0 = -0.4"),
+            ("integrate --problem kepler --h 0.1 --t-end 0.3 --method fixed-alpha "
+             "--alpha -1e-3", "# alpha = -0.001"),
+            ("integrate --problem kepler --h 0.1 --t-end 0.3 --method gauss --t0 -1e1",
+             "# t0 = -10"),
+            ("levelmap --problem kepler --h-list 0.1 --alpha-list -5e-4:4e-3:3",
+             "# alpha_list = -0.0005"),
+            ("levelmap --problem kepler --h-list 0.1 --alpha-list -.0005:0.004:3",
+             "# alpha_list = -0.0005"),
+        ],
+    )
+    def test_values_may_open_with_a_minus(self, capsys, flags, header):
+        code, out, err = run_capture(capsys, flags.split())
+        assert code == 0, err
+        assert any(line.startswith(header) for line in out.splitlines())
+
+    def test_negative_stepsize_is_still_a_usage_error(self, capsys):
+        code, _, err = run_capture(capsys, [*KEPLER, "--h", "-0.1", "--t-end", "0.3"])
+        assert code == 1
+        assert err == "sympulse: error: run stepsize must be positive\n"
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

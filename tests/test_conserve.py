@@ -1,4 +1,6 @@
+import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -33,22 +35,12 @@ ROOTLESS_HENON = (
 
 
 class TestAlphaSearchConfig:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"alpha_tol": 0.0},
-            {"alpha_tol": -1e-16},
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            AlphaSearchConfig(**kwargs)
-
-    @pytest.mark.parametrize("name", ["alpha_tol"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_non_finite_settings_rejected(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
-            AlphaSearchConfig(**{name: value})
+    def test_has_no_setting(self):
+        # the stop width is the constant ALPHA_TOL h^{2r}
+        assert dataclasses.fields(AlphaSearchConfig) == ()
+        assert conserve.ALPHA_TOL == 1e-9
+        with pytest.raises(TypeError):
+            AlphaSearchConfig(alpha_tol=1e-6)
 
     def test_seed_defaults_to_ten_h_squared(self):
         assert conserve._seed(0.01, 1) == pytest.approx(10 * 0.01**2)
@@ -377,6 +369,22 @@ class TestLevelGrid:
         system, ic = kepler(0.6)
         with pytest.raises(ValueError):
             level_grid(system, 2, 1, ic.y0, [], [0.0], StepConfig(h=0.1))
+
+    def test_config_is_optional(self):
+        # the grid reads no config; the quartic's h=5 column fails
+        system, ic = quartic()
+        args = (system, 3, 2, ic.y0, [5.0, 1.0], [0.0, 0.01])
+        G, failures = level_grid(*args)
+        G_cfg, failures_cfg = level_grid(*args, StepConfig(h=5.0))
+        assert G.tobytes() == G_cfg.tobytes()
+        assert failures == failures_cfg and len(failures) == 2
+
+    def test_failed_cells_raise_no_numpy_warning(self):
+        system, ic = quartic()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, failures = level_grid(system, 3, 2, ic.y0, [5.0, 1.0], [0.0, 0.01])
+        assert len(failures) == 2
 
 
 def entry_point_arrays(name, s):

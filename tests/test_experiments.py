@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -179,6 +180,24 @@ class TestRunSpec:
 
 
 class TestIntegrate:
+    @pytest.mark.parametrize(
+        "spec, fails",
+        [
+            # guessed starts overflow before the cold retries converge
+            (RunSpec("quartic", "gauss", 3, 1.0, 20.0), False),
+            (RunSpec("quartic", "ep-gauss", 3, 5.0, 10.0), True),
+        ],
+    )
+    def test_overflowing_iterates_raise_no_numpy_warning(self, spec, fails):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                integrate(spec)
+            except IntegrationError:
+                assert fails
+            else:
+                assert not fails
+
     def test_harmonic_roots_all_zero(self):
         spec = RunSpec(problem="harmonic", method="ep-gauss", s=2, h=0.1, t_end=10.0)
         traj = integrate(spec)
@@ -633,3 +652,7 @@ class TestEnergyDefectOrder:
     def test_needs_three_stepsizes(self):
         with pytest.raises(ValueError):
             energy_defect_order("kepler", 2, [0.1, 0.05])
+
+    def test_fits_only_the_last_coupling(self):
+        with pytest.raises(TypeError):
+            energy_defect_order("kepler", 3, [0.1, 0.05, 0.025], perturb_index=1)

@@ -39,3 +39,9 @@ def test_main_prints_one_line_per_array(capsys):
         for name in ("states", "alpha_trace", "energy_error", "L_err", "stage_iters", "g_evals")
     ]
     assert all(len(line.split()[2]) == 64 for line in lines)
+
+
+def test_main_takes_name_prefixes(capsys):
+    trajectory_hashes.main(["harmonic", "pendulum"])
+    runs = {line.split()[0] for line in capsys.readouterr().out.splitlines()}
+    assert runs == {"harmonic-gauss-s2"}

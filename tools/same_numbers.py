@@ -1,0 +1,75 @@
+"""Check that another copy of the package computes the same numbers as this
+checkout: the same trajectory hashes and the same run census.
+
+Runs `tools/trajectory_hashes.py` and `tools/run_census.py` twice each, as
+subprocesses, once with PYTHONPATH set to OTHER_SRC and once to this
+checkout's `src`, the two at the same time, and compares their output line
+by line.  Each differing line is printed, marked `<` for OTHER_SRC and `>`
+for this checkout, then one `tool: N lines, M differ` line per tool.
+Exits 1 on any difference.
+
+PROBLEM restricts the census to the named problems, as `run_census.py`
+does, and the hash runs to those whose name opens with a named problem.
+
+usage: python tools/same_numbers.py OTHER_SRC [PROBLEM ...]
+
+To compare against the parent commit, unpack its `src` first:
+
+    mkdir /tmp/parent && git archive HEAD~1 src | tar -x -C /tmp/parent
+    python tools/same_numbers.py /tmp/parent/src
+
+The whole comparison takes about 30 s on a 2-CPU machine.
+"""
+
+from __future__ import annotations
+
+import itertools
+import os
+import pathlib
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+TOOLS = pathlib.Path(__file__).resolve().parent
+SRC = TOOLS.parent / "src"
+
+
+def output(tool, src, args):
+    """The stdout lines of `tool`, given `args`, run with PYTHONPATH=`src`."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, str(TOOLS / tool), *args],
+        env=env, stdout=subprocess.PIPE, text=True, check=True,
+    )
+    return result.stdout.splitlines()
+
+
+def report(name, other, this):
+    """Print each line that differs, position by position, between the
+    `other` and `this` line lists, marked with its side, then the summary
+    line of `name`; returns the number of differing positions."""
+    diff = [(a, b) for a, b in itertools.zip_longest(other, this) if a != b]
+    for a, b in diff:
+        if a is not None:
+            print(f"< {a}")
+        if b is not None:
+            print(f"> {b}")
+    print(f"{name}: {max(len(other), len(this))} lines, {len(diff)} differ")
+    return len(diff)
+
+
+def main(argv):
+    if not argv:
+        print(__doc__, file=sys.stderr)
+        return 2
+    other_src, problems = pathlib.Path(argv[0]).resolve(), argv[1:]
+    changed = 0
+    with ThreadPoolExecutor(2) as pool:
+        for tool in ("trajectory_hashes", "run_census"):
+            sides = [pool.submit(output, f"{tool}.py", src, problems) for src in (other_src, SRC)]
+            changed += report(tool, *(side.result() for side in sides))
+    return 1 if changed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -7,9 +7,10 @@ the digest taken over the array's raw bytes.  Two checkouts that print the
 same lines produce byte-identical trajectories; a change that claims to
 keep them can be checked by diffing the output of the two.
 
-usage: PYTHONPATH=src python tools/trajectory_hashes.py [RUN ...]
-Without arguments it prints every run of RUNS; the whole set takes a few
-seconds.
+usage: PYTHONPATH=src python tools/trajectory_hashes.py [PREFIX ...]
+It prints the runs of RUNS whose name opens with a PREFIX, a run's full
+name or a problem such as `kepler`; without arguments it prints every run,
+which takes a few seconds.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def digests(record):
 
 
 def main(argv):
-    for run in argv or RUNS:
+    for run in [run for run in RUNS if run.startswith(tuple(argv) or ("",))]:
         for name, digest in digests(integrate(RUNS[run])).items():
             print(f"{run} {name} {digest}")
 
