@@ -63,14 +63,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_stepsize(token):
-    """A finite stepsize literal: plain float or an exact power of two like 2^-5."""
+    """A finite stepsize literal: plain float or an exact power of two like
+    2^-5, for -1074 <= k <= 1023 (2^-1074 is the least positive float)."""
     token = token.strip()
     m = _POW2.match(token)
     if m:
-        try:
-            return 2.0 ** int(m.group(1))
-        except OverflowError:
-            raise UsageError(f"value must be finite, got {token!r}") from None
+        if not -1074 <= int(m.group(1)) <= 1023:
+            raise UsageError(f"value must be finite and nonzero, -1074 <= k <= 1023 in {token!r}")
+        return 2.0 ** int(m.group(1))
     try:
         value = float(token)
     except ValueError:
@@ -147,8 +147,10 @@ def _emit(ns, text):
 
 def _add_problem_flags(p):
     p.add_argument("--problem", required=True, choices=tuple(PROBLEMS))
-    p.add_argument("--e", type=float, default=None, help=f"Kepler eccentricity (default {KEPLER_E})")
-    p.add_argument("--y0", type=parse_y0, default=None, help="start state override v1,v2,...")
+    # e only chooses Kepler's default start, so a start state leaves it unread
+    start = p.add_mutually_exclusive_group()
+    start.add_argument("--e", type=float, help=f"Kepler eccentricity (default {KEPLER_E})")
+    start.add_argument("--y0", type=parse_y0, help="start state override v1,v2,...")
     p.add_argument("--output", "-o", default=None)
 
 

@@ -20,6 +20,16 @@ round is warm-started from the stages extrapolated through the two nearest
 converged probes, and the probe at the root is the step the caller accepts.
 Quadratic Hamiltonians make g vanish identically; that degeneracy is
 detected and reported instead of searched.
+
+A round is one pass over arrays.  The search reads the Gauss tableau A0
+and the unit perturbation D once, so a round's tableaux are the one stack
+A0 + alphas (x) D; one stage solve takes the stack, one call of the row
+kernel `energy_increment` gives every member's defect, and the round's
+stages go into the probe table (`_ProbeTable`), a stage buffer with one
+row per probed alpha, in the order the alphas were first probed.  The next
+round's line starts are then a scan for the two nearest probes of each
+alpha, one gather from the buffer and one axpy.  The accepted step is a
+view of its batch, not a copy.
 """
 
 from __future__ import annotations
@@ -30,7 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .stepper import StepConfig, StepResult, step
-from .tableau import PerturbationSpec, butcher, butcher_batch, gauss_quadrature
+from .tableau import ButcherTableau, PerturbationSpec, butcher, gauss_quadrature
+from .tableau import _cached_affine_parts, _check_index
 
 # the first probe after alpha = 0 lies this fraction of the seed (10 h^{2r})
 # from zero: close enough that the secant through it and g(0) lands near the
@@ -110,44 +121,75 @@ class AlphaSolveRecord:
     step: StepResult = field(compare=False, repr=False)
 
 
-def energy_defect(system, s, perturb_index, y0, alpha, cfg: StepConfig, guess=None):
+def energy_defect(system, s, perturb_index, y0, alpha, cfg: StepConfig):
     """One step of size `cfg.h` at perturbation `alpha`; returns
     (H(y0 + D) - H(y0), StepResult), where D is the step's increment,
     evaluated by the problem's `energy_increment` kernel.
 
-    This is one stage solve, warm-started from the stages `guess` when given
-    (see `step`).  `alpha` may also be a sequence of values: their tableaux
-    are then solved as one batch, and the defects come back as a list, with
-    the batched StepResult.  Raises StageSolveError if the stage iteration
-    does not converge.
+    This is one stage solve, started from y0; the root search solves its
+    probes in batches of its own (see `solve_alpha`).  Raises
+    StageSolveError if the stage iteration does not converge.
     """
-    q = gauss_quadrature(s)
-    batched = np.ndim(alpha) > 0
-    if batched:
-        tableau = butcher_batch(q, perturb_index, alpha)
-    else:
-        tableau = butcher(q, PerturbationSpec.single(s, perturb_index, alpha))
-    result = step(system, tableau, y0, cfg, guess)
+    tableau = butcher(gauss_quadrature(s), PerturbationSpec.single(s, perturb_index, alpha))
+    result = step(system, tableau, y0, cfg)
     if not result.converged:
         raise StageSolveError(result, alpha)
-    if batched:
-        return [float(system.energy_increment(result.y0, d)) for d in result.increment], result
-    return float(system.energy_increment(result.y0, result.increment)), result
+    return system.energy_increment(result.y0, result.increment[None])[0], result
 
 
-def _member(result, i):
-    """Member i of a batched StepResult, as a StepResult of its own that
-    holds copies, so that it does not keep the rest of the batch alive."""
-    return StepResult(
-        increment=result.increment[i].copy(),
-        stages=result.stages[i].copy(),
-        iterations=result.iterations,
-        converged=result.converged,
-        stage_residual=result.stage_residual,
-        y0=result.y0,
-        h=result.h,
-        stage_fields=result.stage_fields[i].copy(),
-    )
+class _ProbeTable:
+    """The converged probes of one search.  `rows` maps each alpha, in the
+    order it was first probed, to (row, batched StepResult, member index):
+    row `row` of the buffer `stages` holds its stages.  A re-probed alpha
+    keeps its place in that order and takes the new round's row."""
+
+    def __init__(self, shape):
+        self.rows = {}
+        self.stages = np.empty((16,) + shape)
+        self.used = 0
+
+    def add(self, alphas, result):
+        """Record the converged batch `result` of `alphas`."""
+        n, self.used = self.used, self.used + len(alphas)
+        if self.used > len(self.stages):
+            self.stages = np.resize(self.stages, (2 * self.used,) + self.stages.shape[1:])
+        self.stages[n : self.used] = result.stages
+        for i, a in enumerate(alphas):
+            self.rows[a] = (n + i, result, i)
+
+    def starts(self, alphas):
+        """For each of `alphas`, the stages extrapolated linearly in alpha
+        through the two probes nearest to it, the earlier-probed first on
+        a tie, stacked; None while fewer than two probes are in."""
+        if len(self.rows) < 2:
+            return None
+        near, far, ratios = [], [], []
+        for alpha in alphas:
+            best = second = (math.inf, None, None)
+            for a, (row, _, _) in self.rows.items():
+                d = abs(a - alpha)
+                if d < best[0]:
+                    best, second = (d, a, row), best
+                elif d < second[0]:
+                    second = (d, a, row)
+            near.append(best[2])
+            far.append(second[2])
+            ratios.append((alpha - best[1]) / (second[1] - best[1]))
+        Y = self.stages.take(near + far, 0)
+        Y1, Y2 = Y[: len(alphas)], Y[len(alphas) :]
+        Y2 -= Y1
+        Y2 *= np.array(ratios)[:, None, None]
+        Y2 += Y1
+        return Y2
+
+    def member(self, alpha):
+        """The converged step at the probed `alpha`, its batch's member, as a
+        StepResult of views into the batch's arrays."""
+        _, res, i = self.rows[alpha]
+        return StepResult(
+            res.increment[i], res.stages[i], res.iterations, res.converged,
+            res.stage_residual, res.y0, res.h, res.stage_fields[i]
+        )
 
 
 def solve_alpha(
@@ -161,8 +203,9 @@ def solve_alpha(
 ) -> AlphaSolveRecord:
     """Find the perturbation value that conserves the energy over one step.
 
-    The search probes g in rounds, each one batched `energy_defect`
-    evaluation, that is one stage solve of all its probes (see `step`):
+    The search probes g in rounds, each one stage solve of the stacked
+    tableaux of all its probes (see `step`) and one call of the problem's
+    row kernel `energy_increment` on their increments:
     {0, p} with p = _PROBE_FRACTION * seed, then the secant pairs of
     `_find_bracket` until a probe changes sign, then the triple
     {x2 - w, x2, x2 + w} around the secant point x2 of the narrowest sign
@@ -170,7 +213,9 @@ def solve_alpha(
     the triple ends the search at the member with the smaller |g|; otherwise
     Brent's method closes the narrowest sign change one probe at a time.
     Round 1 starts from y0, every later probe from the stages extrapolated
-    linearly in alpha through the two nearest converged probes.
+    linearly in alpha through the two nearest converged probes, read from
+    the search's probe table (the earlier-probed one wins a tie in
+    distance).
 
     `h` must equal `step_cfg.h`, the stepsize every probe is solved at;
     a config that disagrees is rejected, not overwritten.  `search_cfg` is
@@ -187,24 +232,27 @@ def solve_alpha(
     if h != step_cfg.h:
         StepConfig(h=h)  # an invalid h fails StepConfig's own checks first
         raise ValueError(f"stepsize h={h!r} differs from step_cfg.h={step_cfg.h!r}")
+    q = gauss_quadrature(s)
+    _check_index(s, perturb_index)
+    A0, D = _cached_affine_parts(q.s)
+    D = D[perturb_index - 1]
     r = s - perturb_index
     seed = _seed(h, r)
     width = ALPHA_TOL * abs(h) ** (2 * r)
     evals = 0
-    # alpha -> (stages, batched StepResult, member index) of every converged probe
-    probes = {}
+    probes = _ProbeTable((s,) + np.shape(y0))
 
     def g(alphas):
-        """The defects at `alphas`, solved as one batch."""
+        """The defects at `alphas`: one stage solve of their stacked
+        tableaux A0 + alpha D, and one call of the increment kernel."""
         nonlocal evals
         evals += len(alphas)
-        guess = _line_starts(probes, alphas) if len(probes) >= 2 else None
-        defects, result = energy_defect(
-            system, s, perturb_index, y0, alphas, step_cfg, guess
-        )
-        for i, a in enumerate(alphas):
-            probes[a] = (result.stages[i], result, i)
-        return defects
+        tableau = ButcherTableau(q, A0 + np.multiply.outer(alphas, D), None, 2 * perturb_index)
+        result = step(system, tableau, y0, step_cfg, probes.starts(alphas))
+        if not result.converged:
+            raise StageSolveError(result, alphas)
+        probes.add(alphas, result)
+        return system.energy_increment(result.y0, result.increment)
 
     g0, gp = g((0.0, _PROBE_FRACTION * seed))
     # a quadratic Hamiltonian is conserved for every perturbation value, so
@@ -212,10 +260,8 @@ def solve_alpha(
     # merely small (flat spot of a structured g) must still be root-searched,
     # or per-step root statistics would mix zeros with genuine roots
     floor = 64.0 * np.finfo(float).eps * max(1.0, abs(float(system.energy(y0))))
-    if abs(g0) <= floor:
-        if all(abs(v) <= floor for v in g((seed, -seed))):
-            step0 = _member(*probes[0.0][1:])
-            return AlphaSolveRecord(0.0, g0, evals, None, math.nan, True, step0)
+    if abs(g0) <= floor and all(abs(v) <= floor for v in g((seed, -seed))):
+        return AlphaSolveRecord(0.0, g0, evals, None, math.nan, True, probes.member(0.0))
 
     # two tables: `probes` holds every converged probe, the +-seed pair
     # above included, as line-start anchors; `points` holds the bracket
@@ -247,27 +293,8 @@ def solve_alpha(
             lo, hi = _sign_change(points)
             glo, ghi = points[lo], points[hi]
 
-    def g1(alpha):
-        (defect,) = g((alpha,))
-        return defect
-
-    alpha, res = _bracketed_root(g1, lo, hi, glo, ghi, width)
-    return AlphaSolveRecord(
-        alpha, res, evals, bracket, slope, False, _member(*probes[alpha][1:])
-    )
-
-
-def _line_starts(probes, alphas):
-    """For each of `alphas`, the stages extrapolated linearly in alpha
-    through the two converged probes nearest to it, stacked."""
-    near, ratios = [], []
-    for alpha in alphas:
-        a1, a2 = sorted(probes, key=lambda a: abs(a - alpha))[:2]
-        near += (probes[a1][0], probes[a2][0])
-        ratios.append((alpha - a1) / (a2 - a1))
-    Y = np.array(near)
-    Y1, Y2 = Y[0::2], Y[1::2]
-    return Y1 + np.array(ratios)[:, None, None] * (Y2 - Y1)
+    alpha, res = _bracketed_root(lambda x: g((x,))[0], lo, hi, glo, ghi, width)
+    return AlphaSolveRecord(alpha, res, evals, bracket, slope, False, probes.member(alpha))
 
 
 def _sign_change(points):

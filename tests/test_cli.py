@@ -28,6 +28,17 @@ class TestParsing:
         assert parse_stepsize("2^3") == 8.0
         assert parse_stepsize("0.125") == 0.125
 
+    def test_power_of_two_range_is_the_float_range(self):
+        assert parse_stepsize("2^-1074") == 5e-324
+        assert parse_stepsize("2^1023") == 2.0**1023
+        # below 2^-1074 the power would round to 0.0, above 2^1023 overflow
+        for token in ("2^-1075", "2^-1100", "2^1024"):
+            with pytest.raises(UsageError) as err:
+                parse_stepsize(token)
+            assert str(err.value) == (
+                f"value must be finite and nonzero, -1074 <= k <= 1023 in {token!r}"
+            )
+
     def test_halving_range(self):
         assert parse_value_list("2^-1:2^-3") == [0.5, 0.25, 0.125]
 
@@ -391,6 +402,28 @@ class TestIntegrateCommand:
             capsys, ["integrate", "--problem", "threebody", "--h", "0.1"]
         )
         assert code == 1
+
+    def test_power_of_two_below_the_float_range_usage_error(self, capsys):
+        # 2^-1100 used to become 0.0 and fail as a stepsize that is not positive
+        code, out, err = run_capture(capsys, [*KEPLER, "--h", "2^-1100", "--t-end", "1"])
+        assert (code, out) == (1, "")
+        assert err == (
+            "sympulse: error: value must be finite and nonzero, -1074 <= k <= 1023 in '2^-1100'\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [*KEPLER, "--h", "0.1", "--t-end", "0.2"],
+            ["converge", "--problem", "kepler", "--h-list", "0.1,0.05", "--t-end", "0.2"],
+            ["levelmap", "--problem", "kepler", "--h-list", "0.1", "--alpha-list", "0:1e-3:2"],
+        ],
+    )
+    def test_eccentricity_with_a_start_state_usage_error(self, capsys, argv):
+        # e only chooses Kepler's default start, which --y0 replaces
+        code, out, err = run_capture(capsys, [*argv, "--e", "0.5", "--y0", "1,0,0,1"])
+        assert (code, out) == (1, "")
+        assert err == "sympulse: error: argument --y0: not allowed with argument --e\n"
 
     def test_eccentricity_on_wrong_problem(self, capsys):
         code, _, err = run_capture(

@@ -5,7 +5,8 @@ opens with `sympulse:`.
 
 Each flag is drawn from a small grammar: the float extremes +-1e308 and
 5e-324, zeros of both signs, negatives, nan and inf, exact powers 2^k with
-|k| up to 1100, plain values, empty and one-element lists, and garbage.  A
+|k| up to 1100 (the ends of the float range 2^-1074 and 2^1023 and the
+powers just past them among the stepsizes), plain values, empty and one-element lists, and garbage.  A
 flag mostly takes a value of its own kind (a stepsize for `--h`, a small
 value for `--alpha`), so that many lines run, and one time in eight any
 token of the grammar.
@@ -61,7 +62,10 @@ STEPS = mostly(
     st.one_of(
         st.integers(-12, 1).map(lambda k: f"2^{k}"),
         floats(0.01, 1.0),
-        st.sampled_from(["1e308", "5e-324", "2^-1100", "2^1100", "2^1023", "1e-150"]),
+        st.sampled_from(
+            ["1e308", "5e-324", "2^-1100", "2^1100", "2^1023", "2^1024", "2^-1074", "2^-1075",
+             "1e-150"]
+        ),
     )
 )
 ALPHAS = mostly(st.one_of(floats(-0.05, 0.05), st.sampled_from(SPECIAL)))

@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -153,13 +154,21 @@ class TestSolveAlpha:
         # later round starts from the stages extrapolated linearly in alpha
         # through the two converged probes of earlier rounds nearest to it
         rounds = []
+        starts = conserve._ProbeTable.starts
 
-        def recorded(system, s, index, y0, alpha, cfg, guess=None):
-            defects, result = energy_defect(system, s, index, y0, alpha, cfg, guess)
-            rounds.append((tuple(alpha), guess, result.stages))
-            return defects, result
+        def recorded_starts(table, alphas):
+            guess = starts(table, alphas)
+            rounds.append([tuple(alphas), guess, None])
+            return guess
 
-        monkeypatch.setattr(conserve, "energy_defect", recorded)
+        def recorded_step(system, tableau, y0, cfg, guess=None):
+            result = step(system, tableau, y0, cfg, guess)
+            assert guess is rounds[-1][1]
+            rounds[-1][2] = result.stages
+            return result
+
+        monkeypatch.setattr(conserve._ProbeTable, "starts", recorded_starts)
+        monkeypatch.setattr(conserve, "step", recorded_step)
         system, ic = kepler(0.6)
         solve_alpha(system, 2, 1, ic.y0, H5, AlphaSearchConfig(), StepConfig(h=H5))
         assert [len(alphas) for alphas, _, _ in rounds] == [2, 2, 3]
@@ -293,8 +302,73 @@ class TestSolveAlpha:
             system, 2, 1, ic.y0, H5, AlphaSearchConfig(), StepConfig(h=H5)
         )
         assert record.step.converged
-        g = system.energy_increment(ic.y0, record.step.increment)
+        (g,) = system.energy_increment(ic.y0, record.step.increment[None])
         assert g == record.g_residual
+
+    def test_accepted_step_outlives_the_next_search(self):
+        # the record's step shares no buffer with a later search
+        system, ic = kepler(0.6)
+        cfg = StepConfig(h=H5)
+        record = solve_alpha(system, 2, 1, ic.y0, H5, AlphaSearchConfig(), cfg)
+        arrays = [record.step.increment, record.step.stages, record.step.stage_fields]
+        kept = [a.copy() for a in arrays]
+        solve_alpha(system, 2, 1, record.step.y1, H5, AlphaSearchConfig(), cfg)
+        solve_alpha(system, 2, 1, ic.y0, H5, AlphaSearchConfig(), cfg)
+        for array, copy in zip(arrays, kept):
+            assert array.tobytes() == copy.tobytes()
+
+
+def probe_table(*alphas):
+    """A probe table holding `alphas`, in that order, each probed alone,
+    with stages of shape (1, 2) that differ between probes."""
+    table = conserve._ProbeTable((1, 2))
+    for k, a in enumerate(alphas):
+        table.add((a,), SimpleNamespace(stages=np.array([[[1.0 + k, 0.1 * k**2]]])))
+    return table
+
+
+class TestProbeTable:
+    def test_no_line_start_before_two_probes(self):
+        assert probe_table().starts((0.5,)) is None
+        assert probe_table(0.0).starts((0.5,)) is None
+
+    def test_line_through_the_two_nearest(self):
+        table = probe_table(0.0, 1.0, 5.0)
+        (start,) = table.starts((2.0,))
+        Y0, Y1 = table.stages[0], table.stages[1]
+        assert start.tobytes() == (Y0 + (2.0 - 0.0) / (1.0 - 0.0) * (Y1 - Y0)).tobytes()
+
+    @pytest.mark.parametrize("order", [(-0.5, 3.5, 1.0), (3.5, -0.5, 1.0)])
+    def test_equidistant_probes_take_the_earlier_inserted(self, order):
+        # -0.5 and 3.5 lie 2 from 1.5: the earlier-inserted one is the
+        # second anchor, as a stable sort by distance picks it
+        table = probe_table(*order)
+        (start,) = table.starts((1.5,))
+        near, far = table.stages[2], table.stages[0]
+        ratio = (1.5 - 1.0) / (order[0] - 1.0)
+        assert start.tobytes() == (near + ratio * (far - near)).tobytes()
+
+    def test_reprobed_alpha_replaces_its_row(self):
+        # it keeps its place in the probe order (the tie rule reads it) and
+        # anchors later line starts with its new stages
+        table = probe_table(0.0, 1.0)
+        stages = np.array([[[7.0, 8.0]], [[9.0, 10.0]]])
+        result = SimpleNamespace(stages=stages)
+        table.add((0.0, 2.0), result)
+        assert list(table.rows) == [0.0, 1.0, 2.0]
+        assert table.rows[0.0][1:] == (result, 0)
+        assert table.stages[table.rows[0.0][0]].tobytes() == stages[0].tobytes()
+        assert table.stages[table.rows[2.0][0]].tobytes() == stages[1].tobytes()
+        (start,) = table.starts((-1.0,))
+        expected = stages[0] + (-1.0 - 0.0) / (1.0 - 0.0) * (table.stages[1] - stages[0])
+        assert start.tobytes() == expected.tobytes()
+
+    def test_buffer_grows_and_keeps_its_rows(self):
+        alphas = [float(k) for k in range(40)]
+        table = probe_table(*alphas)
+        assert len(table.rows) == 40 <= len(table.stages)
+        for k, (row, _, _) in enumerate(table.rows.values()):
+            assert table.stages[row, 0, 0] == 1.0 + k
 
 
 class TestBracketedRoot:

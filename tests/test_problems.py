@@ -86,6 +86,18 @@ class TestCommonStructure:
             np.testing.assert_array_equal(fields[k], system.vector_field(y))
 
 
+    @pytest.mark.parametrize("name", sorted(ALL_SYSTEMS))
+    def test_energy_keeps_the_leading_axes_of_a_block(self, name):
+        # a (3, 5, n) block gives a (3, 5) array, each entry bit for bit the
+        # energy of its state alone (one state runs on numpy scalars)
+        system, _ = ALL_SYSTEMS[name]()
+        block = sample_states(name, 15).reshape(3, 5, -1)
+        energies = system.energy(block)
+        assert energies.shape == (3, 5)
+        for index in np.ndindex(3, 5):
+            assert energies[index].hex() == float(system.energy(block[index])).hex()
+
+
 def reference_flow(name, y):
     """The flow (dH/dp, -dH/dq) written out from each Hamiltonian, operation
     for operation, as the reference the fused kernels must reproduce bit for
@@ -167,9 +179,29 @@ class TestEnergyIncrement:
                 y_dec = [Decimal(float(v)) for v in y]
                 y1_dec = [a + Decimal(float(b)) for a, b in zip(y_dec, d)]
                 exact = decimal_energy(name, y1_dec) - decimal_energy(name, y_dec)
-                got = system.energy_increment(y, d)
+                (got,) = system.energy_increment(y, d[None])
                 assert isinstance(got, float)
                 assert abs(Decimal(got) - exact) <= Decimal("1e-12") * abs(exact)
+
+
+    @pytest.mark.parametrize("name", sorted(ALL_SYSTEMS))
+    def test_row_kernel_gives_each_rows_own_increment(self, name):
+        # a block of k increments gives k floats, each bit for bit the
+        # increment of its row alone, and within the round-off of the plain
+        # difference H(y + d) - H(y), for |d| from 1e-9 to 1e-1: the
+        # degeneracy floor 64 eps max(1, |H|) of the root search
+        system, _ = ALL_SYSTEMS[name]()
+        rng = np.random.default_rng(26)
+        eps = np.finfo(float).eps
+        for y in sample_states(name, 20):
+            block = rng.normal(size=(5, y.size)) * 10.0 ** rng.uniform(-9.0, -1.0, (5, 1))
+            rows = system.energy_increment(y, block)
+            assert len(rows) == 5 and all(type(v) is float for v in rows)
+            for d, got in zip(block, rows):
+                (alone,) = system.energy_increment(y, d[None])
+                assert got.hex() == alone.hex()
+                h0, h1 = float(system.energy(y)), float(system.energy(y + d))
+                assert abs(got - (h1 - h0)) <= 64 * eps * max(1.0, abs(h0))
 
 
 class TestKepler:
