@@ -19,7 +19,7 @@ checked against the run's own `TrajectoryRecord.g_evals`.
 
 usage: PYTHONPATH=src python tools/search_cost.py [PREFIX ...]
 It measures the runs whose name opens with a PREFIX (all five without
-arguments, about 10 s on a 2-CPU machine).
+arguments, about 5 s on a 2-CPU machine).
 """
 
 from __future__ import annotations
