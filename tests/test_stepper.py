@@ -5,7 +5,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from quasi_collocation import collocation_defect, dense_output, lagrange_integral_coeffs
-from sympulse import stepper
+from sympulse import conserve, stepper
 from sympulse.conserve import energy_defect
 from sympulse.problems import (
     HamiltonianSystem,
@@ -425,6 +425,66 @@ class TestStep:
         assert res.iterations == 4 and not res.converged
         assert res.stages.tobytes() == three.stages.tobytes()
         assert res.stage_residual == three.stage_residual
+
+
+STEP_RESULT_FIELDS = (
+    "increment", "stages", "iterations", "converged", "stage_residual", "y0", "h", "stage_fields"
+)
+TABLEAU_FIELDS = ("quadrature", "A", "perturbation", "order")
+
+
+def record_and_twin(kind):
+    """A record of the per-solve path, a second one built positionally from
+    the same field values, and the field names in their order."""
+    if kind == "step":
+        system, ic = kepler(0.6)
+        record = step(system, make_tableau(2, 1, 0.01), ic.y0, StepConfig(h=0.1))
+        names = STEP_RESULT_FIELDS
+    else:
+        record, names = make_tableau(3, 2, 0.01), TABLEAU_FIELDS
+    return record, type(record)(*(getattr(record, n) for n in names)), names
+
+
+class TestRecordContract:
+    # StepResult and ButcherTableau keep the contract of a frozen dataclass
+    # with eq=False: fields that cannot be assigned, equality and hash by
+    # identity (never over the arrays they hold)
+    @pytest.mark.parametrize("kind", ["step", "tableau"])
+    def test_fields_cannot_be_assigned(self, kind):
+        record, _, names = record_and_twin(kind)
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+
+    @pytest.mark.parametrize("kind", ["step", "tableau"])
+    def test_equality_and_hash_are_by_identity(self, kind):
+        record, twin, names = record_and_twin(kind)
+        assert all(getattr(twin, n) is getattr(record, n) for n in names)
+        assert record == record and not record != record
+        assert record != twin and not record == twin
+        assert hash(record) == hash(record)
+        assert len({record, twin, record}) == 2
+
+    def test_derived_properties(self):
+        record, _, _ = record_and_twin("step")
+        assert record.y1.tobytes() == (record.y0 + record.increment).tobytes()
+        tab, q = make_tableau(3, 2, 0.01), gauss_quadrature(3)
+        assert tab.s == 3 and tab.c is q.c and tab.b is q.b
+
+    def test_probe_member_views_its_batch(self):
+        # the step a root search accepts is its batch's member, not a copy
+        system, ic = kepler(0.6)
+        tab = butcher_batch(gauss_quadrature(2), 1, [0.0, 1e-3])
+        batch = step(system, tab, ic.y0, StepConfig(h=0.1))
+        table = conserve._ProbeTable((2, 4))
+        table.add((0.0, 1e-3), batch)
+        member = table.member(1e-3)
+        for name in ("increment", "stages", "stage_fields"):
+            view, whole = getattr(member, name), getattr(batch, name)
+            assert np.shares_memory(view, whole)
+            assert view.tobytes() == whole[1].tobytes()
+        for name in ("iterations", "converged", "stage_residual", "y0", "h"):
+            assert getattr(member, name) is getattr(batch, name)
 
 
 def member_residuals(res, tab, y0, h):
