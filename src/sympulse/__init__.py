@@ -13,8 +13,8 @@ from .tableau import (
     LegendreBasis,
     PerturbationSpec,
     QuadratureRule,
+    affine_parts,
     butcher,
-    butcher_batch,
     gauss_core,
     gauss_quadrature,
     legendre_basis,
@@ -76,8 +76,8 @@ __all__ = [
     "StepConfig",
     "StepResult",
     "TrajectoryRecord",
+    "affine_parts",
     "butcher",
-    "butcher_batch",
     "convergence_table",
     "energy_defect",
     "energy_defect_order",

@@ -22,10 +22,10 @@ Quadratic Hamiltonians make g vanish identically; that degeneracy is
 detected and reported instead of searched.
 
 A round is one pass over arrays.  The search reads the Gauss tableau A0
-and the unit perturbation D once, so a round's tableaux are the one stack
-A0 + alphas (x) D; one stage solve takes the stack, one call of the row
-kernel `energy_increment` gives every member's defect, and the round's
-stages go into the probe table (`_ProbeTable`), a stage buffer with one
+and the unit perturbation D once, from `tableau.affine_parts`, so a
+round's tableaux are the one stack A0 + alphas (x) D; one stage solve
+takes the stack, one call of the row kernel `energy_increment` gives
+every member's defect, and the round's stages go into the probe table (`_ProbeTable`), a stage buffer with one
 row per probed alpha, in the order the alphas were first probed.  The next
 round's line starts are then a scan for the two nearest probes of each
 alpha, one gather from the buffer and one axpy.  The accepted step is a
@@ -40,8 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .stepper import StepConfig, StepResult, step
-from .tableau import ButcherTableau, PerturbationSpec, butcher, gauss_quadrature
-from .tableau import _cached_affine_parts, _check_index
+from .tableau import ButcherTableau, PerturbationSpec, affine_parts, butcher, gauss_quadrature
 
 # the first probe after alpha = 0 lies this fraction of the seed (10 h^{2r})
 # from zero: close enough that the secant through it and g(0) lands near the
@@ -235,9 +234,7 @@ def solve_alpha(
         StepConfig(h=h)  # an invalid h fails StepConfig's own checks first
         raise ValueError(f"stepsize h={h!r} differs from step_cfg.h={step_cfg.h!r}")
     q = gauss_quadrature(s)
-    _check_index(s, perturb_index)
-    A0, D = _cached_affine_parts(q.s)
-    D = D[perturb_index - 1]
+    A0, D = affine_parts(q, perturb_index)
     r = s - perturb_index
     seed = _seed(h, r)
     width = ALPHA_TOL * abs(h) ** (2 * r)

@@ -112,7 +112,7 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     """Advance one step of the implicit RK method defined by `tableau`.
 
     `tableau.A` may also be a (k, s, s) stack of coefficient matrices
-    sharing b (see `tableau.butcher_batch`): the k methods are then solved
+    sharing b (see `tableau.affine_parts`): the k methods are then solved
     from the same y0 in one iteration, every member sweeping together until
     the worst member's residual meets `STAGE_TOL`, and one vector-field
     call takes all k s stages.  The arrays of the result carry a

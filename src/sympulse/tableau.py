@@ -119,8 +119,8 @@ class ButcherTableau(NamedTuple):
 
     `order` is the classical order: 2s for the unperturbed Gauss method,
     2*index when the coupling at subdiagonal `index` is perturbed.  A batch
-    from `butcher_batch` holds a (k, s, s) stack in `A` and no
-    `perturbation`, since its members differ in value.
+    holds a (k, s, s) stack A0 + values (x) D from `affine_parts` in `A` and
+    no `perturbation`, since its members differ in value.
 
     A `NamedTuple`, not a frozen dataclass: each probe round of a root
     search builds one, and a frozen dataclass of four fields takes twice
@@ -204,23 +204,6 @@ def _check_gauss(q):
         raise ValueError("tableaux are built only on rules from gauss_quadrature")
 
 
-@lru_cache(maxsize=MAX_STAGES + 2)
-def _cached_basis(s):
-    q = gauss_quadrature(s)
-    P = np.column_stack(_legendre(s - 1, 2.0 * q.c - 1.0))
-    P *= np.sqrt(2.0 * np.arange(s) + 1.0)
-    Pinv = P.T * q.b  # P^T diag(b)
-    return LegendreBasis(s=s, P=_frozen(P), Pinv=_frozen(Pinv))
-
-
-def legendre_basis(q: QuadratureRule) -> LegendreBasis:
-    """Orthonormal shifted-Legendre values at the nodes of `q`, with inverse.
-
-    Raises ValueError unless `q` comes from `gauss_quadrature`."""
-    _check_gauss(q)
-    return _cached_basis(q.s)
-
-
 def subdiagonal_coupling(j: int) -> float:
     """The coupling xi_j = 1 / (2 sqrt((2j+1)(2j-1))) of the tableau core."""
     return 0.5 / np.sqrt((2.0 * j + 1.0) * (2.0 * j - 1.0))
@@ -244,16 +227,42 @@ def gauss_core(s: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=MAX_STAGES + 2)
-def _cached_affine_parts(s):
-    """The Gauss tableau A0 = P core P^{-1} and the unit perturbations
-    D_j = P W_j P^{-1}, j = 1..s-1, stored at position j - 1."""
-    basis = _cached_basis(s)
+def _cached_parts(s):
+    """The Legendre basis at the nodes of the s-point Gauss rule, the Gauss
+    tableau A0 = P core P^{-1} and the unit perturbations D_j = P W_j P^{-1},
+    j = 1..s-1, stored at position j - 1; all built once per stage count."""
+    q = gauss_quadrature(s)
+    P = np.column_stack(_legendre(s - 1, 2.0 * q.c - 1.0))
+    P *= np.sqrt(2.0 * np.arange(s) + 1.0)
+    basis = LegendreBasis(s=s, P=_frozen(P), Pinv=_frozen(P.T * q.b))  # P^T diag(b)
     A0 = _frozen(basis.P @ gauss_core(s) @ basis.Pinv)
     D = tuple(
         _frozen(basis.P @ PerturbationSpec.single(s, j, 1.0).matrix @ basis.Pinv)
         for j in range(1, s)
     )
-    return A0, D
+    return basis, A0, D
+
+
+def legendre_basis(q: QuadratureRule) -> LegendreBasis:
+    """Orthonormal shifted-Legendre values at the nodes of `q`, with inverse.
+
+    Raises ValueError unless `q` comes from `gauss_quadrature`."""
+    _check_gauss(q)
+    return _cached_parts(q.s)[0]
+
+
+def affine_parts(q: QuadratureRule, index: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss tableau A0 and the unit perturbation D of the coupling at
+    `index`, both read-only: the tableau of value v is A0 + v D, equal to
+    `butcher`'s, and the (k, s, s) stack A0 + values (x) D holds the
+    tableaux of k values for one batched `stepper.step`.
+
+    Raises ValueError unless `q` comes from `gauss_quadrature` and `index`
+    is an integer in 1..s-1."""
+    _check_gauss(q)
+    _check_index(q.s, index)
+    _, A0, D = _cached_parts(q.s)
+    return A0, D[index - 1]
 
 
 def butcher(q: QuadratureRule, pert: PerturbationSpec) -> ButcherTableau:
@@ -267,21 +276,10 @@ def butcher(q: QuadratureRule, pert: PerturbationSpec) -> ButcherTableau:
     _check_gauss(q)
     if pert.s != q.s:
         raise ValueError(f"perturbation built for s={pert.s}, quadrature has s={q.s}")
-    A0, D = _cached_affine_parts(q.s)
+    _, A0, D = _cached_parts(q.s)
     if pert.value == 0.0:
         return ButcherTableau(quadrature=q, A=A0, perturbation=pert, order=2 * q.s)
     A = A0 + pert.value * D[pert.index - 1]
     A.setflags(write=False)
     return ButcherTableau(quadrature=q, A=A, perturbation=pert, order=2 * pert.index)
 
-
-def butcher_batch(q: QuadratureRule, index: int, values) -> ButcherTableau:
-    """The tableaux of the perturbation `values` at coupling `index` as one
-    batch for `stepper.step`: `A` is the (k, s, s) stack of A0 + v D_index,
-    each member equal to `butcher`'s tableau of that value."""
-    _check_gauss(q)
-    _check_index(q.s, index)
-    A0, D = _cached_affine_parts(q.s)
-    A = A0 + np.multiply.outer(values, D[index - 1])
-    A.setflags(write=False)
-    return ButcherTableau(quadrature=q, A=A, perturbation=None, order=2 * index)

@@ -20,8 +20,8 @@ from sympulse.problems import harmonic, henon_heiles, kepler, quartic
 from sympulse.stepper import StepConfig, step
 from sympulse.tableau import (
     PerturbationSpec,
+    affine_parts,
     butcher,
-    butcher_batch,
     gauss_quadrature,
     legendre_basis,
 )
@@ -468,8 +468,8 @@ def entry_point_arrays(name, s):
     q, cfg = gauss_quadrature(s), StepConfig(h=H5)
     if name == "butcher":
         return [butcher(q, PerturbationSpec.single(s, 1, 1e-3)).A]
-    if name == "butcher_batch":
-        return [butcher_batch(q, 1, (0.0, 1e-3)).A]
+    if name == "affine_parts":
+        return list(affine_parts(q, 1))
     if name == "legendre_basis":
         return [legendre_basis(q).P]
     if name == "energy_defect":
@@ -484,7 +484,7 @@ def entry_point_arrays(name, s):
 
 @pytest.mark.parametrize(
     "name",
-    ["butcher", "butcher_batch", "legendre_basis", "energy_defect", "solve_alpha", "level_grid"],
+    ["butcher", "affine_parts", "legendre_basis", "energy_defect", "solve_alpha", "level_grid"],
 )
 def test_numpy_integer_stage_count_gives_the_int_result(name):
     plain = entry_point_arrays(name, 2)

@@ -22,7 +22,13 @@ from sympulse.stepper import (
     stage_predictor,
     step,
 )
-from sympulse.tableau import PerturbationSpec, butcher, butcher_batch, gauss_quadrature
+from sympulse.tableau import (
+    ButcherTableau,
+    PerturbationSpec,
+    affine_parts,
+    butcher,
+    gauss_quadrature,
+)
 
 
 def make_tableau(s, index=None, alpha=0.0):
@@ -32,6 +38,13 @@ def make_tableau(s, index=None, alpha=0.0):
     else:
         pert = PerturbationSpec.single(s, index, alpha)
     return butcher(q, pert)
+
+
+def make_stack(q, index, values):
+    """The tableaux of `values` at coupling `index` as one (k, s, s) stack,
+    built as the root search builds a probe round's."""
+    A0, D = affine_parts(q, index)
+    return ButcherTableau(q, A0 + np.multiply.outer(values, D), None, 2 * index)
 
 
 CONSTANT_H = HamiltonianSystem(
@@ -87,7 +100,7 @@ class TestStep:
         cfg = StepConfig(h=2**-5)
         near = step(system, make_tableau(2, 1, 1e-4), ic.y0, cfg)
         cold = step(system, make_tableau(2, 1, 3e-4), ic.y0, cfg)
-        stack = butcher_batch(gauss_quadrature(2), 1, [3e-4])
+        stack = make_stack(gauss_quadrature(2), 1, [3e-4])
         warm = step(system, stack, ic.y0, cfg, guess=near.stages[None])
         assert warm.converged
         assert warm.iterations < cold.iterations
@@ -115,7 +128,7 @@ class TestStep:
         y0 = np.array([0.3, -0.8])
         cfg = StepConfig(h=0.5)
         guess = np.tile(y0, (2, 1))
-        stack = step(CONSTANT_H, butcher_batch(gauss_quadrature(2), 1, [0.0]), y0, cfg, guess[None])
+        stack = step(CONSTANT_H, make_stack(gauss_quadrature(2), 1, [0.0]), y0, cfg, guess[None])
         assert stack.converged
         assert stack.iterations == 2
         single = step(CONSTANT_H, make_tableau(2), y0, cfg, guess)
@@ -130,7 +143,7 @@ class TestStep:
         system, ic = kepler(0.6)
         cfg = StepConfig(h=2**-5)
         guess = step(system, make_tableau(2, 1, 2e-3), ic.y0, cfg).stages
-        stack = butcher_batch(gauss_quadrature(2), 1, [1e-3])
+        stack = make_stack(gauss_quadrature(2), 1, [1e-3])
         starts = [
             (make_tableau(2, 1, 1e-3), None),
             (make_tableau(2, 1, 1e-3), guess),
@@ -366,7 +379,7 @@ class TestStep:
         tab = make_tableau(2)
         guess = np.array([[1.0, 0.0], [20.0, 0.0]])
         if member == "stack":
-            tab, guess = butcher_batch(gauss_quadrature(2), 1, [0.0]), guess[None]
+            tab, guess = make_stack(gauss_quadrature(2), 1, [0.0]), guess[None]
         res = step(toy, tab, y0, StepConfig(h=0.5), guess)
         assert not res.converged
         assert res.iterations == 1
@@ -474,7 +487,7 @@ class TestRecordContract:
     def test_probe_member_views_its_batch(self):
         # the step a root search accepts is its batch's member, not a copy
         system, ic = kepler(0.6)
-        tab = butcher_batch(gauss_quadrature(2), 1, [0.0, 1e-3])
+        tab = make_stack(gauss_quadrature(2), 1, [0.0, 1e-3])
         batch = step(system, tab, ic.y0, StepConfig(h=0.1))
         table = conserve._ProbeTable((2, 4))
         table.add((0.0, 1e-3), batch)
@@ -507,7 +520,7 @@ class TestBatchedStep:
             guess = step(system, make_tableau(3, 2, 2e-3), ic.y0, cfg).stages
         one = step(system, single, ic.y0, cfg, guess)
         stack = step(
-            system, butcher_batch(q, index, [alpha]), ic.y0, cfg,
+            system, make_stack(q, index, [alpha]), ic.y0, cfg,
             None if guess is None else guess[None],
         )
         assert stack.y1.shape == (1, 4) and stack.stages.shape == (1, 3, 4)
@@ -529,7 +542,7 @@ class TestBatchedStep:
         system, ic = kepler(0.6)
         cfg = StepConfig(h=2**-5)
         values = (0.0, 1e-3, -2e-3)
-        batch = butcher_batch(gauss_quadrature(2), 1, values)
+        batch = make_stack(gauss_quadrature(2), 1, values)
         res = step(system, batch, ic.y0, cfg)
         assert res.converged
         assert isinstance(res.iterations, int) and isinstance(res.converged, bool)
@@ -558,7 +571,7 @@ class TestBatchedStep:
             "-0x1.02db740dcae52p-1", "0x1.84669c109a497p-1",
             "-0x1.113368088e0fdp+1", "-0x1.ed21089920480p-4",
         )])
-        batch = butcher_batch(gauss_quadrature(3), 2, (0.0, 1e-3, -1e-3))
+        batch = make_stack(gauss_quadrature(3), 2, (0.0, 1e-3, -1e-3))
         cfg = StepConfig(h=1.0)
         res = step(system, batch, y0, cfg)
         assert len(calls) >= 1
@@ -580,8 +593,8 @@ class TestBatchedStep:
         y0 = np.array([1.0, 0.0])
         cfg = StepConfig(h=1.0)
         q = gauss_quadrature(2)
-        assert step(toy, butcher_batch(q, 1, [0.0]), y0, cfg).converged
-        res = step(toy, butcher_batch(q, 1, [0.0, 8.0]), y0, cfg)
+        assert step(toy, make_stack(q, 1, [0.0]), y0, cfg).converged
+        res = step(toy, make_stack(q, 1, [0.0, 8.0]), y0, cfg)
         assert not res.converged
         assert res.iterations < _STALL_WINDOW
         assert res.stages.shape == (2, 2, 2)
@@ -612,7 +625,7 @@ class TestBatchedStep:
 
         y0 = np.array([1.0, 0.0])
         cfg = StepConfig(h=1.0)
-        batch = butcher_batch(gauss_quadrature(2), 1, [0.0, 8.0])
+        batch = make_stack(gauss_quadrature(2), 1, [0.0, 8.0])
         singular = step(toy(singular_flow), batch, y0, cfg)
         res = step(toy(nan_flow), batch, y0, cfg)
         assert not res.converged

@@ -6,8 +6,8 @@ from sympulse.tableau import (
     MAX_STAGES,
     PerturbationSpec,
     QuadratureRule,
+    affine_parts,
     butcher,
-    butcher_batch,
     gauss_core,
     gauss_quadrature,
     legendre_basis,
@@ -265,21 +265,6 @@ class TestButcher:
         # a zero value leaves the method the plain Gauss one
         assert butcher(q, PerturbationSpec.single(3, 2, 0.0)).order == 6
 
-    @pytest.mark.parametrize("s", [2, 3, 4])
-    def test_batch_members_are_the_single_tableaux(self, s):
-        q = gauss_quadrature(s)
-        values = (0.0, 1e-3, -0.2)
-        for index in range(1, s):
-            batch = butcher_batch(q, index, values)
-            assert batch.A.shape == (len(values), s, s)
-            assert not batch.A.flags.writeable
-            assert batch.perturbation is None
-            for A, value in zip(batch.A, values):
-                single = butcher(q, PerturbationSpec.single(s, index, value))
-                np.testing.assert_array_equal(A, single.A)
-        with pytest.raises(ValueError):
-            butcher_batch(q, s, values)
-
     def test_stage_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             butcher(gauss_quadrature(3), PerturbationSpec.none(2))
@@ -299,9 +284,60 @@ class TestButcher:
         with pytest.raises(ValueError, match="gauss_quadrature"):
             butcher(rule, PerturbationSpec.none(3))
         with pytest.raises(ValueError, match="gauss_quadrature"):
-            butcher_batch(rule, 1, [0.0])
+            affine_parts(rule, 1)
         with pytest.raises(ValueError, match="gauss_quadrature"):
             legendre_basis(rule)
+
+
+class TestAffineParts:
+    @pytest.mark.parametrize("s", range(2, 7))
+    def test_line_through_the_parts_is_the_single_tableau(self, s):
+        # bit for bit: the root search builds its tableaux from the parts
+        q = gauss_quadrature(s)
+        for index in range(1, s):
+            A0, D = affine_parts(q, index)
+            assert A0.shape == D.shape == (s, s)
+            assert A0 is butcher(q, PerturbationSpec.none(s)).A
+            for value in (1e-3, -2e-3, -0.2, 0.7, 3.0):
+                single = butcher(q, PerturbationSpec.single(s, index, value))
+                assert (A0 + value * D).tobytes() == single.A.tobytes()
+
+    @pytest.mark.parametrize("s", [2, 3, 4])
+    def test_stack_members_are_the_single_tableaux(self, s):
+        q = gauss_quadrature(s)
+        values = (0.0, 1e-3, -0.2)
+        for index in range(1, s):
+            A0, D = affine_parts(q, index)
+            stack = A0 + np.multiply.outer(values, D)
+            assert stack.shape == (len(values), s, s)
+            for A, value in zip(stack, values):
+                single = butcher(q, PerturbationSpec.single(s, index, value))
+                assert A.tobytes() == single.A.tobytes()
+
+    def test_arrays_are_read_only(self):
+        A0, D = affine_parts(gauss_quadrature(3), 2)
+        for a in (A0, D):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+
+    def test_numpy_integer_index_gives_the_int_parts(self):
+        q = gauss_quadrature(3)
+        assert all(a is b for a, b in zip(affine_parts(q, np.int64(2)), affine_parts(q, 2)))
+
+    @pytest.mark.parametrize("index", [0, 3, -1])
+    def test_rejects_out_of_range_indices(self, index):
+        with pytest.raises(ValueError, match="outside 1..2"):
+            affine_parts(gauss_quadrature(3), index)
+
+    @pytest.mark.parametrize("index", [1.0, 1.5, True, "1", None])
+    def test_rejects_an_index_that_is_not_an_integer(self, index):
+        with pytest.raises(ValueError, match="perturbation index must be an integer"):
+            affine_parts(gauss_quadrature(3), index)
+
+    def test_one_stage_has_no_coupling(self):
+        with pytest.raises(ValueError):
+            affine_parts(gauss_quadrature(1), 1)
 
 
 class TestDefectWeights:
