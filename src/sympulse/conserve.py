@@ -224,15 +224,16 @@ def solve_alpha(
     the acceptance suite, which passes them positionally.  The returned
     record carries the probe at the root as `step`, so the caller accepts
     that step instead of solving it again.  The search depends only on
-    (y0, h).  Raises NoRootError when no sign change is found.  Every
-    search ends by construction: at most
-    _SECANT_STEPS rounds of pairs, one triple, a scan of two probes per
-    doubling of the radius up to _BRACKET_MAX, and Brent's method, which
-    stops on the bracket width.
+    (y0, h); `y0` may be an array, a tuple or a list.  Raises NoRootError
+    when no sign change is found.  Every search ends by construction: at
+    most _SECANT_STEPS rounds of pairs, one triple, a scan of two probes
+    per doubling of the radius up to _BRACKET_MAX, and Brent's method,
+    which stops on the bracket width.
     """
     if h != step_cfg.h:
         StepConfig(h=h)  # an invalid h fails StepConfig's own checks first
         raise ValueError(f"stepsize h={h!r} differs from step_cfg.h={step_cfg.h!r}")
+    y0 = np.asarray(y0, dtype=float)
     q = gauss_quadrature(s)
     A0, D = affine_parts(q, perturb_index)
     r = s - perturb_index

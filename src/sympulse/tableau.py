@@ -57,6 +57,12 @@ def _check_integer(name, value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_range(name, value, lo, hi):
+    _check_integer(name, value)
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} {value} outside {lo}..{hi}")
+
+
 def _check_index(s, index):
     _check_integer("perturbation index", index)
     if not 1 <= index <= s - 1:
@@ -174,9 +180,7 @@ def gauss_quadrature(s: int) -> QuadratureRule:
     b_i = b_{s+1-i} hold to machine precision.  A numpy integer `s` gets
     the rule of the equal `int`, the same object.
     """
-    _check_integer("stage count", s)
-    if not 1 <= s <= MAX_STAGES:
-        raise ValueError(f"stage count {s} outside 1..{MAX_STAGES}")
+    _check_range("stage count", s, 1, MAX_STAGES)
     if type(s) is not int:
         return gauss_quadrature(int(s))
     k = np.arange(1, s + 1)
@@ -205,7 +209,11 @@ def _check_gauss(q):
 
 
 def subdiagonal_coupling(j: int) -> float:
-    """The coupling xi_j = 1 / (2 sqrt((2j+1)(2j-1))) of the tableau core."""
+    """The coupling xi_j = 1 / (2 sqrt((2j+1)(2j-1))) of the tableau core.
+
+    Raises ValueError unless `j` is an integer in 1..MAX_STAGES-1, the
+    couplings of the cores `gauss_core` builds."""
+    _check_range("coupling index", j, 1, MAX_STAGES - 1)
     return 0.5 / np.sqrt((2.0 * j + 1.0) * (2.0 * j - 1.0))
 
 
@@ -213,10 +221,10 @@ def gauss_core(s: int) -> np.ndarray:
     """Tridiagonal core of the Gauss tableau in the orthonormal Legendre basis.
 
     Entry (0, 0) is 1/2; entry (j, j-1) is xi_j and (j-1, j) is -xi_j for
-    j = 1..s-1; everything else is zero.
+    j = 1..s-1; everything else is zero.  Raises ValueError unless `s` is
+    an integer in 1..MAX_STAGES, as `gauss_quadrature` does.
     """
-    if s < 1:
-        raise ValueError(f"stage count {s} must be >= 1")
+    _check_range("stage count", s, 1, MAX_STAGES)
     X = np.zeros((s, s))
     X[0, 0] = 0.5
     for j in range(1, s):

@@ -98,6 +98,23 @@ class TestEnergyDefect:
 
 
 class TestSolveAlpha:
+    @pytest.mark.parametrize(
+        "make, s, index, h",
+        [(lambda: kepler(0.6), 2, 1, H5), (quartic, 3, 2, H5),
+         (henon_heiles, 3, 2, 0.25), (harmonic, 2, 1, 0.1)],
+        ids=["kepler", "quartic", "henon_heiles", "harmonic"],
+    )
+    def test_tuple_list_and_array_start_states_give_the_same_record(self, make, s, index, h):
+        system, ic = make()
+        records = [
+            solve_alpha(system, s, index, y0, h, AlphaSearchConfig(), StepConfig(h=h))
+            for y0 in (ic.y0, tuple(ic.y0.tolist()), ic.y0.tolist())
+        ]
+        for record in records:
+            assert record.alpha_star == records[0].alpha_star
+            assert record.g_evals == records[0].g_evals
+            assert record.step.y1.tobytes() == records[0].step.y1.tobytes()
+
     def test_harmonic_is_degenerate(self):
         system, ic = harmonic()
         record = solve_alpha(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,34 @@ class TestLegendreBasis:
 class TestGaussCore:
     def test_first_coupling_value(self):
         assert subdiagonal_coupling(1) == pytest.approx(0.2886751345948129, abs=1e-16)
+
+    def test_numpy_integers_give_the_int_results(self):
+        assert subdiagonal_coupling(np.int64(3)) == subdiagonal_coupling(3)
+        assert gauss_core(np.int32(4)).tobytes() == gauss_core(4).tobytes()
+        assert gauss_core(MAX_STAGES).shape == (MAX_STAGES, MAX_STAGES)
+
+    @pytest.mark.parametrize("s", [0, -1, MAX_STAGES + 1])
+    def test_core_rejects_out_of_range_stage_counts(self, s):
+        with pytest.raises(ValueError, match="stage count .* outside 1.."):
+            gauss_core(s)
+
+    @pytest.mark.parametrize("s", [True, 2.0, "3", None])
+    def test_core_rejects_a_stage_count_that_is_not_an_integer(self, s):
+        with pytest.raises(ValueError, match="stage count must be an integer"):
+            gauss_core(s)
+
+    @pytest.mark.parametrize("j", [0, -1, MAX_STAGES])
+    def test_coupling_rejects_an_index_outside_the_cores(self, j):
+        # j = 0 used to return NaN with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="coupling index .* outside 1.."):
+                subdiagonal_coupling(j)
+
+    @pytest.mark.parametrize("j", [1.5, 1.0, True, "1"])
+    def test_coupling_rejects_an_index_that_is_not_an_integer(self, j):
+        with pytest.raises(ValueError, match="coupling index must be an integer"):
+            subdiagonal_coupling(j)
 
     def test_one_stage(self):
         np.testing.assert_allclose(gauss_core(1), [[0.5]], atol=0)
