@@ -25,11 +25,12 @@ A round is one pass over arrays.  The search reads the Gauss tableau A0
 and the unit perturbation D once, from `tableau.affine_parts`, so a
 round's tableaux are the one stack A0 + alphas (x) D; one stage solve
 takes the stack, one call of the row kernel `energy_increment` gives
-every member's defect, and the round's stages go into the probe table (`_ProbeTable`), a stage buffer with one
-row per probed alpha, in the order the alphas were first probed.  The next
-round's line starts are then a scan for the two nearest probes of each
-alpha, one gather from the buffer and one axpy.  The accepted step is a
-view of its batch, not a copy.
+every member's defect, and the round's stages go into the probe table
+(`_ProbeTable`), a stage buffer with one row per probed alpha, in the
+order the alphas were first probed.  The next round's line starts are
+then a scan for the two nearest probes of each alpha, one gather from the
+buffer and one axpy.  The accepted step is a view of its batch, not a
+copy.
 """
 
 from __future__ import annotations

@@ -290,4 +290,3 @@ def butcher(q: QuadratureRule, pert: PerturbationSpec) -> ButcherTableau:
     A = A0 + pert.value * D[pert.index - 1]
     A.setflags(write=False)
     return ButcherTableau(quadrature=q, A=A, perturbation=pert, order=2 * pert.index)
-
