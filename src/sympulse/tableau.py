@@ -51,22 +51,14 @@ class LegendreBasis:
     Pinv: np.ndarray
 
 
-def _check_integer(name, value):
-    # bool is an int, and a float index would truncate; numpy's integers pass
+def _check_range(name, value, lo, hi):
+    """Raise ValueError unless `value` is an integer in lo..hi.  A bool is
+    refused, though it is an int, and so is a float, which would truncate;
+    numpy's integers pass."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_range(name, value, lo, hi):
-    _check_integer(name, value)
     if not lo <= value <= hi:
         raise ValueError(f"{name} {value} outside {lo}..{hi}")
-
-
-def _check_index(s, index):
-    _check_integer("perturbation index", index)
-    if not 1 <= index <= s - 1:
-        raise ValueError(f"perturbation index {index} outside 1..{s - 1} for s={s}")
 
 
 @dataclass(frozen=True)
@@ -77,10 +69,12 @@ class PerturbationSpec:
     (1-based, 1 <= index <= s-1); the induced matrix is skew-symmetric by
     construction, so the perturbed method stays symplectic for every value.
     A zero value leaves the Gauss method untouched; `none(s)` states it with
-    index 0, which no nonzero value may take.  The index must be a Python
-    or numpy integer (a bool or a float is refused, not truncated) and the
-    value finite.  The orientation of the pair is a fixed convention (the
-    two orientations differ only by the sign relabeling value -> -value).
+    index 0, which no nonzero value may take.  The stage count, in
+    1..MAX_STAGES, and the index must be Python or numpy integers (a bool
+    or a float is refused, not truncated) and are stored as `int`; the
+    value must be finite.  The orientation of the pair is a fixed
+    convention (the two orientations differ only by the sign relabeling
+    value -> -value).
     With it the energy-conserving root of the first Kepler step from
     perihelion is positive; along the orbit the roots take both signs,
     mostly negative (62 of 1600 positive for e=0.6, s=2, h=2^-5, t=50).
@@ -91,13 +85,14 @@ class PerturbationSpec:
     value: float
 
     def __post_init__(self):
-        _check_integer("perturbation index", self.index)
+        _check_range("stage count", self.s, 1, MAX_STAGES)
         if not math.isfinite(self.value):
             raise ValueError(f"perturbation value must be finite, got {self.value!r}")
+        # index 0 is the Gauss method, which only a zero value may take
+        _check_range("perturbation index", self.index, int(self.value != 0.0), self.s - 1)
+        object.__setattr__(self, "s", int(self.s))
         object.__setattr__(self, "index", int(self.index))
         object.__setattr__(self, "value", float(self.value))
-        if not (self.index == 0 and self.value == 0.0):
-            _check_index(self.s, self.index)
 
     @classmethod
     def none(cls, s):
@@ -107,8 +102,9 @@ class PerturbationSpec:
     def single(cls, s, index, value):
         """The coupling at `index` moved by `value`; the index must name a
         coupling even when the value is zero."""
-        _check_index(s, index)
-        return cls(s, index, value)
+        spec = cls(s, index, value)
+        _check_range("perturbation index", spec.index, 1, spec.s - 1)
+        return spec
 
     @property
     def matrix(self):
@@ -201,13 +197,6 @@ def gauss_quadrature(s: int) -> QuadratureRule:
     return QuadratureRule(s=s, c=_frozen(c), b=_frozen(b))
 
 
-def _check_gauss(q):
-    # Pinv = P^T diag(b) holds only on Gauss nodes, so every rule must be
-    # the one gauss_quadrature built
-    if q is not gauss_quadrature(q.s):
-        raise ValueError("tableaux are built only on rules from gauss_quadrature")
-
-
 def subdiagonal_coupling(j: int) -> float:
     """The coupling xi_j = 1 / (2 sqrt((2j+1)(2j-1))) of the tableau core.
 
@@ -251,12 +240,19 @@ def _cached_parts(s):
     return basis, A0, D
 
 
+def _gauss_parts(q):
+    """`_cached_parts` of the rule `q`, which must be the one
+    `gauss_quadrature` built: Pinv = P^T diag(b) holds only on Gauss nodes."""
+    if q is not gauss_quadrature(q.s):
+        raise ValueError("tableaux are built only on rules from gauss_quadrature")
+    return _cached_parts(q.s)
+
+
 def legendre_basis(q: QuadratureRule) -> LegendreBasis:
     """Orthonormal shifted-Legendre values at the nodes of `q`, with inverse.
 
     Raises ValueError unless `q` comes from `gauss_quadrature`."""
-    _check_gauss(q)
-    return _cached_parts(q.s)[0]
+    return _gauss_parts(q)[0]
 
 
 def affine_parts(q: QuadratureRule, index: int) -> tuple[np.ndarray, np.ndarray]:
@@ -267,9 +263,8 @@ def affine_parts(q: QuadratureRule, index: int) -> tuple[np.ndarray, np.ndarray]
 
     Raises ValueError unless `q` comes from `gauss_quadrature` and `index`
     is an integer in 1..s-1."""
-    _check_gauss(q)
-    _check_index(q.s, index)
-    _, A0, D = _cached_parts(q.s)
+    _, A0, D = _gauss_parts(q)
+    _check_range("perturbation index", index, 1, q.s - 1)
     return A0, D[index - 1]
 
 
@@ -281,10 +276,9 @@ def butcher(q: QuadratureRule, pert: PerturbationSpec) -> ButcherTableau:
     are computed once per stage count.  Raises ValueError unless `q` comes
     from `gauss_quadrature`.
     """
-    _check_gauss(q)
+    _, A0, D = _gauss_parts(q)
     if pert.s != q.s:
         raise ValueError(f"perturbation built for s={pert.s}, quadrature has s={q.s}")
-    _, A0, D = _cached_parts(q.s)
     if pert.value == 0.0:
         return ButcherTableau(quadrature=q, A=A0, perturbation=pert, order=2 * q.s)
     A = A0 + pert.value * D[pert.index - 1]

@@ -182,6 +182,14 @@ class TestGaussCore:
         assert np.all(X[mask] == 0.0)
 
 
+# the three ways to build a spec, each from its stage count alone
+SPEC_BUILDERS = [
+    lambda s: PerturbationSpec(s, 1, 0.1),
+    PerturbationSpec.none,
+    lambda s: PerturbationSpec.single(s, 1, 0.1),
+]
+
+
 class TestPerturbationSpec:
     def test_matrix_is_skew(self):
         for index, value in ((1, 0.3), (3, -0.7)):
@@ -212,6 +220,17 @@ class TestPerturbationSpec:
     def test_numpy_integer_index_is_stored_as_int(self):
         spec = PerturbationSpec(3, np.int64(2), 0.1)
         assert type(spec.index) is int and spec == PerturbationSpec(3, 2, 0.1)
+
+    @pytest.mark.parametrize("build", SPEC_BUILDERS, ids=["init", "none", "single"])
+    @pytest.mark.parametrize("s", [2.5, True, "3", 0, -3, MAX_STAGES + 1])
+    def test_rejects_a_bad_stage_count(self, build, s):
+        with pytest.raises(ValueError, match="stage count"):
+            build(s)
+
+    @pytest.mark.parametrize("build", SPEC_BUILDERS, ids=["init", "none", "single"])
+    def test_numpy_integer_stage_count_is_stored_as_int(self, build):
+        spec = build(np.int32(3))
+        assert type(spec.s) is int and spec == build(3)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_a_value_that_is_not_finite(self, value):
