@@ -65,7 +65,8 @@ class RunSpec:
     `y0` (as `get_problem` builds it), the method, the time grid, the
     search config, which has no setting, and the run's coupling
     `perturbation`, which `integrate` then runs.  `perturb_index` is
-    checked whether or not the method reads it."""
+    checked whether or not the method reads it.  A given `y0` is stored
+    as a tuple of floats, so that specs compare and hash by value."""
 
     problem: str
     method: str
@@ -80,7 +81,9 @@ class RunSpec:
     search: AlphaSearchConfig = field(default_factory=AlphaSearchConfig)
 
     def __post_init__(self):
-        problems_mod.get_problem(self.problem, e=self.e, y0=self.y0)
+        _, ic = problems_mod.get_problem(self.problem, e=self.e, y0=self.y0)
+        if self.y0 is not None:
+            object.__setattr__(self, "y0", tuple(ic.y0.tolist()))
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         for name in ("h", "t0", "t_end", "alpha"):
@@ -446,10 +449,13 @@ def _loglog_slope(h_list, values):
 def energy_defect_order(problem, s, h_list, alpha=1e-3, e=None, y0=None):
     """Fit the h-order of the one-step energy defect at alpha=0 and at a
     fixed nonzero alpha of the last coupling, the one whose expected order
-    `DefectOrderReport` gives; needs at least 3 stepsizes."""
+    `DefectOrderReport` gives; needs at least 3 stepsizes, positive and
+    distinct."""
     h_list = [float(h) for h in h_list]
     if len(h_list) < 3:
         raise ValueError("need at least 3 stepsizes to fit a defect order")
+    if not all(h > 0.0 for h in h_list) or len(set(h_list)) < len(h_list):
+        raise ValueError(f"stepsizes must be positive and distinct, got {h_list}")
     system, ic = problems_mod.get_problem(problem, e=e, y0=y0)
     g0, ga = [], []
     for h in h_list:

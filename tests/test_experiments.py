@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 from types import SimpleNamespace
 
@@ -168,6 +169,19 @@ class TestRunSpec:
         assert type(spec.s) is int
         plain = integrate(RunSpec("kepler", method, 2, 2**-5, 0.25))
         assert integrate(spec).states.tobytes() == plain.states.tobytes()
+
+    def test_start_state_is_stored_as_a_tuple_of_floats(self):
+        # an array y0 made == raise and hash() fail, a list made hash() fail
+        y0 = kepler_reference(0.6, 0.4)
+        specs = [
+            RunSpec("kepler", "ep-gauss", 2, 2**-5, 0.25, y0=v)
+            for v in (y0, y0.tolist(), tuple(y0))
+        ]
+        for spec in specs:
+            assert type(spec.y0) is tuple and all(type(v) is float for v in spec.y0)
+        assert specs[0] == specs[1] == specs[2]
+        assert len({hash(spec) for spec in specs}) == 1
+        assert len({integrate(spec).states.tobytes() for spec in specs}) == 1
 
     def test_single_stage_gauss_needs_no_index(self):
         spec = RunSpec(problem="kepler", method="gauss", s=1, h=0.1, t_end=1.0)
@@ -653,6 +667,37 @@ class TestEnergyDefectOrder:
         with pytest.raises(ValueError):
             energy_defect_order("kepler", 2, [0.1, 0.05])
 
+    @pytest.mark.parametrize(
+        "h_list",
+        [[-0.1, -0.05, -0.025], [0.1, 0.05, 0.0], [0.1, 0.05, math.nan],
+         [0.1, 0.1, 0.1], [0.1, 0.05, 0.1]],
+    )
+    def test_stepsizes_must_be_positive_and_distinct(self, h_list):
+        # negative stepsizes ended in LAPACK errors, equal ones in a RankWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="positive and distinct"):
+                energy_defect_order("kepler", 2, h_list)
+
     def test_fits_only_the_last_coupling(self):
         with pytest.raises(TypeError):
             energy_defect_order("kepler", 3, [0.1, 0.05, 0.025], perturb_index=1)
+
+
+class TestPinnedEnergy:
+    def test_tuned_kepler_error_grows_linearly_with_a_smaller_constant(self):
+        # Kepler's frequency depends on H alone, so pinning H removes the
+        # frequency error behind Gauss's phase drift: both errors grow
+        # linearly in t, the tuned one from a constant about 12 times smaller
+        error = {}
+        for method in ("gauss", "ep-gauss"):
+            for periods in (10, 20):
+                t = 2 * math.pi * periods
+                run = integrate(RunSpec("kepler", method, 2, 2**-4, t, e=0.6))
+                error[method, periods] = np.linalg.norm(
+                    run.final_state - kepler_reference(0.6, t)
+                )
+        for method in ("gauss", "ep-gauss"):
+            assert error[method, 20] / error[method, 10] == pytest.approx(2.0, rel=0.15)
+        for periods in (10, 20):
+            assert error["gauss", periods] >= 5 * error["ep-gauss", periods]

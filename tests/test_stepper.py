@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from numpy.polynomial import polynomial as npoly
 
 from quasi_collocation import collocation_defect, dense_output, lagrange_integral_coeffs
 from sympulse import conserve, stepper
-from sympulse.conserve import energy_defect
+from sympulse.conserve import AlphaSearchConfig, energy_defect, level_grid, solve_alpha
 from sympulse.problems import (
+    PROBLEMS,
     HamiltonianSystem,
     SingularPotentialError,
     harmonic,
@@ -337,6 +339,25 @@ class TestStep:
         assert len(calls) == 1
         assert np.array_equal(calls[0], y0)
         assert res.iterations < stepper._MAX_ITERS
+
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_start_state_of_the_wrong_shape_is_refused(self, name):
+        # a short or a doubled state used to be integrated as it came
+        system, ic = PROBLEMS[name]()
+        for y0 in (ic.y0[:-1], np.tile(ic.y0, 2), ic.y0[None, :]):
+            message = re.escape(f"shape {y0.shape}, the system's states ({system.dim},)")
+            with pytest.raises(ValueError, match=message):
+                step(system, make_tableau(2), y0, StepConfig(h=0.1))
+
+    def test_searches_and_defects_reach_the_shape_check(self):
+        system, _ = kepler(0.6)
+        cfg = StepConfig(h=0.1)
+        with pytest.raises(ValueError, match="shape"):
+            solve_alpha(system, 2, 1, (1.0, 0.0), 0.1, AlphaSearchConfig(), cfg)
+        with pytest.raises(ValueError, match="shape"):
+            energy_defect(system, 2, 1, (1.0, 0.0), 1e-3, cfg)
+        with pytest.raises(ValueError, match="shape"):
+            level_grid(system, 2, 1, (1.0, 0.0), [0.1], [0.0, 1e-3])
 
     def test_singular_iterate_fails_without_raising(self):
         # a field that is singular far from y0: the diverging fixed-point
