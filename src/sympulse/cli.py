@@ -131,6 +131,9 @@ def _write_atomic(path, text):
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        # mkstemp creates the file 0600; give it the mode open(path, "w") would
+        os.umask(umask := os.umask(0))
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -370,8 +373,9 @@ def run(argv=None) -> int:
         # a run that overflows is reported by its typed error, not by numpy
         with np.errstate(all="ignore"):
             ns.handler(ns)
-    # a run too long for its record to be allocated is a usage error too
-    except (UsageError, ValueError, MemoryError) as exc:
+    # a run too long for its record to be allocated is a usage error too, and
+    # so is an --output the writer cannot create or replace
+    except (UsageError, ValueError, MemoryError, OSError) as exc:
         print(f"sympulse: error: {exc}", file=sys.stderr)
         return 1
     except (SingularPotentialError, RuntimeError) as exc:

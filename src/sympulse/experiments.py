@@ -349,7 +349,9 @@ def _fine_reference_cached(problem, e, y0_key, t_end, h_ref):
     & Wanner I, sec. II.4), is at most 1e-12.  Two consecutive answers must
     therefore agree to 6.3e-11, not 1e-12; the bound on the returned state's
     estimated error stays 1e-12; a tighter gap would only chase the
-    round-off of the finer runs."""
+    round-off of the finer runs.  The cached state is a read-only copy, so
+    a caller can neither change what the next call returns nor keep the
+    finer run's whole trajectory alive."""
     previous = None
     h = h_ref
     for _ in range(6):
@@ -358,6 +360,8 @@ def _fine_reference_cached(problem, e, y0_key, t_end, h_ref):
         )
         state = integrate(spec).final_state
         if previous is not None and np.max(np.abs(state - previous)) / (2**6 - 1) <= 1e-12:
+            state = state.copy()
+            state.flags.writeable = False
             return state
         previous = state
         h /= 2.0

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import stat
 import warnings
 
 import numpy as np
@@ -211,6 +213,26 @@ class TestIntegrateCommand:
             code, _, _ = run_capture(capsys, argv + ["--output", str(path)])
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    # a missing directory fails in mkstemp, an existing directory in the rename
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."])
+    def test_refused_output_is_one_usage_error_line(self, tmp_path, capsys, target):
+        argv = ["tableau", "--stages", "2", "--output", str(tmp_path / target)]
+        code, out, err = run_capture(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("sympulse: error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert list(tmp_path.rglob(".sympulse-*")) == []
+
+    def test_output_file_gets_the_umask_mode(self, tmp_path, capsys):
+        argv = ["tableau", "--stages", "2", "--output", str(tmp_path / "t.csv")]
+        umask = os.umask(0o022)
+        try:
+            code, _, _ = run_capture(capsys, argv)
+        finally:
+            os.umask(umask)
+        assert code == 0
+        assert stat.S_IMODE((tmp_path / "t.csv").stat().st_mode) == 0o644
 
     def test_bare_henon_heiles_run_finishes(self, capsys):
         # the per-problem default stage count (3) has a root at every step

@@ -1,13 +1,5 @@
-import importlib.util
-import pathlib
-
+import code_lines
 import pytest
-
-_PATH = pathlib.Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
-_SPEC = importlib.util.spec_from_file_location("code_lines", _PATH)
-code_lines = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(code_lines)
-
 
 SOURCE = '''"""Module docstring,
 two lines."""

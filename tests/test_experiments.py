@@ -520,6 +520,15 @@ class TestReferenceState:
         # cached: identical object on repeat lookup
         assert reference_state("harmonic", 2.0, 0.125) is ref
 
+    def test_cached_reference_is_a_read_only_copy(self):
+        ref = reference_state("quartic", 2.0, 2**-5)
+        before = ref.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            ref[0] = 99.0
+        np.testing.assert_array_equal(reference_state("quartic", 2.0, 2**-5), before)
+        # the end state alone, not a view of the finer run's trajectory
+        assert ref.shape == (4,) and ref.base is None
+
     @pytest.mark.parametrize(
         "gaps,levels",
         [

@@ -1,16 +1,9 @@
-import importlib.util
-import pathlib
-
 import pytest
+import search_cost
 
 from sympulse import conserve, experiments
 from sympulse.experiments import RunSpec, integrate
 from sympulse.problems import HamiltonianSystem
-
-_PATH = pathlib.Path(__file__).resolve().parent.parent / "tools" / "search_cost.py"
-_SPEC = importlib.util.spec_from_file_location("search_cost", _PATH)
-search_cost = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(search_cost)
 
 SHORT = RunSpec("kepler", "ep-gauss", 2, 2.0**-5, 0.5)
 

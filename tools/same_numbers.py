@@ -1,15 +1,14 @@
 """Check that another copy of the package computes the same numbers as this
-checkout: the same trajectory hashes and the same run census.
+checkout: the same run census.
 
-Runs `tools/trajectory_hashes.py` and `tools/run_census.py` twice each, as
-subprocesses, once with PYTHONPATH set to OTHER_SRC and once to this
-checkout's `src`, the two at the same time, and compares their output line
-by line.  Each differing line is printed, marked `<` for OTHER_SRC and `>`
-for this checkout, then one `tool: N lines, M differ` line per tool.
-Exits 1 on any difference.
+Runs `tools/run_census.py` twice, as subprocesses, once with PYTHONPATH set
+to OTHER_SRC and once to this checkout's `src`, the two at the same time,
+and compares their output line by line.  Each differing line is printed,
+marked `<` for OTHER_SRC and `>` for this checkout, then the summary line
+`run_census: N lines, M differ`.  Exits 1 on any difference.
 
 PROBLEM restricts the census to the named problems, as `run_census.py`
-does, and the hash runs to those whose name opens with a named problem.
+does.
 
 usage: python tools/same_numbers.py OTHER_SRC [PROBLEM ...]
 
@@ -34,11 +33,11 @@ TOOLS = pathlib.Path(__file__).resolve().parent
 SRC = TOOLS.parent / "src"
 
 
-def output(tool, src, args):
-    """The stdout lines of `tool`, given `args`, run with PYTHONPATH=`src`."""
+def output(src, args):
+    """The stdout lines of the census, given `args`, run with PYTHONPATH=`src`."""
     env = {**os.environ, "PYTHONPATH": str(src)}
     result = subprocess.run(
-        [sys.executable, str(TOOLS / tool), *args],
+        [sys.executable, str(TOOLS / "run_census.py"), *args],
         env=env, stdout=subprocess.PIPE, text=True, check=True,
     )
     return result.stdout.splitlines()
@@ -63,12 +62,9 @@ def main(argv):
         print(__doc__, file=sys.stderr)
         return 2
     other_src, problems = pathlib.Path(argv[0]).resolve(), argv[1:]
-    changed = 0
     with ThreadPoolExecutor(2) as pool:
-        for tool in ("trajectory_hashes", "run_census"):
-            sides = [pool.submit(output, f"{tool}.py", src, problems) for src in (other_src, SRC)]
-            changed += report(tool, *(side.result() for side in sides))
-    return 1 if changed else 0
+        sides = [pool.submit(output, src, problems) for src in (other_src, SRC)]
+        return 1 if report("run_census", *(side.result() for side in sides)) else 0
 
 
 if __name__ == "__main__":
