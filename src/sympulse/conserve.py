@@ -36,12 +36,23 @@ copy.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .stepper import StepConfig, StepResult, step
 from .tableau import ButcherTableau, PerturbationSpec, affine_parts, butcher, gauss_quadrature
+
+__all__ = [
+    "AlphaSearchConfig",
+    "AlphaSolveRecord",
+    "NoRootError",
+    "StageSolveError",
+    "energy_defect",
+    "level_grid",
+    "solve_alpha",
+]
 
 # the first probe after alpha = 0 lies this fraction of the seed (10 h^{2r})
 # from zero: close enough that the secant through it and g(0) lands near the
@@ -98,9 +109,27 @@ class AlphaSearchConfig:
     """
 
 
+def root_scale(h, r):
+    """|h|^{2r}, the scale of the per-step roots of perturbed index s - r,
+    of the search's seed and stop width, and of a run's root band; raises
+    ValueError when it is not a positive finite float."""
+    power = 2 * r
+    try:
+        scale = abs(h) ** power
+    except OverflowError:
+        scale = math.inf
+    if not 0.0 < scale < math.inf:
+        raise ValueError(
+            f"the root scale h^{power} must be a positive finite float, so h must "
+            f"lie within about ({math.ulp(0.0) ** (1 / power):.3g}, "
+            f"{sys.float_info.max ** (1 / power):.3g}); got h={h!r}"
+        )
+    return scale
+
+
 def _seed(h, r):
     """The root scale 10 h^{2r} of perturbed index s - r, capped at _REACH."""
-    return min(10.0 * abs(h) ** (2 * r), _REACH)
+    return min(10.0 * root_scale(h, r), _REACH)
 
 
 @dataclass(frozen=True)
@@ -239,7 +268,7 @@ def solve_alpha(
     A0, D = affine_parts(q, perturb_index)
     r = s - perturb_index
     seed = _seed(h, r)
-    width = ALPHA_TOL * abs(h) ** (2 * r)
+    width = ALPHA_TOL * root_scale(h, r)
     evals = 0
     probes = _ProbeTable((s,) + np.shape(y0))
 

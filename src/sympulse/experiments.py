@@ -10,8 +10,7 @@ the band containing all per-step roots, scaled by the predicted power of h.
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -22,10 +21,23 @@ from .conserve import (
     NoRootError,
     StageSolveError,
     energy_defect,
+    root_scale,
     solve_alpha,
 )
 from .stepper import StepConfig, stage_predictor, step
 from .tableau import PerturbationSpec, butcher, gauss_quadrature
+
+__all__ = [
+    "ConvergenceRow",
+    "DefectOrderReport",
+    "IntegrationError",
+    "RunSpec",
+    "TrajectoryRecord",
+    "convergence_table",
+    "energy_defect_order",
+    "integrate",
+    "reference_state",
+]
 
 METHODS = ("gauss", "fixed-alpha", "ep-gauss", "ep-gauss-type2")
 
@@ -111,18 +123,7 @@ class RunSpec:
                 f"alpha applies to method fixed-alpha only, not {self.method!r}; "
                 f"got alpha={self.alpha!r}"
             )
-        # the root search is seeded, and the root band scaled, by h^{2r}
-        try:
-            scale = self.root_scale
-        except OverflowError:
-            scale = math.inf
-        if not 0.0 < scale < math.inf:
-            power = 2 * self.root_exponent
-            raise ValueError(
-                f"the root scale h^{power} must be a positive finite float, so h must "
-                f"lie within about ({math.ulp(0.0) ** (1 / power):.3g}, "
-                f"{sys.float_info.max ** (1 / power):.3g}); got h={self.h!r}"
-            )
+        self.root_scale  # seeds the root search and scales the root band
 
     @property
     def tunes_alpha(self):
@@ -150,8 +151,9 @@ class RunSpec:
 
     @property
     def root_scale(self):
-        """h^{2r}, the scale of the per-step roots and of their band."""
-        return self.h ** (2 * self.root_exponent)
+        """h^{2r}, the scale of the per-step roots and of their band (see
+        `conserve.root_scale`)."""
+        return root_scale(self.h, self.root_exponent)
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,9 +344,9 @@ class ConvergenceRow:
 
 
 @lru_cache(maxsize=32)
-def _fine_reference_cached(problem, e, y0_key, t_end, h_ref):
-    """Fine-step unperturbed Gauss (s=3) reference with a step-doubling check:
-    halve the step until the Richardson estimate of the finer run's error,
+def _fine_reference_cached(spec):
+    """End state of the fine-step unperturbed Gauss (s=3) run `spec`, with a
+    step-doubling check: halve the step until the Richardson estimate of the finer run's error,
     max|state - previous| / (2^6 - 1) for these order-6 runs (Hairer, Norsett
     & Wanner I, sec. II.4), is at most 1e-12.  Two consecutive answers must
     therefore agree to 6.3e-11, not 1e-12; the bound on the returned state's
@@ -353,20 +355,16 @@ def _fine_reference_cached(problem, e, y0_key, t_end, h_ref):
     a caller can neither change what the next call returns nor keep the
     finer run's whole trajectory alive."""
     previous = None
-    h = h_ref
     for _ in range(6):
-        spec = RunSpec(
-            problem=problem, method="gauss", s=3, h=h, t_end=t_end, e=e, y0=y0_key
-        )
         state = integrate(spec).final_state
         if previous is not None and np.max(np.abs(state - previous)) / (2**6 - 1) <= 1e-12:
             state = state.copy()
             state.flags.writeable = False
             return state
         previous = state
-        h /= 2.0
+        spec = replace(spec, h=spec.h / 2.0)
     raise RuntimeError(
-        f"fine-step reference for {problem!r} did not settle to 1e-12 at t={t_end}"
+        f"fine-step reference for {spec.problem!r} did not settle to 1e-12 at t={spec.t_end}"
     )
 
 
@@ -377,8 +375,8 @@ def reference_state(problem, t_end, h_min, e=None, y0=None):
         return problems_mod.kepler_reference(
             problems_mod.KEPLER_E if e is None else e, t_end
         )
-    y0_key = None if y0 is None else tuple(float(v) for v in y0)
-    return _fine_reference_cached(problem, e, y0_key, float(t_end), h_min / 8.0)
+    spec = RunSpec(problem=problem, method="gauss", s=3, h=h_min / 8.0, t_end=t_end, e=e, y0=y0)
+    return _fine_reference_cached(spec)
 
 
 def convergence_table(problem, method, s, h_list, t_end, **fields):

@@ -45,6 +45,19 @@ from typing import Callable
 
 import numpy as np
 
+__all__ = [
+    "HamiltonianSystem",
+    "InitialCondition",
+    "Invariant",
+    "SingularPotentialError",
+    "get_problem",
+    "harmonic",
+    "henon_heiles",
+    "kepler",
+    "kepler_reference",
+    "quartic",
+]
+
 SINGULARITY_RADIUS = 1e-8
 # the eccentricity of the Kepler problem when none is given
 KEPLER_E = 0.6

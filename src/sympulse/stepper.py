@@ -26,6 +26,8 @@ import numpy as np
 
 from .problems import SingularPotentialError
 
+__all__ = ["StepConfig", "StepResult", "step"]
+
 # fixed-point iteration hands over to simplified Newton when the increment
 # has not halved over this many iterations
 _STALL_WINDOW = 10

@@ -18,6 +18,19 @@ from typing import NamedTuple
 
 import numpy as np
 
+__all__ = [
+    "ButcherTableau",
+    "LegendreBasis",
+    "PerturbationSpec",
+    "QuadratureRule",
+    "affine_parts",
+    "butcher",
+    "gauss_core",
+    "gauss_quadrature",
+    "legendre_basis",
+    "subdiagonal_coupling",
+]
+
 MAX_STAGES = 10
 
 
