@@ -142,10 +142,14 @@ def _write_atomic(path, text):
 
 
 def _emit(ns, text):
-    if ns.output:
-        _write_atomic(ns.output, text)
-    else:
+    if not ns.output:
         sys.stdout.write(text)
+        return
+    try:
+        _write_atomic(ns.output, text)
+    except OSError as exc:
+        # the error names the writer's temporary file, not the path given
+        raise UsageError(f"cannot write --output {ns.output}: {exc.strerror}") from None
 
 
 def _add_problem_flags(p):
@@ -374,7 +378,7 @@ def run(argv=None) -> int:
         with np.errstate(all="ignore"):
             ns.handler(ns)
     # a run too long for its record to be allocated is a usage error too, and
-    # so is an --output the writer cannot create or replace
+    # so is a standard output that cannot be written
     except (UsageError, ValueError, MemoryError, OSError) as exc:
         print(f"sympulse: error: {exc}", file=sys.stderr)
         return 1

@@ -346,12 +346,12 @@ class ConvergenceRow:
 @lru_cache(maxsize=32)
 def _fine_reference_cached(spec):
     """End state of the fine-step unperturbed Gauss (s=3) run `spec`, with a
-    step-doubling check: halve the step until the Richardson estimate of the finer run's error,
-    max|state - previous| / (2^6 - 1) for these order-6 runs (Hairer, Norsett
-    & Wanner I, sec. II.4), is at most 1e-12.  Two consecutive answers must
-    therefore agree to 6.3e-11, not 1e-12; the bound on the returned state's
-    estimated error stays 1e-12; a tighter gap would only chase the
-    round-off of the finer runs.  The cached state is a read-only copy, so
+    step-doubling check: halve the step until the Richardson estimate of the
+    finer run's error, max|state - previous| / (2^6 - 1) for these order-6
+    runs (Hairer, Norsett & Wanner I, sec. II.4), is at most 1e-12.  Two
+    consecutive answers must therefore agree to 6.3e-11, not 1e-12; the
+    bound on the returned state's estimated error stays 1e-12; a tighter gap
+    would only chase the round-off of the finer runs.  The cached state is a read-only copy, so
     a caller can neither change what the next call returns nor keep the
     finer run's whole trajectory alive."""
     previous = None

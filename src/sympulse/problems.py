@@ -366,6 +366,8 @@ def kepler_reference(e: float, t: float) -> np.ndarray:
     """
     if not 0.0 <= e < 1.0:
         raise ValueError(f"eccentricity must be in [0, 1), got {e}")
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t!r}")
     E = _eccentric_anomaly(e, t)
     cosE, sinE = np.cos(E), np.sin(E)
     beta = np.sqrt(1.0 - e * e)

@@ -217,11 +217,14 @@ class TestIntegrateCommand:
     # a missing directory fails in mkstemp, an existing directory in the rename
     @pytest.mark.parametrize("target", ["missing/x.csv", "."])
     def test_refused_output_is_one_usage_error_line(self, tmp_path, capsys, target):
-        argv = ["tableau", "--stages", "2", "--output", str(tmp_path / target)]
+        output = str(tmp_path / target)
+        argv = ["tableau", "--stages", "2", "--output", output]
         code, out, err = run_capture(capsys, argv)
         assert code == 1 and out == ""
         assert err.startswith("sympulse: error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        # the line names the path given, not the writer's temporary file
+        assert output in err and ".sympulse-" not in err
         assert list(tmp_path.rglob(".sympulse-*")) == []
 
     def test_output_file_gets_the_umask_mode(self, tmp_path, capsys):

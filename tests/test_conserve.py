@@ -263,6 +263,14 @@ class TestSolveAlpha:
         with pytest.raises(ValueError, match="stepsize must be nonzero"):
             solve_alpha(system, 2, 1, ic.y0, 0.0, AlphaSearchConfig(), StepConfig(h=0.1))
 
+    @pytest.mark.parametrize("h", [1e200, 1e-170, -1e-170])
+    def test_stepsize_whose_root_scale_is_not_a_float_rejected(self, h):
+        # h^2 overflows at 1e200; at 1e-170 it underflows to 0.0, where the
+        # probes alpha = 0, p = 0 and +-0 would call the step degenerate
+        system, ic = kepler(0.6)
+        with pytest.raises(ValueError, match=r"root scale h\^2 must be a positive finite"):
+            solve_alpha(system, 2, 1, ic.y0, h, AlphaSearchConfig(), StepConfig(h=h))
+
     def test_bracketed_search_is_cheap_and_sharp(self, monkeypatch):
         # the default search must cost few defect evaluations per step and
         # still land on the same sign-change points as a full dichotomy,

@@ -593,6 +593,17 @@ class TestConvergenceTable:
         for row in rows:
             assert row.delta_scaled == pytest.approx(row.delta_h / row.h**4, rel=1e-12)
 
+    @pytest.mark.parametrize("perturb_index", [1, 2])
+    def test_fixed_alpha_quartic_has_order_twice_the_coupling_index(self, perturb_index):
+        # a fixed alpha on coupling i leaves order 2i: the abstract's 2s - 2
+        # on the last coupling of s = 3, order 2 on the first
+        rows = convergence_table(
+            "quartic", "fixed-alpha", 3, [2.0**-k for k in range(2, 7)], 5.0,
+            alpha=0.05, perturb_index=perturb_index,
+        )
+        for row in rows[-2:]:
+            assert row.order == pytest.approx(2 * perturb_index, abs=0.1)
+
     def test_single_row_has_no_order(self):
         rows = convergence_table("harmonic", "gauss", 2, [0.1], 1.0)
         assert len(rows) == 1

@@ -431,6 +431,12 @@ class TestKeplerReference:
             assert abs(E - e * np.sin(E) - np.remainder(t, 2.0 * np.pi)) <= 1e-14
             assert np.isfinite(kepler_reference(e, t)).all()
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+    def test_time_that_is_not_finite_rejected(self, t):
+        # refused at once, not after 100 iterations of Kepler's equation
+        with pytest.raises(ValueError, match="time must be finite"):
+            kepler_reference(0.6, t)
+
     def test_time_zero_is_start_state(self):
         _, ic = kepler(0.6)
         np.testing.assert_allclose(kepler_reference(0.6, 0.0), ic.y0, atol=1e-15)

@@ -22,3 +22,12 @@ def test_report_marks_each_differing_line_with_its_side(capsys):
     ]
     assert same_numbers.report("tool", this, this) == 0
     assert capsys.readouterr().out == "tool: 4 lines, 0 differ\n"
+
+
+def test_a_failed_census_names_its_side_and_exits_2(tmp_path, capsys):
+    # a directory that holds no sympulse: its census cannot import the package
+    assert same_numbers.main([str(tmp_path), "harmonic"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and f"PYTHONPATH={tmp_path} failed" in err
+    assert "No module named 'sympulse'" in err

@@ -1,4 +1,5 @@
 import pytest
+import run_census
 import search_cost
 
 from sympulse import conserve, experiments
@@ -6,6 +7,18 @@ from sympulse.experiments import RunSpec, integrate
 from sympulse.problems import HamiltonianSystem
 
 SHORT = RunSpec("kepler", "ep-gauss", 2, 2.0**-5, 0.5)
+
+
+def test_runs_are_the_tuned_census_runs():
+    # the census's own specs, not a copy of them
+    tuned = [(name, spec) for name, spec in run_census.RUNS.items() if spec.tunes_alpha]
+    assert [(name, id(spec)) for name, spec in search_cost.RUNS.items()] == [
+        (name, id(spec)) for name, spec in tuned
+    ]
+    assert list(search_cost.RUNS) == [
+        "kepler-ep-gauss-s2", "quartic-ep-gauss-s3", "quartic-type2-s3",
+        "henon-heiles-type2-s3", "henon-heiles-ep-gauss-s3",
+    ]
 
 
 def test_counts_agree_with_the_record():

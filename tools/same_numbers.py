@@ -5,7 +5,9 @@ Runs `tools/run_census.py` twice, as subprocesses, once with PYTHONPATH set
 to OTHER_SRC and once to this checkout's `src`, the two at the same time,
 and compares their output line by line.  Each differing line is printed,
 marked `<` for OTHER_SRC and `>` for this checkout, then the summary line
-`run_census: N lines, M differ`.  Exits 1 on any difference.
+`run_census: N lines, M differ`.  Exits 1 on any difference.  A census
+that fails prints one line naming its side and its last error line, and
+exits 2.
 
 PROBLEM restricts the census to the named problems, as `run_census.py`
 does.
@@ -33,13 +35,22 @@ TOOLS = pathlib.Path(__file__).resolve().parent
 SRC = TOOLS.parent / "src"
 
 
+class CensusFailed(Exception):
+    """A census run exited with an error."""
+
+
 def output(src, args):
-    """The stdout lines of the census, given `args`, run with PYTHONPATH=`src`."""
+    """The stdout lines of the census, given `args`, run with PYTHONPATH=`src`;
+    raises CensusFailed, naming `src` and the last line of the census's
+    error output, when it exits with an error."""
     env = {**os.environ, "PYTHONPATH": str(src)}
     result = subprocess.run(
         [sys.executable, str(TOOLS / "run_census.py"), *args],
-        env=env, stdout=subprocess.PIPE, text=True, check=True,
+        env=env, capture_output=True, text=True,
     )
+    if result.returncode:
+        last = (result.stderr.strip().splitlines() or [f"exit {result.returncode}"])[-1]
+        raise CensusFailed(f"the census with PYTHONPATH={src} failed: {last}")
     return result.stdout.splitlines()
 
 
@@ -64,7 +75,12 @@ def main(argv):
     other_src, problems = pathlib.Path(argv[0]).resolve(), argv[1:]
     with ThreadPoolExecutor(2) as pool:
         sides = [pool.submit(output, src, problems) for src in (other_src, SRC)]
-        return 1 if report("run_census", *(side.result() for side in sides)) else 0
+        try:
+            lines = [side.result() for side in sides]
+        except CensusFailed as exc:
+            print(f"same_numbers: {exc}", file=sys.stderr)
+            return 2
+    return 1 if report("run_census", *lines) else 0
 
 
 if __name__ == "__main__":

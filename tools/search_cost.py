@@ -1,4 +1,5 @@
-"""Print what the per-step root search costs on the five reference runs.
+"""Print what the per-step root search costs on the five tuned reference
+runs of `run_census.RUNS`.
 
 One line per run, each figure a mean per accepted step unless noted:
 
@@ -29,18 +30,13 @@ import time
 from types import SimpleNamespace
 
 import numpy as np
+import run_census
 
 from sympulse import conserve, experiments
-from sympulse.experiments import RunSpec, integrate
+from sympulse.experiments import integrate
 from sympulse.problems import HamiltonianSystem
 
-RUNS = {
-    "kepler-ep-gauss-s2": RunSpec("kepler", "ep-gauss", 2, 2.0**-5, 50.0),
-    "quartic-ep-gauss-s3": RunSpec("quartic", "ep-gauss", 3, 2.0**-5, 50.0),
-    "quartic-type2-s3": RunSpec("quartic", "ep-gauss-type2", 3, 2.0**-3, 50.0),
-    "henon-heiles-type2-s3": RunSpec("henon-heiles", "ep-gauss-type2", 3, 0.25, 250.0),
-    "henon-heiles-ep-gauss-s3": RunSpec("henon-heiles", "ep-gauss", 3, 0.25, 500.0),
-}
+RUNS = {name: spec for name, spec in run_census.RUNS.items() if spec.tunes_alpha}
 
 COLUMNS = ("probes", "solves", "vf_calls", "delta/h^2r", "max|dH|", "solve_share")
 
