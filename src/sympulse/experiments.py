@@ -2,7 +2,9 @@
 convergence and defect-order studies used to validate the method family.
 
 An `integrate` run walks the grid t0, t0+h, ... collecting states, invariant
-errors and the per-step perturbation roots; `convergence_table` turns a list
+errors and the per-step perturbation roots: a tuned method's steps one root
+search each, a fixed tableau's in one `stepper.fixed_run` call, which maps
+back to the same typed errors; `convergence_table` turns a list
 of stepsizes into global errors, observed orders and the width delta(h) of
 the band containing all per-step roots, scaled by the predicted power of h.
 """
@@ -24,7 +26,8 @@ from .conserve import (
     root_scale,
     solve_alpha,
 )
-from .stepper import StepConfig, stage_predictor, step
+# `step` is not called here, but perfbench's tracer wraps experiments.step
+from .stepper import StepConfig, fixed_run, step  # noqa: F401
 from .tableau import PerturbationSpec, butcher, gauss_quadrature
 
 __all__ = [
@@ -44,12 +47,6 @@ METHODS = ("gauss", "fixed-alpha", "ep-gauss", "ep-gauss-type2")
 # tolerance for "h divides the interval": the final step is shortened and
 # flagged when the remainder exceeds this fraction of h
 _PARTIAL_STEP_REL = 1e-9
-
-# steps of stage fields a fixed-tableau step is predicted from (see
-# `stepper.stage_predictor`); six take more sweeps at large h (Kepler s=2,
-# h=2^-2: 12.96 a step against 12.83; quartic s=3, h=2^-3: 12.31 against 12.13)
-_STAGE_HISTORY = 5
-
 
 class IntegrationError(RuntimeError):
     """A step of a run failed; carries `step_index`, `time` and `state`."""
@@ -124,6 +121,16 @@ class RunSpec:
                 f"got alpha={self.alpha!r}"
             )
         self.root_scale  # seeds the root search and scales the root band
+        # so does a shortened last step's, which the search of that step reads
+        _, remainder, partial = _step_grid(self.t0, self.t_end, self.h)
+        if partial and self.tunes_alpha:
+            try:
+                root_scale(remainder, self.root_exponent)
+            except ValueError:
+                raise ValueError(
+                    f"the last step from t0={self.t0!r} to t_end={self.t_end!r} at h={self.h!r} is "
+                    f"shortened to {remainder!r}, whose root scale is not a positive finite float"
+                ) from None
 
     @property
     def tunes_alpha(self):
@@ -212,6 +219,12 @@ def _step_grid(t0, t_end, h):
     return n_full, (remainder if partial else 0.0), partial
 
 
+def _step_error(k, times, state, exc):
+    """The IntegrationError of step k, which started from `state`."""
+    t = float(times[k])
+    return IntegrationError(f"step {k} at t={t!r} failed: {exc}", k, t, state.copy())
+
+
 def _raise_at_first_singular_state(system, times, states):
     """Raise the IntegrationError of the first step whose end state the
     energy or an invariant cannot be evaluated at."""
@@ -233,13 +246,14 @@ def integrate(spec: RunSpec) -> TrajectoryRecord:
     """Run one integration.  Energy-tuned methods accept, as each step, the
     stage solve that the root search made at the located root; each search
     conserves the energy of the state it starts from, so such a run depends
-    only on its start state.  Fixed-tableau methods start each full step k
-    after the first from the stages that the stage fields of the last
-    min(k, 5) full steps predict (`stepper.stage_predictor`, O(h^{s+5})
-    once five are kept); the first and a shortened last step start from y0.
-    At extreme h the predicted start can land outside the fixed point's
-    basin: a step whose solve from it does not converge is solved once
-    more from y0, and raises only if that fails too.
+    only on its start state.  Fixed-tableau methods run in
+    `stepper.fixed_run`, which starts each full step k after the first from
+    the stages that the stage fields of the last min(k, 5) full steps
+    predict (`stepper.stage_predictor`, O(h^{s+5}) once five are kept); the
+    first and a shortened last step start from y0.  At extreme h the
+    predicted start can land outside the fixed point's basin: a step whose
+    solve from it does not converge is solved once more from y0, and
+    raises only if that fails too.
 
     The time grid is laid out before the first step: t0 itself, then
     t0 + k h for the full steps, and t_end for a shortened last step; a
@@ -260,13 +274,6 @@ def integrate(spec: RunSpec) -> TrajectoryRecord:
     states[0] = y
 
     pert = spec.perturbation
-    if not spec.tunes_alpha:
-        fixed_tableau = butcher(gauss_quadrature(spec.s), pert)
-        predictors = [stage_predictor(fixed_tableau, m) for m in range(1, _STAGE_HISTORY + 1)]
-        # the stage fields of the last full steps, newest first
-        fields = np.empty((_STAGE_HISTORY * spec.s, system.dim))
-        s = spec.s
-
     alpha_trace = np.full(n_steps, spec.alpha)
     g_evals = np.zeros(n_steps, dtype=int)
     g_residual = np.zeros(n_steps)
@@ -274,41 +281,25 @@ def integrate(spec: RunSpec) -> TrajectoryRecord:
 
     # one StepConfig per distinct step size: the full steps and the partial one
     full_cfg = StepConfig(h=spec.h)
-    last_cfg = StepConfig(h=remainder) if partial else full_cfg
-    for k in range(n_steps):
-        cfg = full_cfg if k < n_full else last_cfg
-        try:
-            if spec.tunes_alpha:
+    last_cfg = StepConfig(h=remainder) if partial else None
+    if spec.tunes_alpha:
+        for k in range(n_steps):
+            cfg = full_cfg if k < n_full else last_cfg
+            try:
                 record = solve_alpha(system, spec.s, pert.index, y, cfg.h, spec.search, cfg)
-                alpha_trace[k] = record.alpha_star
-                g_evals[k] = record.g_evals
-                g_residual[k] = record.g_residual
-                result = record.step
-            else:
-                # a full step after the first starts from the stages that the
-                # last full steps predict; the first and a partial step start
-                # cold, and so does a second try after a guess that failed
-                guess = None
-                if 0 < k < n_full:
-                    m = min(k, _STAGE_HISTORY)
-                    guess = y + cfg.h * (predictors[m - 1] @ fields[: m * s])
-                result = step(system, fixed_tableau, y, cfg, guess)
-                if guess is not None and not result.converged:
-                    result = step(system, fixed_tableau, y, cfg)
-                if not result.converged:
-                    raise StageSolveError(result, spec.alpha)
-                fields[s:] = fields[:-s]
-                fields[:s] = result.stage_fields
-        except (
-            StageSolveError, NoRootError, problems_mod.SingularPotentialError
-        ) as exc:
-            t = float(times[k])
-            raise IntegrationError(
-                f"step {k} at t={t!r} failed: {exc}", k, t, y.copy()
-            ) from exc
-        y = result.y1
-        stage_iters[k] = result.iterations
-        states[k + 1] = y
+            except (StageSolveError, NoRootError, problems_mod.SingularPotentialError) as exc:
+                raise _step_error(k, times, y, exc) from exc
+            alpha_trace[k], g_evals[k] = record.alpha_star, record.g_evals
+            g_residual[k], stage_iters[k] = record.g_residual, record.step.iterations
+            states[k + 1] = y = record.step.y1
+    else:
+        tab = butcher(gauss_quadrature(spec.s), pert)
+        failure = fixed_run(system, tab, states, stage_iters, full_cfg, last_cfg)
+        if failure is not None:
+            k, cause = failure
+            if not isinstance(cause, Exception):  # the StepResult of a failed solve
+                cause = StageSolveError(cause, spec.alpha)
+            raise _step_error(k, times, states[k], cause) from cause
 
     try:
         energy = system.energy(states)
@@ -453,6 +444,8 @@ def energy_defect_order(problem, s, h_list, alpha=1e-3, e=None, y0=None):
     fixed nonzero alpha of the last coupling, the one whose expected order
     `DefectOrderReport` gives; needs at least 3 stepsizes, positive and
     distinct."""
+    if s < 2:
+        raise ValueError(f"the defect order needs s >= 2, got s={s}: one stage has no coupling")
     h_list = [float(h) for h in h_list]
     if len(h_list) < 3:
         raise ValueError("need at least 3 stepsizes to fit a defect order")

@@ -10,21 +10,30 @@ iteration that stalls too ends the solve unconverged.  The stages start from
 y0 or from a caller's guess: a root search passes the line through two
 converged probes of the same step, a fixed-tableau run the stage fields of
 its last five steps extrapolated by `stage_predictor`, a start O(h^{s+5})
-from the solution.  A fixed-tableau step whose guessed start does not
-converge is solved once more from y0, and counts the sweeps of that cold
-solve (see `experiments.integrate`).  Only a root search's stacked solves
-take a polish sweep after a guessed start (see `step`).
+from the solution.  Only a root search's stacked solves take a polish sweep
+after a guessed start (see `step`).
+
+`step` does its set-up per call and returns a `StepResult`; `fixed_run`
+takes the steps of a whole fixed-tableau run, doing the set-up once (the
+tableau, the field, the start buffer and the predictor matrices, which are
+cached per tableau) and sending each predicted step straight to the sweep
+loop `step` uses, so both compute the same floats in the same order.  Its
+cold solves (the first step, a shortened last step, and a step whose
+predicted start does not converge, solved once more from y0 and counted by
+the sweeps of that cold solve) go through `step`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .problems import SingularPotentialError
+from .tableau import butcher, gauss_quadrature
 
 __all__ = ["StepConfig", "StepResult", "step"]
 
@@ -148,23 +157,30 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (system.dim,):
         raise ValueError(f"start state has shape {y0.shape}, the system's states ({system.dim},)")
-    A = tableau.A
-    s = tableau.s
-    n = y0.size
-    h = cfg.h
+    A, h = tableau.A, cfg.h
+    # the flows take a stack as it is and flatten it to (k*s, n) rows
+    # themselves; y0 broadcast once spares each sweep a broadcasting operation
+    Y0 = np.empty(A.shape[:-1] + y0.shape)
+    Y0[...] = y0
+    start = Y0 if guess is None else guess
+    polish = guess is not None and A.ndim == 3
+    Y, F, res, iterations = _sweeps(system, system.vector_field, A, h, y0, Y0, start, polish)
+    return StepResult(
+        h * (tableau.b @ F), Y, iterations, bool(res <= STAGE_TOL), float(res), y0, h, F
+    )
+
+
+def _sweeps(system, field, A, h, y0, Y0, Y, polish):
+    """The stage iteration of `step` from the start `Y`: fixed-point sweeps
+    on the stage system of y0 (broadcast over the stages in `Y0`), a
+    simplified Newton iteration once they stall, and the exits `step`
+    describes.  Returns the last iterate, its stage fields `field` gave, its
+    scaled residual and the sweep count."""
     # the max-norms below read Python floats: on a few dozen values numpy's
     # reductions cost several times an element-wise operation
     scale = 1.0 + max(map(abs, y0.tolist()))
-    shape = A.shape[:-1] + (n,)
-
-    # the flows take a stack as it is and flatten it to (k*s, n) rows
-    # themselves; y0 broadcast once spares each sweep a broadcasting operation
-    field = system.vector_field
-    Y0 = np.empty(shape)
-    Y0[...] = y0
-    Y = Y0 if guess is None else guess
+    s, n = Y0.shape[-2:]
     F = field(Y)
-    polish = guess is not None and A.ndim == 3
 
     M = None  # simplified-Newton matrices; None while fixed-point sweeps run
     history = []
@@ -209,24 +225,14 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
             Y_next = Y0 + hAF
         else:
             rhs = defect.reshape(A.shape[:-2] + (s * n, 1))
-            Y_next = Y - np.linalg.solve(M, rhs).reshape(shape)
+            Y_next = Y - np.linalg.solve(M, rhs).reshape(Y0.shape)
         try:
             F_next = field(Y_next)
         except SingularPotentialError:
             break
         last = Y, F, res
         Y, F = Y_next, F_next
-
-    return StepResult(
-        increment=h * (tableau.b @ F),
-        stages=Y,
-        iterations=iterations,
-        converged=bool(res <= STAGE_TOL),
-        stage_residual=float(res),
-        y0=y0,
-        h=h,
-        stage_fields=F,
-    )
+    return Y, F, res, iterations
 
 
 def stage_predictor(tableau, history=1) -> np.ndarray:
@@ -250,7 +256,7 @@ def stage_predictor(tableau, history=1) -> np.ndarray:
     with B_j = w_j I - w_{j-1} L, where the same formula gives w_{-1} = -1
     and w_{m-1} = 0; for m=5, A [L+4I, -(4L+6I), 6L+4I, -(4L+I), L].  The
     extrapolation also amplifies the fields' own solve error, which bounds
-    how much history pays (see `experiments._STAGE_HISTORY`).
+    how much history pays (see `_STAGE_HISTORY`).
     """
     c = tableau.c
     s = tableau.s
@@ -264,3 +270,68 @@ def stage_predictor(tableau, history=1) -> np.ndarray:
 
     eye = np.eye(s)
     return tableau.A @ np.hstack([w(j) * eye - w(j - 1) * L for j in range(history)])
+
+
+# steps of stage fields a fixed-tableau step is predicted from; six take more
+# sweeps at large h (Kepler s=2, h=2^-2: 12.96 a step against 12.83; quartic
+# s=3, h=2^-3: 12.31 against 12.13)
+_STAGE_HISTORY = 5
+
+
+@lru_cache(maxsize=32)
+def _fixed_predictors(pert):
+    """`stage_predictor` of the tableau `butcher` builds for `pert`, for
+    1.._STAGE_HISTORY steps of history, read-only; built on the first run
+    of each tableau and shared by the runs after it."""
+    tab = butcher(gauss_quadrature(pert.s), pert)
+    predictors = tuple(stage_predictor(tab, m) for m in range(1, _STAGE_HISTORY + 1))
+    for E in predictors:
+        E.setflags(write=False)
+    return predictors
+
+
+def fixed_run(system, tableau, states, iterations, cfg, last_cfg=None):
+    """Take the steps of a fixed-tableau run from states[0], writing the
+    state after step k to states[k + 1] and its sweeps to iterations[k].
+
+    `tableau` is the one `butcher` builds for its perturbation.  The full
+    steps take `cfg`; `last_cfg`, when given, is the shortened last step.
+    The set-up is done once per run: each full step after the first starts
+    from the stages that the stage fields of the last min(k, 5) full steps
+    predict (`stage_predictor`, O(h^{s+5}) once five are kept) and goes
+    straight to the sweep loop of `step`, and one that converges is
+    accepted as the same floats `step` would give.  The first step, a
+    shortened last step and a step whose predicted start does not converge
+    are solved from y0 by `step`, and count the sweeps of that cold solve.
+
+    Returns None when every step converges, else the index of the step that
+    failed and the cause: the unconverged `StepResult` of its cold solve,
+    or the `SingularPotentialError` its start raised."""
+    A, b, s, h, field = tableau.A, tableau.b, tableau.s, cfg.h, system.vector_field
+    predictors = _fixed_predictors(tableau.perturbation)
+    n_full = iterations.size - (last_cfg is not None)
+    # the stage fields of the last full steps, newest first
+    fields = np.empty((_STAGE_HISTORY * s, system.dim))
+    Y0 = np.empty((s, system.dim))
+    y = states[0]
+    try:
+        for k in range(iterations.size):
+            y1 = None
+            if 0 < k < n_full:
+                m = min(k, _STAGE_HISTORY)
+                guess = y + h * (predictors[m - 1] @ fields[: m * s])
+                Y0[...] = y
+                _, F, res, sweeps = _sweeps(system, field, A, h, y, Y0, guess, False)
+                if res <= STAGE_TOL:
+                    y1 = y + h * (b @ F)  # StepResult.y1, y0 + h (b @ F)
+            if y1 is None:
+                result = step(system, tableau, y, cfg if k < n_full else last_cfg)
+                if not result.converged:
+                    return k, result
+                F, sweeps, y1 = result.stage_fields, result.iterations, result.y1
+            fields[s:] = fields[:-s]
+            fields[:s] = F
+            iterations[k] = sweeps
+            states[k + 1] = y = y1
+    except SingularPotentialError as exc:
+        return k, exc

@@ -367,6 +367,20 @@ class TestIntegrateCommand:
         assert err.startswith(f"sympulse: error: {message}")
         assert "Traceback" not in err
 
+    def test_last_step_too_short_for_its_root_scale_usage_error(self, capsys):
+        code, out, err = run_capture(
+            capsys,
+            [*KEPLER, "--method", "ep-gauss-type2", "--stages", "10", "--h", "1e-11",
+             "--t-end", "3.00000002e-11"],
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(
+            "sympulse: error: the last step from t0=0.0 to t_end=3.00000002e-11 at h=1e-11 "
+            "is shortened to "
+        )
+
     @pytest.mark.parametrize(
         "argv",
         [

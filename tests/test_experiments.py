@@ -116,6 +116,25 @@ class TestRunSpec:
         with pytest.raises(ValueError, match=r"root scale h\^\d must be a positive finite"):
             RunSpec(**{**base, **kwargs})
 
+    def test_last_step_too_short_for_its_root_scale_refused_before_a_step(self, monkeypatch):
+        # the remainder's h^18 underflows where h^18 does not; the spec is
+        # refused before the run's three full steps are taken
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(experiments, "solve_alpha", forbidden)
+        _, remainder, _ = experiments._step_grid(0.0, 3.00000002e-11, 1e-11)
+        with pytest.raises(ValueError) as err:
+            integrate(RunSpec("kepler", "ep-gauss-type2", 10, 1e-11, 3.00000002e-11))
+        message = str(err.value)
+        for part in ("t0=0.0", "t_end=3.00000002e-11", "h=1e-11", repr(remainder)):
+            assert part in message
+        assert "root scale is not a positive finite float" in message
+        # the fixed tableaux take the same grid, and a grid without a
+        # shortened step is accepted
+        RunSpec("kepler", "gauss", 10, 1e-11, 3.00000002e-11)
+        RunSpec("kepler", "ep-gauss-type2", 10, 1e-11, 3e-11)
+
     @pytest.mark.parametrize("h", [1e-150, 1e150])
     def test_root_scale_near_the_ends_of_the_float_range_accepted(self, h):
         spec = RunSpec(problem="kepler", method="ep-gauss", s=2, h=h, t_end=10 * h)
@@ -259,12 +278,13 @@ class TestIntegrate:
     @pytest.mark.parametrize("method", ["gauss", "ep-gauss"])
     def test_partial_final_step_has_its_own_step_config(self, monkeypatch, method):
         # the full steps share one StepConfig; the shortened last step gets
-        # one of its own, with its own h
+        # one of its own, with its own h.  A fixed-tableau run's cold solves
+        # (its first and last steps) go through stepper.step, a tuned run's
+        # probes through conserve.step
         import sympulse.conserve as conserve_mod
-        import sympulse.experiments as experiments_mod
 
         seen = []
-        for module in (conserve_mod, experiments_mod):
+        for module in (conserve_mod, stepper):
             original = module.step
 
             def spy(system, tab, y0, cfg, guess=None, _original=original):
@@ -371,13 +391,13 @@ class TestFixedTableauWarmStart:
         # the carry plus the last miss gave O(h^{s+2}), 32-fold
         first = []
 
-        def spy(system, tab, y0, cfg, guess=None, _original=experiments.step):
-            if guess is not None:
-                defect = guess - y0 - cfg.h * (tab.A @ system.vector_field(guess))
+        def spy(system, field, A, h, y0, Y0, Y, polish, _original=stepper._sweeps):
+            if Y is not Y0:  # a predicted start
+                defect = Y - y0 - h * (A @ system.vector_field(Y))
                 first.append(np.abs(defect).max() / (1.0 + np.abs(y0).max()))
-            return _original(system, tab, y0, cfg, guess)
+            return _original(system, field, A, h, y0, Y0, Y, polish)
 
-        monkeypatch.setattr(experiments, "step", spy)
+        monkeypatch.setattr(stepper, "_sweeps", spy)
         medians = []
         for h in (2**-5, 2**-6, 2**-7):
             first.clear()
@@ -397,14 +417,17 @@ class TestFixedTableauWarmStart:
         assert np.max(np.abs(traj.final_state - cold_y)) <= 1e-12
 
     def test_first_and_partial_steps_start_cold(self, monkeypatch):
-        guesses, results = [], []
+        # every stage solve, cold through stepper.step or predicted, runs
+        # the sweep loop once when no predicted start fails
+        guesses, stage_fields = [], []
 
-        def spy(system, tab, y0, cfg, guess=None, _original=experiments.step):
-            guesses.append(guess)
-            results.append(_original(system, tab, y0, cfg, guess))
-            return results[-1]
+        def spy(system, field, A, h, y0, Y0, Y, polish, _original=stepper._sweeps):
+            guesses.append(None if Y is Y0 else Y)
+            out = _original(system, field, A, h, y0, Y0, Y, polish)
+            stage_fields.append(out[1])
+            return out
 
-        monkeypatch.setattr(experiments, "step", spy)
+        monkeypatch.setattr(stepper, "_sweeps", spy)
         spec = RunSpec(problem="quartic", method="gauss", s=3, h=0.25, t_end=2.03)
         traj = integrate(spec)
         assert traj.partial_final
@@ -416,29 +439,111 @@ class TestFixedTableauWarmStart:
         tab = butcher(gauss_quadrature(3), PerturbationSpec.none(3))
         for k in range(1, 8):
             m = min(k, 5)
-            fields = np.concatenate([r.stage_fields for r in results[k - 1 :: -1][:m]])
-            expected = results[k - 1].y1 + spec.h * (stage_predictor(tab, m) @ fields)
+            fields = np.concatenate(stage_fields[k - 1 :: -1][:m])
+            expected = traj.states[k] + spec.h * (stage_predictor(tab, m) @ fields)
             np.testing.assert_array_equal(guesses[k], expected)
 
     def test_step_whose_predicted_start_fails_is_solved_from_y0(self, monkeypatch):
         # at h=0.6 some predicted starts land outside the fixed point's
         # basin; those steps are solved again from y0 and count that solve
-        calls = []
+        calls = []  # (predicted start, converged, sweeps) of each stage solve
 
-        def spy(system, tab, y0, cfg, guess=None, _original=experiments.step):
-            calls.append((guess, _original(system, tab, y0, cfg, guess)))
-            return calls[-1][1]
+        def spy(system, field, A, h, y0, Y0, Y, polish, _original=stepper._sweeps):
+            _, _, res, sweeps = out = _original(system, field, A, h, y0, Y0, Y, polish)
+            calls.append((Y is not Y0, res <= stepper.STAGE_TOL, sweeps))
+            return out
 
-        monkeypatch.setattr(experiments, "step", spy)
+        monkeypatch.setattr(stepper, "_sweeps", spy)
         traj = integrate(RunSpec(problem="quartic", method="gauss", s=2, h=0.6, t_end=20.0))
         assert traj.times[-1] == 20.0
-        retried = [i for i, (guess, result) in enumerate(calls) if not result.converged]
+        retried = [i for i, (_, converged, _) in enumerate(calls) if not converged]
         assert retried
         for i in retried:
-            assert calls[i][0] is not None
-            assert calls[i + 1][0] is None and calls[i + 1][1].converged
-        accepted = [result for i, (_, result) in enumerate(calls) if i not in retried]
-        np.testing.assert_array_equal(traj.stage_iters, [r.iterations for r in accepted])
+            assert calls[i][0]
+            assert not calls[i + 1][0] and calls[i + 1][1]
+        accepted = [sweeps for i, (_, _, sweeps) in enumerate(calls) if i not in retried]
+        np.testing.assert_array_equal(traj.stage_iters, accepted)
+
+
+@np.errstate(all="ignore")  # as integrate: an overflowing predicted start fails quietly
+def step_loop(spec):
+    """A fixed-tableau run as a loop of `stepper.step` calls, each full step
+    after the first started from the stages that the last min(k, 5) full
+    steps predict and solved once more from y0 if that start fails: the
+    states, the sweeps of each accepted solve and the number of retries."""
+    system, ic = problems_mod.get_problem(spec.problem, e=spec.e)
+    tab = butcher(gauss_quadrature(spec.s), spec.perturbation)
+    n_full, remainder, partial = experiments._step_grid(spec.t0, spec.t_end, spec.h)
+    full_cfg, last_cfg = StepConfig(h=spec.h), StepConfig(h=remainder) if partial else None
+    y, states, iters, fields, retries = ic.y0, [ic.y0], [], [], 0
+    for k in range(n_full + partial):
+        cfg = full_cfg if k < n_full else last_cfg
+        guess = None
+        if 0 < k < n_full:
+            m = min(k, 5)
+            guess = y + spec.h * (stage_predictor(tab, m) @ np.concatenate(fields[::-1][:m]))
+        result = step(system, tab, y, cfg, guess)
+        if guess is not None and not result.converged:
+            retries += 1
+            result = step(system, tab, y, cfg)
+        assert result.converged
+        fields.append(result.stage_fields)
+        y = result.y1
+        states.append(y)
+        iters.append(result.iterations)
+    return np.array(states), np.array(iters), retries
+
+
+class TestFixedRun:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            # multi-sweep steps
+            {"problem": "quartic", "method": "gauss", "s": 3, "h": 2**-8, "t_end": 2.0},
+            # a perturbed tableau and a shortened last step
+            {"problem": "kepler", "method": "fixed-alpha", "s": 2, "h": 2**-5, "t_end": 1.03,
+             "e": 0.6, "alpha": 1e-3},
+            # predicted starts that fail and are solved again from y0
+            {"problem": "quartic", "method": "gauss", "s": 2, "h": 0.6, "t_end": 20.0},
+        ],
+        ids=["quartic-multi-sweep", "kepler-partial", "quartic-retries"],
+    )
+    def test_run_is_byte_identical_to_a_loop_of_steps(self, kwargs):
+        spec = RunSpec(**kwargs)
+        states, iters, retries = step_loop(spec)
+        traj = integrate(spec)
+        assert traj.states.tobytes() == states.tobytes()
+        np.testing.assert_array_equal(traj.stage_iters, iters)
+        # each case exercises what it is there for
+        if spec.h == 2**-8:
+            assert iters[1:].max() > 1
+        if spec.method == "fixed-alpha":
+            assert traj.partial_final
+        if spec.h == 0.6:
+            assert retries > 0
+
+    def test_predictors_are_read_only_and_shared_across_runs(self, monkeypatch):
+        built = []
+
+        def counted(tab, history=1, _original=stepper.stage_predictor):
+            built.append(history)
+            return _original(tab, history)
+
+        monkeypatch.setattr(stepper, "stage_predictor", counted)
+        stepper._fixed_predictors.cache_clear()
+        spec = RunSpec("kepler", "fixed-alpha", 2, 2**-5, 0.5, e=0.6, alpha=2e-3)
+        first = integrate(spec)
+        second = integrate(dataclasses.replace(spec, t_end=1.0))
+        assert built == [1, 2, 3, 4, 5]
+        assert second.states[: first.states.shape[0]].tobytes() == first.states.tobytes()
+        predictors = stepper._fixed_predictors(spec.perturbation)
+        assert stepper._fixed_predictors(spec.perturbation) is predictors
+        tab = butcher(gauss_quadrature(2), spec.perturbation)
+        for m, E in enumerate(predictors, start=1):
+            assert not E.flags.writeable
+            np.testing.assert_array_equal(E, stepper.stage_predictor(tab, m))
+            with pytest.raises(ValueError, match="read-only"):
+                E[0, 0] = 0.0
 
 
 class TestEnergyBookkeeping:
@@ -698,6 +803,11 @@ class TestEnergyDefectOrder:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="positive and distinct"):
                 energy_defect_order("kepler", 2, h_list)
+
+    def test_one_stage_is_refused_by_its_stage_count(self):
+        # a 1-stage tableau has no coupling to perturb
+        with pytest.raises(ValueError, match="needs s >= 2, got s=1"):
+            energy_defect_order("kepler", 1, [0.1, 0.05, 0.025])
 
     def test_fits_only_the_last_coupling(self):
         with pytest.raises(TypeError):
