@@ -20,6 +20,7 @@ import os
 import re
 import sys
 import tempfile
+from functools import lru_cache
 
 import numpy as np
 
@@ -173,6 +174,9 @@ def _add_run_flags(p):
     p.add_argument("--t-end", type=float, default=None)
 
 
+# built once per process (a build takes about 1.4 ms); parse_args keeps no
+# state between calls, each returning a new namespace
+@lru_cache(maxsize=1)
 def _build_parser():
     parser = _Parser(prog="sympulse", description=__doc__)
     parser.add_argument("--version", action="version", version=f"sympulse {__version__}")

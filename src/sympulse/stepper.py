@@ -1,26 +1,31 @@
 """Implicit Runge-Kutta stage solver.
 
 One step solves the coupled stage system Y_i = y0 + h sum_j A_ij f(Y_j) and
-advances y1 = y0 + h sum_j b_j f(Y_j).  The solver is plain fixed-point
-iteration, adequate for nonstiff problems at moderate stepsizes; a simplified
-Newton iteration (vector-field Jacobian frozen at the step start, applied to
-the coupled system through its Kronecker structure) takes over from the
-current iterate when the fixed-point residual stalls, and a Newton
-iteration that stalls too ends the solve unconverged.  The stages start from
-y0 or from a caller's guess: a root search passes the line through two
-converged probes of the same step, a fixed-tableau run the stage fields of
-its last five steps extrapolated by `stage_predictor`, a start O(h^{s+5})
-from the solution.  Only a root search's stacked solves take a polish sweep
-after a guessed start (see `step`).
+advances y1 = y0 + h sum_j b_j f(Y_j).  The solver iterates on the stage
+increments Z_i = Y_i - y0 (Hairer & Wanner, *Solving ODEs II*, IV.8),
+Z <- h A F(y0 + Z) with the residual Z - h A F, which spares each sweep
+the subtraction of y0 that iterating on Y takes and gives the same
+fixed-point iterates Y.  It is plain fixed-point iteration, adequate for
+nonstiff problems at moderate stepsizes; a simplified Newton iteration
+(vector-field Jacobian frozen at the step start, applied to the coupled
+system through its Kronecker structure) takes over from the current
+iterate when the fixed-point residual stalls, and a Newton iteration that
+stalls too ends the solve unconverged.  The stages start from y0 or from a
+caller's guess: a root search passes the line through two converged probes
+of the same step, a fixed-tableau run the stage fields of its last five
+steps extrapolated by `stage_predictor`, a start O(h^{s+5}) from the
+solution.  Only a root search's stacked solves take a polish sweep after a
+guessed start (see `step`).
 
 `step` does its set-up per call and returns a `StepResult`; `fixed_run`
 takes the steps of a whole fixed-tableau run, doing the set-up once (the
-tableau, the field, the start buffer and the predictor matrices, which are
-cached per tableau) and sending each predicted step straight to the sweep
-loop `step` uses, so both compute the same floats in the same order.  Its
-cold solves (the first step, a shortened last step, and a step whose
-predicted start does not converge, solved once more from y0 and counted by
-the sweeps of that cold solve) go through `step`.
+tableau, the field, the start buffer, the ring of stage fields and the
+predictor matrices, cached per tableau and scaled by h per run) and
+sending each predicted step straight to the sweep loop `step` uses, with
+the predicted increments Z as its start.  Its cold solves (the first step,
+a shortened last step, and a step whose predicted start does not converge,
+solved once more from y0 and counted by the sweeps of that cold solve) go
+through `step`.
 """
 
 from __future__ import annotations
@@ -74,7 +79,9 @@ class StepResult(NamedTuple):
     h (b @ stage_fields), and the accepted state `y1` is the property
     y0 + increment, formed when it is read;
     `stage_residual` is the scaled max-norm defect of the stage equations
-    at return, and `converged` says whether it meets `STAGE_TOL`; the
+    at return, in the increments Z = stages - y0 the solve iterates on,
+    max|Z - h A F(y0 + Z)| / (1 + |y0|_inf) (see `_sweeps`), and
+    `converged` says whether it meets `STAGE_TOL`; the
     caller decides what to do when it does not.  A batched solve (see
     `step`) gives `increment`, `stages` and `stage_fields` a leading
     member axis, and so `y1` too.
@@ -132,11 +139,12 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     single tableau; started from a guess it takes the polish sweep below,
     which the single tableau does not.
 
-    The stages start from y0, or from `guess`, an (s, n) array ((k, s, n)
-    for a stack): in a root search, the stages extrapolated through the two
-    nearest converged probes from the same y0 (see `conserve.solve_alpha`);
-    in a fixed-tableau run, the stages predicted from the stage fields of
-    the steps before (see `stage_predictor`).  A
+    The stages start from y0, with increments Z = 0, or from `guess`, an
+    (s, n) array ((k, s, n) for a stack) taken as the stages exactly, with
+    Z = guess - y0: in a root search, the stages extrapolated through the
+    two nearest converged probes from the same y0 (see
+    `conserve.solve_alpha`).  (A fixed-tableau run hands its predicted
+    increments to the sweep loop itself; see `fixed_run`.)  A
     stack started from a guess takes one more sweep after its residual
     first meets `STAGE_TOL`.  Every probe of a root search is a stack, and
     there the error left at that point depends on where the guess came
@@ -162,20 +170,28 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     # themselves; y0 broadcast once spares each sweep a broadcasting operation
     Y0 = np.empty(A.shape[:-1] + y0.shape)
     Y0[...] = y0
-    start = Y0 if guess is None else guess
-    polish = guess is not None and A.ndim == 3
-    Y, F, res, iterations = _sweeps(system, system.vector_field, A, h, y0, Y0, start, polish)
+    if guess is None:
+        Y, Z, polish = Y0, np.zeros_like(Y0), False
+    else:
+        Y, Z, polish = guess, guess - Y0, A.ndim == 3
+    Y, _, F, res, iterations = _sweeps(system, system.vector_field, A, h, y0, Y0, Y, Z, polish)
     return StepResult(
         h * (tableau.b @ F), Y, iterations, bool(res <= STAGE_TOL), float(res), y0, h, F
     )
 
 
-def _sweeps(system, field, A, h, y0, Y0, Y, polish):
-    """The stage iteration of `step` from the start `Y`: fixed-point sweeps
-    on the stage system of y0 (broadcast over the stages in `Y0`), a
-    simplified Newton iteration once they stall, and the exits `step`
-    describes.  Returns the last iterate, its stage fields `field` gave, its
-    scaled residual and the sweep count."""
+def _sweeps(system, field, A, h, y0, Y0, Y, Z, polish):
+    """The stage iteration of `step` from the start `Y` and its increments
+    `Z` = `Y` - `Y0`: fixed-point sweeps on the stage system of y0
+    (broadcast over the stages in `Y0`), a simplified Newton iteration once
+    they stall, and the exits `step` describes.
+
+    The sweeps iterate on the increments, Z <- h A F(Y0 + Z) (Hairer &
+    Wanner, *Solving ODEs II*, IV.8), with the residual Z - h A F: one
+    sweep takes four array operations where iterating on Y takes five, and
+    gives the same fixed-point iterates Y.  Returns the last iterate, its increments,
+    the stage fields `field` gave, its scaled residual and the sweep
+    count."""
     # the max-norms below read Python floats: on a few dozen values numpy's
     # reductions cost several times an element-wise operation
     scale = 1.0 + max(map(abs, y0.tolist()))
@@ -185,13 +201,12 @@ def _sweeps(system, field, A, h, y0, Y0, Y, polish):
     M = None  # simplified-Newton matrices; None while fixed-point sweeps run
     history = []
     iterations = 0
-    last = None  # the iterate before (Y, F), with its residual
+    last = None  # the iterate before (Y, Z, F), with its residual
 
     while True:
-        hAF = A @ F
-        hAF *= h
-        defect = Y - Y0
-        defect -= hAF
+        Z_next = A @ F
+        Z_next *= h
+        defect = Z - Z_next
         values = defect.ravel().tolist()
         # max() passes over a NaN that is not its first value, but the sum of
         # a list that holds one is NaN (a finite sum that overflows is inf)
@@ -202,7 +217,7 @@ def _sweeps(system, field, A, h, y0, Y0, Y, polish):
             if last is None:
                 iterations = 1
             else:
-                Y, F, res = last
+                Y, Z, F, res = last
             break
         if iterations == _MAX_ITERS:
             break
@@ -221,18 +236,17 @@ def _sweeps(system, field, A, h, y0, Y0, Y, polish):
             kron = A[..., :, None, :, None] * J[:, None, :]
             M = np.eye(s * n) - h * kron.reshape(A.shape[:-2] + (s * n, s * n))
             history = []
-        if M is None:
-            Y_next = Y0 + hAF
-        else:
+        if M is not None:
             rhs = defect.reshape(A.shape[:-2] + (s * n, 1))
-            Y_next = Y - np.linalg.solve(M, rhs).reshape(Y0.shape)
+            Z_next = Z - np.linalg.solve(M, rhs).reshape(Y0.shape)
+        Y_next = Y0 + Z_next
         try:
             F_next = field(Y_next)
         except SingularPotentialError:
             break
-        last = Y, F, res
-        Y, F = Y_next, F_next
-    return Y, F, res, iterations
+        last = Y, Z, F, res
+        Y, Z, F = Y_next, Z_next, F_next
+    return Y, Z, F, res, iterations
 
 
 def stage_predictor(tableau, history=1) -> np.ndarray:
@@ -276,6 +290,10 @@ def stage_predictor(tableau, history=1) -> np.ndarray:
 # sweeps at large h (Kepler s=2, h=2^-2: 12.96 a step against 12.83; quartic
 # s=3, h=2^-3: 12.31 against 12.13)
 _STAGE_HISTORY = 5
+# steps of stage fields a fixed-tableau run's ring holds, at least
+# _STAGE_HISTORY; it moves its newest steps back once every
+# _FIELD_RING - _STAGE_HISTORY + 1 steps
+_FIELD_RING = 64
 
 
 @lru_cache(maxsize=32)
@@ -296,42 +314,54 @@ def fixed_run(system, tableau, states, iterations, cfg, last_cfg=None):
 
     `tableau` is the one `butcher` builds for its perturbation.  The full
     steps take `cfg`; `last_cfg`, when given, is the shortened last step.
-    The set-up is done once per run: each full step after the first starts
-    from the stages that the stage fields of the last min(k, 5) full steps
-    predict (`stage_predictor`, O(h^{s+5}) once five are kept) and goes
-    straight to the sweep loop of `step`, and one that converges is
-    accepted as the same floats `step` would give.  The first step, a
-    shortened last step and a step whose predicted start does not converge
-    are solved from y0 by `step`, and count the sweeps of that cold solve.
+    The set-up is done once per run, the predictor matrices scaled by h
+    among it.  Each full step after the first starts from the increments
+    Z = (h E) @ W that the stage fields W of the last min(k, 5) full steps
+    predict (`stage_predictor`, O(h^{s+5}) once five are kept), with the
+    stages Y0 + Z, and goes straight to the sweep loop of `step`; one that
+    converges is accepted as the state y0 + h (b @ F) that `step` would
+    give.  The first step, a shortened last step and a step whose
+    predicted start does not converge are solved from y0 by `step`, and
+    count the sweeps of that cold solve.  The stage fields are kept in a
+    ring of `_FIELD_RING` steps, newest first, so that the last steps'
+    fields are one slice and no step shifts them.
 
     Returns None when every step converges, else the index of the step that
     failed and the cause: the unconverged `StepResult` of its cold solve,
     or the `SingularPotentialError` its start raised."""
     A, b, s, h, field = tableau.A, tableau.b, tableau.s, cfg.h, system.vector_field
-    predictors = _fixed_predictors(tableau.perturbation)
+    predictors = [h * E for E in _fixed_predictors(tableau.perturbation)]
     n_full = iterations.size - (last_cfg is not None)
-    # the stage fields of the last full steps, newest first
-    fields = np.empty((_STAGE_HISTORY * s, system.dim))
+    # the newest full step's fields are ring[top * s : (top + 1) * s], the
+    # steps before it follow; a full ring keeps its newest history - 1
+    # steps, moved to its end
+    ring = np.empty((_FIELD_RING * s, system.dim))
+    top, kept = _FIELD_RING, (_STAGE_HISTORY - 1) * s
     Y0 = np.empty((s, system.dim))
     y = states[0]
     try:
         for k in range(iterations.size):
-            y1 = None
+            y1 = states[k + 1]
+            res = math.inf
             if 0 < k < n_full:
                 m = min(k, _STAGE_HISTORY)
-                guess = y + h * (predictors[m - 1] @ fields[: m * s])
+                Z = predictors[m - 1] @ ring[top * s : (top + m) * s]
                 Y0[...] = y
-                _, F, res, sweeps = _sweeps(system, field, A, h, y, Y0, guess, False)
-                if res <= STAGE_TOL:
-                    y1 = y + h * (b @ F)  # StepResult.y1, y0 + h (b @ F)
-            if y1 is None:
+                _, _, F, res, sweeps = _sweeps(system, field, A, h, y, Y0, Y0 + Z, Z, False)
+            if res <= STAGE_TOL:
+                np.add(y, h * (b @ F), out=y1)  # StepResult.y1, y0 + h (b @ F)
+            else:
                 result = step(system, tableau, y, cfg if k < n_full else last_cfg)
                 if not result.converged:
                     return k, result
-                F, sweeps, y1 = result.stage_fields, result.iterations, result.y1
-            fields[s:] = fields[:-s]
-            fields[:s] = F
+                F, sweeps = result.stage_fields, result.iterations
+                np.add(y, result.increment, out=y1)
+            if top == 0:
+                ring[-kept:] = ring[:kept]
+                top = _FIELD_RING - _STAGE_HISTORY + 1
+            top -= 1
+            ring[top * s : (top + 1) * s] = F
             iterations[k] = sweeps
-            states[k + 1] = y = y1
+            y = y1
     except SingularPotentialError as exc:
         return k, exc

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sympulse import __version__
+from sympulse import __version__, cli
 from sympulse import problems as problems_mod
 from sympulse.cli import UsageError, parse_stepsize, parse_value_list, run
 from sympulse.experiments import RunSpec, integrate
@@ -22,6 +22,31 @@ def run_capture(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestRepeatedRuns:
+    def test_runs_in_one_process_leak_nothing_into_each_other(self, capsys):
+        # the parser is built once per process: each call gives what it
+        # gives on a parser of its own
+        harmonic = ["integrate", "--problem", "harmonic", "--method", "gauss",
+                    "--h", "0.5", "--t-end", "1"]
+        calls = [
+            [*harmonic, "--y0", "0.3,0.1"],
+            harmonic,
+            ["integrate", "--problem", "harmonic", "--h", "nonsense"],
+            [*harmonic, "--y0", "0.3,0.1"],
+            ["tableau", "--stages", "2"],
+        ]
+        outputs = [run_capture(capsys, argv) for argv in calls]
+        assert [code for code, _, _ in outputs] == [0, 0, 1, 0, 0]
+        for argv, output in zip(calls, outputs):
+            cli._build_parser.cache_clear()
+            assert run_capture(capsys, argv) == output
+        # without --y0 the second run starts from the problem's default state
+        first_rows = [out.split("\nstep,")[1].splitlines()[1] for _, out, _ in outputs[:2]]
+        assert first_rows[0] == "0,0,0.29999999999999999,0.10000000000000001,0,0,0,0"
+        default = problems_mod.get_problem("harmonic")[1].y0
+        assert first_rows[1] == "0,0," + ",".join(cli.g17(v) for v in default) + ",0,0,0,0"
 
 
 class TestParsing:

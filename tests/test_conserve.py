@@ -89,7 +89,8 @@ class TestEnergyDefect:
 
     def test_stage_failure_raises_with_diagnostics(self, monkeypatch):
         system, ic = kepler(0.6)
-        monkeypatch.setattr(stepper, "STAGE_TOL", 1e-30)
+        # no residual meets a negative tolerance, not even an exact fixed point's 0.0
+        monkeypatch.setattr(stepper, "STAGE_TOL", -1.0)
         monkeypatch.setattr(stepper, "_MAX_ITERS", 3)
         with pytest.raises(StageSolveError) as err:
             energy_defect(system, 2, 1, ic.y0, 0.0, StepConfig(h=H5))

@@ -331,8 +331,9 @@ class TestIntegrate:
         assert err.value.state.tobytes() == np.array(y0).tobytes()
 
     def test_fixed_tableau_failure_names_alpha_h_residual_and_sweeps(self, monkeypatch):
-        # the message energy_defect gives for a failed probe
-        monkeypatch.setattr(stepper, "STAGE_TOL", 1e-30)
+        # the message energy_defect gives for a failed probe; no residual
+        # meets a negative tolerance, not even an exact fixed point's 0.0
+        monkeypatch.setattr(stepper, "STAGE_TOL", -1.0)
         spec = RunSpec(
             problem="kepler", method="fixed-alpha", s=2, h=2**-5, t_end=1.0, e=0.6,
             alpha=1e-3,
@@ -391,11 +392,11 @@ class TestFixedTableauWarmStart:
         # the carry plus the last miss gave O(h^{s+2}), 32-fold
         first = []
 
-        def spy(system, field, A, h, y0, Y0, Y, polish, _original=stepper._sweeps):
+        def spy(system, field, A, h, y0, Y0, Y, Z, polish, _original=stepper._sweeps):
             if Y is not Y0:  # a predicted start
-                defect = Y - y0 - h * (A @ system.vector_field(Y))
+                defect = Z - h * (A @ system.vector_field(Y))
                 first.append(np.abs(defect).max() / (1.0 + np.abs(y0).max()))
-            return _original(system, field, A, h, y0, Y0, Y, polish)
+            return _original(system, field, A, h, y0, Y0, Y, Z, polish)
 
         monkeypatch.setattr(stepper, "_sweeps", spy)
         medians = []
@@ -421,10 +422,10 @@ class TestFixedTableauWarmStart:
         # the sweep loop once when no predicted start fails
         guesses, stage_fields = [], []
 
-        def spy(system, field, A, h, y0, Y0, Y, polish, _original=stepper._sweeps):
-            guesses.append(None if Y is Y0 else Y)
-            out = _original(system, field, A, h, y0, Y0, Y, polish)
-            stage_fields.append(out[1])
+        def spy(system, field, A, h, y0, Y0, Y, Z, polish, _original=stepper._sweeps):
+            guesses.append(None if Y is Y0 else (Y, Z))
+            out = _original(system, field, A, h, y0, Y0, Y, Z, polish)
+            stage_fields.append(out[2])
             return out
 
         monkeypatch.setattr(stepper, "_sweeps", spy)
@@ -434,22 +435,24 @@ class TestFixedTableauWarmStart:
         assert traj.times[-1] == pytest.approx(2.03, abs=1e-15)
         assert len(guesses) == 9
         assert guesses[0] is None and guesses[-1] is None
-        # full step k starts from the stage fields of the last min(k, 5)
-        # full steps, newest first
+        # full step k starts from the increments that the stage fields of
+        # the last min(k, 5) full steps, newest first, predict, and from the
+        # stages y0 + Z
         tab = butcher(gauss_quadrature(3), PerturbationSpec.none(3))
         for k in range(1, 8):
             m = min(k, 5)
             fields = np.concatenate(stage_fields[k - 1 :: -1][:m])
-            expected = traj.states[k] + spec.h * (stage_predictor(tab, m) @ fields)
-            np.testing.assert_array_equal(guesses[k], expected)
+            Y, Z = guesses[k]
+            np.testing.assert_array_equal(Z, (spec.h * stage_predictor(tab, m)) @ fields)
+            np.testing.assert_array_equal(Y, traj.states[k] + Z)
 
     def test_step_whose_predicted_start_fails_is_solved_from_y0(self, monkeypatch):
         # at h=0.6 some predicted starts land outside the fixed point's
         # basin; those steps are solved again from y0 and count that solve
         calls = []  # (predicted start, converged, sweeps) of each stage solve
 
-        def spy(system, field, A, h, y0, Y0, Y, polish, _original=stepper._sweeps):
-            _, _, res, sweeps = out = _original(system, field, A, h, y0, Y0, Y, polish)
+        def spy(system, field, A, h, y0, Y0, Y, Z, polish, _original=stepper._sweeps):
+            _, _, _, res, sweeps = out = _original(system, field, A, h, y0, Y0, Y, Z, polish)
             calls.append((Y is not Y0, res <= stepper.STAGE_TOL, sweeps))
             return out
 
@@ -468,9 +471,11 @@ class TestFixedTableauWarmStart:
 @np.errstate(all="ignore")  # as integrate: an overflowing predicted start fails quietly
 def step_loop(spec):
     """A fixed-tableau run as a loop of `stepper.step` calls, each full step
-    after the first started from the stages that the last min(k, 5) full
-    steps predict and solved once more from y0 if that start fails: the
-    states, the sweeps of each accepted solve and the number of retries."""
+    after the first started from the stages y0 + (h E) @ W that the stage
+    fields W of the last min(k, 5) full steps predict, formed as
+    `stepper.fixed_run` forms them, and solved once more from y0 if that
+    start fails: the states, the sweeps of each accepted solve and the
+    number of retries."""
     system, ic = problems_mod.get_problem(spec.problem, e=spec.e)
     tab = butcher(gauss_quadrature(spec.s), spec.perturbation)
     n_full, remainder, partial = experiments._step_grid(spec.t0, spec.t_end, spec.h)
@@ -481,7 +486,7 @@ def step_loop(spec):
         guess = None
         if 0 < k < n_full:
             m = min(k, 5)
-            guess = y + spec.h * (stage_predictor(tab, m) @ np.concatenate(fields[::-1][:m]))
+            guess = y + (spec.h * stage_predictor(tab, m)) @ np.concatenate(fields[::-1][:m])
         result = step(system, tab, y, cfg, guess)
         if guess is not None and not result.converged:
             retries += 1
@@ -505,8 +510,12 @@ class TestFixedRun:
              "e": 0.6, "alpha": 1e-3},
             # predicted starts that fail and are solved again from y0
             {"problem": "quartic", "method": "gauss", "s": 2, "h": 0.6, "t_end": 20.0},
+            # a step that is not a power of two, where (h E) @ W and
+            # h (E @ W) round apart and the states show which start was used
+            {"problem": "kepler", "method": "fixed-alpha", "s": 2, "h": 0.03, "t_end": 1.0,
+             "e": 0.6, "alpha": 1e-3},
         ],
-        ids=["quartic-multi-sweep", "kepler-partial", "quartic-retries"],
+        ids=["quartic-multi-sweep", "kepler-partial", "quartic-retries", "kepler-start-rounding"],
     )
     def test_run_is_byte_identical_to_a_loop_of_steps(self, kwargs):
         spec = RunSpec(**kwargs)
@@ -521,6 +530,17 @@ class TestFixedRun:
             assert traj.partial_final
         if spec.h == 0.6:
             assert retries > 0
+
+    def test_field_ring_that_wraps_on_every_step_keeps_the_run(self, monkeypatch):
+        # a ring of _STAGE_HISTORY steps moves its newest steps back before
+        # every write from the sixth step on, retried steps included
+        monkeypatch.setattr(stepper, "_FIELD_RING", stepper._STAGE_HISTORY)
+        spec = RunSpec(problem="quartic", method="gauss", s=2, h=0.6, t_end=20.0)
+        states, iters, retries = step_loop(spec)
+        traj = integrate(spec)
+        assert retries > 0
+        assert traj.states.tobytes() == states.tobytes()
+        np.testing.assert_array_equal(traj.stage_iters, iters)
 
     def test_predictors_are_read_only_and_shared_across_runs(self, monkeypatch):
         built = []

@@ -33,6 +33,11 @@ from sympulse.tableau import (
 )
 
 
+# a stage tolerance no residual meets, not even the 0.0 of an iteration that
+# ends on an exact float fixed point: patched in to force a failed solve
+UNREACHABLE_TOL = -1.0
+
+
 def make_tableau(s, index=None, alpha=0.0):
     q = gauss_quadrature(s)
     if index is None or alpha == 0.0 and index is None:
@@ -186,19 +191,29 @@ class TestStep:
         if start == "warm":
             guess = step(system, make_tableau(3, 2, 2e-3), ic.y0, cfg).stages
         elif start == "out_of_budget":
-            monkeypatch.setattr(stepper, "STAGE_TOL", 1e-30)
+            monkeypatch.setattr(stepper, "STAGE_TOL", UNREACHABLE_TOL)
             monkeypatch.setattr(stepper, "_MAX_ITERS", 4)
+        increments = []  # the increments Z = Y - y0 the sweeps end on
+
+        def spy(*args, _original=stepper._sweeps):
+            out = _original(*args)
+            increments.append(out[1])
+            return out
+
+        monkeypatch.setattr(stepper, "_sweeps", spy)
         res = step(system, tab, ic.y0, cfg, guess)
         assert res.converged == (start != "out_of_budget")
+        [Z] = increments
+        np.testing.assert_allclose(res.stages, ic.y0 + Z, rtol=0, atol=1e-15)
         F = system.vector_field(res.stages)
-        fresh = np.max(np.abs(res.stages - ic.y0 - cfg.h * (tab.A @ F)))
+        fresh = np.max(np.abs(Z - cfg.h * (tab.A @ F)))
         assert res.stage_residual == fresh / (1.0 + np.max(np.abs(ic.y0)))
         np.testing.assert_array_equal(res.stage_fields, F)
 
     def test_non_convergence_is_flagged_not_raised(self, monkeypatch):
         system, ic = kepler(0.6)
         tab = make_tableau(2)
-        monkeypatch.setattr(stepper, "STAGE_TOL", 1e-30)
+        monkeypatch.setattr(stepper, "STAGE_TOL", UNREACHABLE_TOL)
         monkeypatch.setattr(stepper, "_MAX_ITERS", 5)
         res = step(system, tab, ic.y0, StepConfig(h=2**-5))
         assert not res.converged
@@ -422,7 +437,7 @@ class TestStep:
 
         tab = make_tableau(2)
         cfg = StepConfig(h=2**-5)
-        monkeypatch.setattr(stepper, "STAGE_TOL", 1e-30)
+        monkeypatch.setattr(stepper, "STAGE_TOL", UNREACHABLE_TOL)
         monkeypatch.setattr(stepper, "_MAX_ITERS", 4)
         res = step(dataclasses.replace(system, flow=flow), tab, ic.y0, cfg)
         monkeypatch.setattr(stepper, "_MAX_ITERS", 3)
@@ -451,7 +466,7 @@ class TestStep:
 
         tab = make_tableau(2)
         cfg = StepConfig(h=2**-5)
-        monkeypatch.setattr(stepper, "STAGE_TOL", 1e-30)
+        monkeypatch.setattr(stepper, "STAGE_TOL", UNREACHABLE_TOL)
         monkeypatch.setattr(stepper, "_MAX_ITERS", 4)
         res = step(dataclasses.replace(system, flow=flow), tab, ic.y0, cfg)
         monkeypatch.setattr(stepper, "_MAX_ITERS", 3)
@@ -805,7 +820,7 @@ class TestDenseOutput:
                 dense_output(self.res, self.tab, tau)
 
     def test_requires_converged_step(self, monkeypatch):
-        monkeypatch.setattr(stepper, "STAGE_TOL", 1e-30)
+        monkeypatch.setattr(stepper, "STAGE_TOL", UNREACHABLE_TOL)
         monkeypatch.setattr(stepper, "_MAX_ITERS", 2)
         bad = step(self.system, self.tab, self.ic.y0, StepConfig(h=2**-5))
         with pytest.raises(ValueError):

@@ -3,11 +3,15 @@ checkout: the same run census.
 
 Runs `tools/run_census.py` twice, as subprocesses, once with PYTHONPATH set
 to OTHER_SRC and once to this checkout's `src`, the two at the same time,
-and compares their output line by line.  Each differing line is printed,
-marked `<` for OTHER_SRC and `>` for this checkout, then the summary line
-`run_census: N lines, M differ`.  Exits 1 on any difference.  A census
-that fails prints one line naming its side and its last error line, and
-exits 2.
+and compares their output line by line, keyed by run id and array (every
+field of a line but its hash), so that a run that finishes on one side and
+fails on the other (six or more lines against one `fail@k` line) shifts no
+other line.  Each differing line is printed, marked `<` for OTHER_SRC and
+`>` for this checkout, then the summary line `run_census: N lines, M
+differ`, then one `outcome changed` line for each run whose outcome
+(finished, or the step it failed at) differs, naming both.  Exits 1 on
+any difference.  A census that fails prints one line naming its side and
+its last error line, and exits 2.
 
 PROBLEM restricts the census to the named problems, as `run_census.py`
 does.
@@ -24,7 +28,6 @@ The whole comparison takes about 30 s on a 2-CPU machine.
 
 from __future__ import annotations
 
-import itertools
 import os
 import pathlib
 import subprocess
@@ -54,17 +57,37 @@ def output(src, args):
     return result.stdout.splitlines()
 
 
+def _outcomes(keys):
+    """The outcome of each run among census `keys` (run id, then array):
+    `finished`, or the `fail@k` of a run that failed."""
+    outcomes = {}
+    for key in keys:
+        run, _, array = key.rpartition(" ")
+        if array.startswith("fail@"):
+            outcomes[run] = array
+        else:
+            outcomes.setdefault(run, "finished")
+    return outcomes
+
+
 def report(name, other, this):
-    """Print each line that differs, position by position, between the
-    `other` and `this` line lists, marked with its side, then the summary
-    line of `name`; returns the number of differing positions."""
-    diff = [(a, b) for a, b in itertools.zip_longest(other, this) if a != b]
-    for a, b in diff:
-        if a is not None:
-            print(f"< {a}")
-        if b is not None:
-            print(f"> {b}")
+    """Print each line that differs between the `other` and `this` census
+    line lists, keyed by all fields but the last (a run id and an array),
+    marked with its side, then the summary line of `name`, then one line per
+    run found on both sides whose outcome changed; returns the number of
+    differing keys."""
+    a, b = ({line.rsplit(" ", 1)[0]: line for line in lines} for lines in (other, this))
+    diff = [key for key in {**a, **b} if a.get(key) != b.get(key)]
+    for key in diff:
+        if key in a:
+            print(f"< {a[key]}")
+        if key in b:
+            print(f"> {b[key]}")
     print(f"{name}: {max(len(other), len(this))} lines, {len(diff)} differ")
+    before, after = _outcomes(a), _outcomes(b)
+    for run, outcome in before.items():
+        if after.get(run, outcome) != outcome:
+            print(f"outcome changed: {run}: {outcome} -> {after[run]}")
     return len(diff)
 
 
