@@ -17,15 +17,23 @@ steps extrapolated by `stage_predictor`, a start O(h^{s+5}) from the
 solution.  Only a root search's stacked solves take a polish sweep after a
 guessed start (see `step`).
 
+A single tableau, whose h is fixed for the whole run, multiplies the stage
+fields by one operator K = h [A; b^T], an (s+1, s) matrix: rows :s of
+K @ F are the h A F the residual needs and row s is the step's increment
+h b^T F, so a step that converges at its first check takes both from one
+product.  A root search's stacks (k, s, s) keep h (A @ F) and h (b @ F),
+so that no h is folded into the numbers a search reads.
+
 `step` does its set-up per call and returns a `StepResult`; `fixed_run`
 takes the steps of a whole fixed-tableau run, doing the set-up once (the
-tableau, the field, the start buffer, the ring of stage fields and the
-predictor matrices, cached per tableau and scaled by h per run) and
-sending each predicted step straight to the sweep loop `step` uses, with
-the predicted increments Z as its start.  Its cold solves (the first step,
-a shortened last step, and a step whose predicted start does not converge,
-solved once more from y0 and counted by the sweeps of that cold solve) go
-through `step`.
+operator K, the field, the start buffer, the ring of stage fields and the
+predictor matrices, cached per tableau and scaled by h per run).  Each
+predicted step forms its start from the predicted increments Z and makes
+the sweep loop's first check itself, from the product K @ F that also
+gives y1; only a step whose first check fails goes on to the sweep loop
+`step` uses.  Its cold solves (the first step, a shortened last step, and
+a step whose predicted start does not converge, solved once more from y0
+and counted by the sweeps of that cold solve) go through `step`.
 """
 
 from __future__ import annotations
@@ -76,11 +84,14 @@ class StepResult(NamedTuple):
 
     `y0` and `h` anchor `y1` and the demos' dense output (the package has
     none) and `stage_fields` holds f at the stages; `increment` is
-    h (b @ stage_fields), and the accepted state `y1` is the property
-    y0 + increment, formed when it is read;
+    h (b @ stage_fields) for a stack and row s of K @ stage_fields, with
+    K = h [A; b^T], for a single tableau, and the accepted state `y1` is
+    the property y0 + increment, formed when it is read;
     `stage_residual` is the scaled max-norm defect of the stage equations
     at return, in the increments Z = stages - y0 the solve iterates on,
-    max|Z - h A F(y0 + Z)| / (1 + |y0|_inf) (see `_sweeps`), and
+    max|Z - h A F(y0 + Z)| / (1 + |y0|_inf) with h A F formed as
+    h (A @ F) for a stack and as (h A) @ F for a single tableau (see
+    `_sweeps`), and
     `converged` says whether it meets `STAGE_TOL`; the
     caller decides what to do when it does not.  A batched solve (see
     `step`) gives `increment`, `stages` and `stage_fields` a leading
@@ -135,9 +146,15 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     the worst member's residual meets `STAGE_TOL`, and one vector-field
     call takes all k s stages.  The arrays of the result carry a
     leading member axis, and `iterations`, `converged` and `stage_residual`
-    are the batch's.  A stack of one started cold solves exactly as its
-    single tableau; started from a guess it takes the polish sweep below,
-    which the single tableau does not.
+    are the batch's.  A stack sweeps with h (A @ F) and takes its increment
+    as h (b @ F); a single tableau sweeps with rows :s of K = h [A; b^T]
+    and takes row s of K @ F as its increment, the operator and product
+    `fixed_run` uses, so that a run is bit for bit a loop of `step` calls.
+    At a stepsize whose products with A are exact (a power of two), a
+    stack of one started cold makes the same sweeps as its single tableau,
+    to the same stages, fields, iteration count and residual, and only the
+    rounding of the increment differs; started from a guess the stack
+    takes the polish sweep below, which the single tableau does not.
 
     The stages start from y0, with increments Z = 0, or from `guess`, an
     (s, n) array ((k, s, n) for a stack) taken as the stages exactly, with
@@ -153,6 +170,13 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     A single tableau serves a fixed-tableau run, where no such smoothness is
     asked for, and stops at its first residual within `STAGE_TOL`.
 
+    A single tableau solves under `np.errstate(all="ignore")`, so that a
+    diverging solve outside `integrate` warns of nothing; it serves the
+    cold solves of a fixed-tableau run and `conserve.energy_defect`.  A
+    stack does not enter it: an entry costs about 1.1 us, some 6 ms over
+    the 5245 stacked solves of one `kepler-ep2` benchmark execution, and a
+    root search run by `integrate` is quiet already.
+
     Non-convergence is reported through the `converged` flag, not raised: an
     iterate whose field is singular or not finite ends the solve at the last
     iterate with a finite field, and a Newton iteration that stalls ends it
@@ -165,7 +189,7 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (system.dim,):
         raise ValueError(f"start state has shape {y0.shape}, the system's states ({system.dim},)")
-    A, h = tableau.A, cfg.h
+    A, b, h, field = tableau.A, tableau.b, cfg.h, system.vector_field
     # the flows take a stack as it is and flatten it to (k*s, n) rows
     # themselves; y0 broadcast once spares each sweep a broadcasting operation
     Y0 = np.empty(A.shape[:-1] + y0.shape)
@@ -174,29 +198,39 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
         Y, Z, polish = Y0, np.zeros_like(Y0), False
     else:
         Y, Z, polish = guess, guess - Y0, A.ndim == 3
-    Y, _, F, res, iterations = _sweeps(system, system.vector_field, A, h, y0, Y0, Y, Z, polish)
-    return StepResult(
-        h * (tableau.b @ F), Y, iterations, bool(res <= STAGE_TOL), float(res), y0, h, F
-    )
+    if A.ndim == 3:
+        Y, _, F, res, iterations = _sweeps(system, A, h, y0, Y0, Y, Z, field(Y), polish)
+        increment = h * (b @ F)
+    else:
+        K = h * np.vstack((A, b))  # as fixed_run forms it
+        with np.errstate(all="ignore"):
+            Y, _, F, res, iterations = _sweeps(system, K[:-1], 1.0, y0, Y0, Y, Z, field(Y), False)
+            increment = (K @ F)[-1]
+    return StepResult(increment, Y, iterations, bool(res <= STAGE_TOL), float(res), y0, h, F)
 
 
-def _sweeps(system, field, A, h, y0, Y0, Y, Z, polish):
-    """The stage iteration of `step` from the start `Y` and its increments
-    `Z` = `Y` - `Y0`: fixed-point sweeps on the stage system of y0
-    (broadcast over the stages in `Y0`), a simplified Newton iteration once
-    they stall, and the exits `step` describes.
+def _sweeps(system, A, h, y0, Y0, Y, Z, F, polish):
+    """The stage iteration of `step` from the start `Y`, its increments
+    `Z` = `Y` - `Y0` and its stage fields `F`: fixed-point sweeps on the
+    stage system of y0 (broadcast over the stages in `Y0`), a simplified
+    Newton iteration once they stall, and the exits `step` describes.
 
-    The sweeps iterate on the increments, Z <- h A F(Y0 + Z) (Hairer &
-    Wanner, *Solving ODEs II*, IV.8), with the residual Z - h A F: one
+    The sweeps iterate on the increments, Z <- h (A @ F(Y0 + Z)) (Hairer &
+    Wanner, *Solving ODEs II*, IV.8), with the residual Z - h (A @ F): one
     sweep takes four array operations where iterating on Y takes five, and
-    gives the same fixed-point iterates Y.  Returns the last iterate, its increments,
-    the stage fields `field` gave, its scaled residual and the sweep
-    count."""
+    gives the same fixed-point iterates Y.  A stack passes its (k, s, s)
+    coefficients and h; a single tableau passes h A, rows :s of its
+    operator K, and h = 1.0, which changes no value, so that the tuned
+    stacks' sweep loop is the same operation for operation.  The caller
+    evaluates the start's fields `F`: `fixed_run` hands on a start whose
+    first check it made and failed, and so evaluates no field twice.  Returns
+    the last iterate, its increments, the stage fields the system's field
+    gave, its scaled residual and the sweep count."""
     # the max-norms below read Python floats: on a few dozen values numpy's
     # reductions cost several times an element-wise operation
     scale = 1.0 + max(map(abs, y0.tolist()))
     s, n = Y0.shape[-2:]
-    F = field(Y)
+    field = system.vector_field
 
     M = None  # simplified-Newton matrices; None while fixed-point sweeps run
     history = []
@@ -315,12 +349,16 @@ def fixed_run(system, tableau, states, iterations, cfg, last_cfg=None):
     `tableau` is the one `butcher` builds for its perturbation.  The full
     steps take `cfg`; `last_cfg`, when given, is the shortened last step.
     The set-up is done once per run, the predictor matrices scaled by h
-    among it.  Each full step after the first starts from the increments
-    Z = (h E) @ W that the stage fields W of the last min(k, 5) full steps
-    predict (`stage_predictor`, O(h^{s+5}) once five are kept), with the
-    stages Y0 + Z, and goes straight to the sweep loop of `step`; one that
-    converges is accepted as the state y0 + h (b @ F) that `step` would
-    give.  The first step, a shortened last step and a step whose
+    among it, and so is the operator K = h [A; b^T] that `step` forms for a
+    single tableau.  Each full step after the first starts from the
+    increments Z = (h E) @ W that the stage fields W of the last min(k, 5)
+    full steps predict (`stage_predictor`, O(h^{s+5}) once five are kept),
+    with the stages y0 + Z, and makes the sweep loop's first check itself:
+    G = K @ F, the residual Z - G[:s], and, when that meets `STAGE_TOL`,
+    the state y0 + G[s] that `step` would give, after one sweep.  A step
+    whose first check fails goes on to the sweep loop of `step` with the
+    start and fields it has, and one that then converges is accepted as
+    y0 + (K @ F)[s].  The first step, a shortened last step and a step whose
     predicted start does not converge are solved from y0 by `step`, and
     count the sweeps of that cold solve.  The stage fields are kept in a
     ring of `_FIELD_RING` steps, newest first, so that the last steps'
@@ -329,7 +367,8 @@ def fixed_run(system, tableau, states, iterations, cfg, last_cfg=None):
     Returns None when every step converges, else the index of the step that
     failed and the cause: the unconverged `StepResult` of its cold solve,
     or the `SingularPotentialError` its start raised."""
-    A, b, s, h, field = tableau.A, tableau.b, tableau.s, cfg.h, system.vector_field
+    s, h, field = tableau.s, cfg.h, system.vector_field
+    K = h * np.vstack((tableau.A, tableau.b))
     predictors = [h * E for E in _fixed_predictors(tableau.perturbation)]
     n_full = iterations.size - (last_cfg is not None)
     # the newest full step's fields are ring[top * s : (top + 1) * s], the
@@ -346,10 +385,18 @@ def fixed_run(system, tableau, states, iterations, cfg, last_cfg=None):
             if 0 < k < n_full:
                 m = min(k, _STAGE_HISTORY)
                 Z = predictors[m - 1] @ ring[top * s : (top + m) * s]
-                Y0[...] = y
-                _, _, F, res, sweeps = _sweeps(system, field, A, h, y, Y0, Y0 + Z, Z, False)
+                F = field(Y := y + Z)
+                # the first check of the sweep loop, from the one product that
+                # also gives the increment; only a start that fails it sweeps on
+                G = K @ F
+                values = (Z - G[:s]).ravel().tolist()
+                res, sweeps = max(map(abs, values)) / (1.0 + max(map(abs, y.tolist()))), 1
+                if not res <= STAGE_TOL or math.isnan(sum(values)):
+                    Y0[...] = y
+                    _, _, F, res, sweeps = _sweeps(system, K[:s], 1.0, y, Y0, Y, Z, F, False)
+                    G = K @ F
             if res <= STAGE_TOL:
-                np.add(y, h * (b @ F), out=y1)  # StepResult.y1, y0 + h (b @ F)
+                np.add(y, G[s], out=y1)  # StepResult.y1, y0 + (K @ F)[s]
             else:
                 result = step(system, tableau, y, cfg if k < n_full else last_cfg)
                 if not result.converged:

@@ -390,19 +390,17 @@ class TestFixedTableauWarmStart:
         # five steps of history predict the stages to O(h^{s+5}), so the
         # residual of the start falls 256-fold per halving for s=3, where
         # the carry plus the last miss gave O(h^{s+2}), 32-fold
-        first = []
-
-        def spy(system, field, A, h, y0, Y0, Y, Z, polish, _original=stepper._sweeps):
-            if Y is not Y0:  # a predicted start
-                defect = Z - h * (A @ system.vector_field(Y))
-                first.append(np.abs(defect).max() / (1.0 + np.abs(y0).max()))
-            return _original(system, field, A, h, y0, Y0, Y, Z, polish)
-
-        monkeypatch.setattr(stepper, "_sweeps", spy)
-        medians = []
+        tab = butcher(gauss_quadrature(3), PerturbationSpec.none(3))
+        calls, medians = field_calls(monkeypatch), []
         for h in (2**-5, 2**-6, 2**-7):
-            first.clear()
-            integrate(RunSpec(problem="quartic", method="gauss", s=3, h=h, t_end=2.0))
+            calls.clear()
+            traj = integrate(RunSpec(problem="quartic", method="gauss", s=3, h=h, t_end=2.0))
+            first = []
+            for k, solve in enumerate(per_step(calls, traj.stage_iters)[1:], start=1):
+                Y, F = solve[0]  # the predicted start and its stage fields
+                y0 = traj.states[k]
+                defect = (Y - y0) - h * (tab.A @ F)
+                first.append(np.abs(defect).max() / (1.0 + np.abs(y0).max()))
             medians.append(np.median(first))
         assert medians[0] / medians[1] >= 128.0
         assert medians[1] / medians[2] >= 128.0
@@ -418,41 +416,36 @@ class TestFixedTableauWarmStart:
         assert np.max(np.abs(traj.final_state - cold_y)) <= 1e-12
 
     def test_first_and_partial_steps_start_cold(self, monkeypatch):
-        # every stage solve, cold through stepper.step or predicted, runs
-        # the sweep loop once when no predicted start fails
-        guesses, stage_fields = [], []
-
-        def spy(system, field, A, h, y0, Y0, Y, Z, polish, _original=stepper._sweeps):
-            guesses.append(None if Y is Y0 else (Y, Z))
-            out = _original(system, field, A, h, y0, Y0, Y, Z, polish)
-            stage_fields.append(out[2])
-            return out
-
-        monkeypatch.setattr(stepper, "_sweeps", spy)
+        # every stage solve, cold through stepper.step or predicted, calls
+        # the field once per sweep when no predicted start fails
+        calls = field_calls(monkeypatch)
         spec = RunSpec(problem="quartic", method="gauss", s=3, h=0.25, t_end=2.03)
         traj = integrate(spec)
         assert traj.partial_final
         assert traj.times[-1] == pytest.approx(2.03, abs=1e-15)
-        assert len(guesses) == 9
-        assert guesses[0] is None and guesses[-1] is None
-        # full step k starts from the increments that the stage fields of
-        # the last min(k, 5) full steps, newest first, predict, and from the
-        # stages y0 + Z
+        solves = per_step(calls, traj.stage_iters)
+        assert len(solves) == 9
+        for k in (0, 8):
+            start, _ = solves[k][0]
+            np.testing.assert_array_equal(start, np.broadcast_to(traj.states[k], start.shape))
+        # full step k starts from the stages y0 + Z, with the increments Z
+        # that the stage fields of the last min(k, 5) full steps, newest
+        # first, predict
         tab = butcher(gauss_quadrature(3), PerturbationSpec.none(3))
+        stage_fields = [solve[-1][1] for solve in solves]
         for k in range(1, 8):
             m = min(k, 5)
             fields = np.concatenate(stage_fields[k - 1 :: -1][:m])
-            Y, Z = guesses[k]
-            np.testing.assert_array_equal(Z, (spec.h * stage_predictor(tab, m)) @ fields)
-            np.testing.assert_array_equal(Y, traj.states[k] + Z)
+            Z = (spec.h * stage_predictor(tab, m)) @ fields
+            np.testing.assert_array_equal(solves[k][0][0], traj.states[k] + Z)
 
     def test_step_whose_predicted_start_fails_is_solved_from_y0(self, monkeypatch):
         # at h=0.6 some predicted starts land outside the fixed point's
         # basin; those steps are solved again from y0 and count that solve
-        calls = []  # (predicted start, converged, sweeps) of each stage solve
+        calls = []  # (predicted start, converged, sweeps) of each sweep loop
 
-        def spy(system, field, A, h, y0, Y0, Y, Z, polish, _original=stepper._sweeps):
-            _, _, _, res, sweeps = out = _original(system, field, A, h, y0, Y0, Y, Z, polish)
+        def spy(system, A, h, y0, Y0, Y, Z, F, polish, _original=stepper._sweeps):
+            _, _, _, res, sweeps = out = _original(system, A, h, y0, Y0, Y, Z, F, polish)
             calls.append((Y is not Y0, res <= stepper.STAGE_TOL, sweeps))
             return out
 
@@ -464,11 +457,42 @@ class TestFixedTableauWarmStart:
         for i in retried:
             assert calls[i][0]
             assert not calls[i + 1][0] and calls[i + 1][1]
+        # a predicted start that meets STAGE_TOL at its first check is
+        # accepted without the sweep loop, after one sweep; every other
+        # step is accepted from a loop that took more
         accepted = [sweeps for i, (_, _, sweeps) in enumerate(calls) if i not in retried]
-        np.testing.assert_array_equal(traj.stage_iters, accepted)
+        np.testing.assert_array_equal(traj.stage_iters[traj.stage_iters > 1], accepted)
+        assert (traj.stage_iters == 1).sum() + len(accepted) == traj.stage_iters.size
 
 
-@np.errstate(all="ignore")  # as integrate: an overflowing predicted start fails quietly
+def field_calls(monkeypatch):
+    """The (stages, stage fields) of every vector-field call that the
+    runs after it make, in order, recorded by wrapping the flow of each
+    problem that `integrate` builds."""
+    calls = []
+
+    def get_problem(*args, _original=problems_mod.get_problem, **kwargs):
+        system, ic = _original(*args, **kwargs)
+
+        def recorded(y):
+            calls.append((y.copy(), system.flow(y)))
+            return calls[-1][1]
+
+        return dataclasses.replace(system, flow=recorded), ic
+
+    monkeypatch.setattr(problems_mod, "get_problem", get_problem)
+    return calls
+
+
+def per_step(calls, stage_iters):
+    """`field_calls` split into the calls of each step, a step of n sweeps
+    taking n calls (true when no step falls back to Newton or is solved
+    twice)."""
+    assert len(calls) == stage_iters.sum()
+    ends = np.cumsum(stage_iters)
+    return [calls[end - n : end] for n, end in zip(stage_iters, ends)]
+
+
 def step_loop(spec):
     """A fixed-tableau run as a loop of `stepper.step` calls, each full step
     after the first started from the stages y0 + (h E) @ W that the stage

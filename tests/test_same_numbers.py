@@ -10,7 +10,10 @@ def test_this_checkout_matches_itself():
         capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["run_census: 885 lines, 0 differ"]
+    assert result.stdout.splitlines() == [
+        "run_census: 885 lines, 0 differ",
+        "runs differing by method: gauss 0, fixed-alpha 0, ep-gauss 0, ep-gauss-type2 0",
+    ]
 
 
 def test_report_marks_each_differing_line_with_its_side(capsys):
@@ -55,6 +58,29 @@ def test_each_changed_outcome_ends_the_report(capsys):
         "tool: 6 lines, 7 differ",
         "outcome changed: kepler 0.3 5 ep-gauss 0.3: finished -> fail@9",
         "outcome changed: quartic - 2 gauss 1.0: fail@16 -> fail@15",
+    ]
+
+
+def test_differing_runs_are_counted_once_per_method(capsys):
+    # two arrays of one grid run count once; a named run takes the method
+    # of its RunSpec, and a run on one side only counts too
+    other = [
+        "quartic - 3 gauss 0.25 states 1", "quartic - 3 gauss 0.25 g_evals 2",
+        "kepler 0.6 2 fixed-alpha 0.1 states 3",
+        "kepler 0.6 2 ep-gauss 0.1 states 4",
+        "kepler-gauss-partial states 5", "quartic-type2-s3 states 6",
+    ]
+    this = [
+        "quartic - 3 gauss 0.25 states 7", "quartic - 3 gauss 0.25 g_evals 8",
+        "kepler 0.6 2 fixed-alpha 0.1 states 3",
+        "kepler 0.6 2 ep-gauss 0.1 states 4",
+        "kepler-gauss-partial states 9", "quartic-type2-s3 states 6",
+        "harmonic - 2 fixed-alpha 1.0 fail@3 10",
+    ]
+    assert same_numbers.report("tool", other, this, same_numbers.census_method) == 4
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "tool: 7 lines, 4 differ",
+        "runs differing by method: gauss 2, fixed-alpha 1, ep-gauss 0, ep-gauss-type2 0",
     ]
 
 

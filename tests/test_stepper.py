@@ -1,5 +1,7 @@
 import dataclasses
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -219,6 +221,16 @@ class TestStep:
         assert not res.converged
         assert res.iterations == 5
         assert res.stage_residual > 0.0
+
+    def test_diverging_single_tableau_fails_without_a_warning(self):
+        # quartic s=2 at h=2 from y0: the iterate overflows and the
+        # product of h A with its fields meets inf - inf
+        system, ic = quartic()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = step(system, make_tableau(2), ic.y0, StepConfig(h=2.0))
+        assert not res.converged
+        assert math.isfinite(res.stage_residual) and res.stage_residual > 1e100
 
     def test_budget_that_ends_on_a_converged_iterate_reports_it_converged(self, monkeypatch):
         # plain 2-stage Gauss on Kepler at 2^-5 reads its first residual
@@ -562,10 +574,17 @@ class TestBatchedStep:
         assert stack.y1.shape == (1, 4) and stack.stages.shape == (1, 3, 4)
         assert stack.converged and one.converged
         if start == "cold":
-            assert stack.y1[0].tobytes() == one.y1.tobytes()
+            # at a power-of-two h the solves are the same; each increment
+            # is then its own formula: h (b @ F) for the stack, row s of
+            # (h [A; b^T]) @ F for the single tableau
             assert stack.stages[0].tobytes() == one.stages.tobytes()
+            assert stack.stage_fields[0].tobytes() == one.stage_fields.tobytes()
             assert stack.iterations == one.iterations
             assert stack.stage_residual == one.stage_residual
+            F = one.stage_fields
+            assert stack.increment[0].tobytes() == (cfg.h * (single.b @ F)).tobytes()
+            K = cfg.h * np.vstack((single.A, single.b))
+            assert one.increment.tobytes() == (K @ F)[3].tobytes()
         else:
             # the stack sweeps as the single tableau, then takes its polish
             # sweep: one fixed-point update from the single's returned stages

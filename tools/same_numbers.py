@@ -8,10 +8,12 @@ field of a line but its hash), so that a run that finishes on one side and
 fails on the other (six or more lines against one `fail@k` line) shifts no
 other line.  Each differing line is printed, marked `<` for OTHER_SRC and
 `>` for this checkout, then the summary line `run_census: N lines, M
-differ`, then one `outcome changed` line for each run whose outcome
-(finished, or the step it failed at) differs, naming both.  Exits 1 on
-any difference.  A census that fails prints one line naming its side and
-its last error line, and exits 2.
+differ`, then `runs differing by method: gauss N, fixed-alpha N, ...`,
+the number of runs with a differing line for each method of the census,
+then one `outcome changed` line for each run whose outcome (finished, or
+the step it failed at) differs, naming both.  Exits 1 on any difference.
+A census that fails prints one line naming its side and its last error
+line, and exits 2.
 
 PROBLEM restricts the census to the named problems, as `run_census.py`
 does.
@@ -32,10 +34,16 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 TOOLS = pathlib.Path(__file__).resolve().parent
 SRC = TOOLS.parent / "src"
+# run_census, which names the census's methods and named runs, imports the
+# package; this checkout's serves when PYTHONPATH does not name one
+sys.path.append(str(SRC))
+
+import run_census  # noqa: E402
 
 
 class CensusFailed(Exception):
@@ -70,11 +78,21 @@ def _outcomes(keys):
     return outcomes
 
 
-def report(name, other, this):
+def census_method(run):
+    """The method of census run `run`: the fourth field of a grid id
+    (`problem e s method h`), or the method of a named run of
+    `run_census.RUNS`."""
+    fields = run.split()
+    return fields[3] if len(fields) == 5 else run_census.RUNS[run].method
+
+
+def report(name, other, this, method=None):
     """Print each line that differs between the `other` and `this` census
     line lists, keyed by all fields but the last (a run id and an array),
-    marked with its side, then the summary line of `name`, then one line per
-    run found on both sides whose outcome changed; returns the number of
+    marked with its side, then the summary line of `name`, then, given
+    `method` (the method of a run id), the number of runs with a differing
+    line for each method of `run_census.METHODS`, then one line per run
+    found on both sides whose outcome changed; returns the number of
     differing keys."""
     a, b = ({line.rsplit(" ", 1)[0]: line for line in lines} for lines in (other, this))
     diff = [key for key in {**a, **b} if a.get(key) != b.get(key)]
@@ -84,6 +102,10 @@ def report(name, other, this):
         if key in b:
             print(f"> {b[key]}")
     print(f"{name}: {max(len(other), len(this))} lines, {len(diff)} differ")
+    if method is not None:
+        runs = Counter(method(run) for run in {key.rpartition(" ")[0] for key in diff})
+        counts = ", ".join(f"{m} {runs[m]}" for m in run_census.METHODS)
+        print(f"runs differing by method: {counts}")
     before, after = _outcomes(a), _outcomes(b)
     for run, outcome in before.items():
         if after.get(run, outcome) != outcome:
@@ -103,7 +125,7 @@ def main(argv):
         except CensusFailed as exc:
             print(f"same_numbers: {exc}", file=sys.stderr)
             return 2
-    return 1 if report("run_census", *lines) else 0
+    return 1 if report("run_census", *lines, census_method) else 0
 
 
 if __name__ == "__main__":
