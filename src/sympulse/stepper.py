@@ -26,14 +26,14 @@ so that no h is folded into the numbers a search reads.
 
 `step` does its set-up per call and returns a `StepResult`; `fixed_run`
 takes the steps of a whole fixed-tableau run, doing the set-up once (the
-operator K, the field, the start buffer, the ring of stage fields and the
-predictor matrices, cached per tableau and scaled by h per run).  Each
-predicted step forms its start from the predicted increments Z and makes
-the sweep loop's first check itself, from the product K @ F that also
-gives y1; only a step whose first check fails goes on to the sweep loop
-`step` uses.  Its cold solves (the first step, a shortened last step, and
-a step whose predicted start does not converge, solved once more from y0
-and counted by the sweeps of that cold solve) go through `step`.
+operator K, the start buffer, the ring of stage fields and the predictor
+matrices, cached per tableau and scaled by h per run).  Each predicted
+step forms its start from the predicted increments Z and goes to the
+single-tableau solve `step` uses, whose first check comes from the product
+K @ F that also gives y1; only a step whose first check fails goes on to
+the sweep loop.  Its cold solves (the first step, a shortened last step,
+and a step whose predicted start does not converge, solved once more from
+y0 and counted by the sweeps of that cold solve) go through `step`.
 """
 
 from __future__ import annotations
@@ -90,8 +90,8 @@ class StepResult(NamedTuple):
     `stage_residual` is the scaled max-norm defect of the stage equations
     at return, in the increments Z = stages - y0 the solve iterates on,
     max|Z - h A F(y0 + Z)| / (1 + |y0|_inf) with h A F formed as
-    h (A @ F) for a stack and as (h A) @ F for a single tableau (see
-    `_sweeps`), and
+    h (A @ F) for a stack and from K for a single tableau (see
+    `_single_solve`), and
     `converged` says whether it meets `STAGE_TOL`; the
     caller decides what to do when it does not.  A batched solve (see
     `step`) gives `increment`, `stages` and `stage_fields` a leading
@@ -147,9 +147,10 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     call takes all k s stages.  The arrays of the result carry a
     leading member axis, and `iterations`, `converged` and `stage_residual`
     are the batch's.  A stack sweeps with h (A @ F) and takes its increment
-    as h (b @ F); a single tableau sweeps with rows :s of K = h [A; b^T]
-    and takes row s of K @ F as its increment, the operator and product
-    `fixed_run` uses, so that a run is bit for bit a loop of `step` calls.
+    as h (b @ F); a single tableau makes its first check and its
+    increment from one product K @ F, K = h [A; b^T], and sweeps on with
+    rows :s of K (`_single_solve`, which `fixed_run` solves its predicted
+    steps with too, so that a run is bit for bit a loop of `step` calls).
     At a stepsize whose products with A are exact (a power of two), a
     stack of one started cold makes the same sweeps as its single tableau,
     to the same stages, fields, iteration count and residual, and only the
@@ -161,7 +162,7 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     Z = guess - y0: in a root search, the stages extrapolated through the
     two nearest converged probes from the same y0 (see
     `conserve.solve_alpha`).  (A fixed-tableau run hands its predicted
-    increments to the sweep loop itself; see `fixed_run`.)  A
+    increments to the single-tableau solve itself; see `fixed_run`.)  A
     stack started from a guess takes one more sweep after its residual
     first meets `STAGE_TOL`.  Every probe of a root search is a stack, and
     there the error left at that point depends on where the guess came
@@ -204,9 +205,30 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     else:
         K = h * np.vstack((A, b))  # as fixed_run forms it
         with np.errstate(all="ignore"):
-            Y, _, F, res, iterations = _sweeps(system, K[:-1], 1.0, y0, Y0, Y, Z, field(Y), False)
-            increment = (K @ F)[-1]
+            Y, F, increment, res, iterations = _single_solve(system, K, y0, Y0, Y, Z)
     return StepResult(increment, Y, iterations, bool(res <= STAGE_TOL), float(res), y0, h, F)
+
+
+def _single_solve(system, K, y0, Y0, Y, Z):
+    """The stage solve of a single tableau, for `step` and `fixed_run`
+    alike, from the start `Y` and its increments `Z` = `Y` - y0, with the
+    operator K = h [A; b^T].  It evaluates the start's fields F and forms
+    G = K @ F once: the residual Z - G[:s] is the sweep loop's first check,
+    and a start that meets `STAGE_TOL` there is accepted after one sweep,
+    with the increment G[s].  Any other start goes on to `_sweeps`, with
+    h A = K[:s], h = 1.0 (which changes no value), the fields it has and
+    the buffer `Y0` filled with y0 at every stage, and takes row s of K @ F
+    at the fields the sweeps end on.  Returns the stages, their fields, the
+    increment, the scaled residual and the sweep count."""
+    F = system.vector_field(Y)
+    G = K @ F
+    values = (Z - G[:-1]).ravel().tolist()
+    res = max(map(abs, values)) / (1.0 + max(map(abs, y0.tolist())))
+    if res <= STAGE_TOL and not math.isnan(sum(values)):
+        return Y, F, G[-1], res, 1
+    Y0[...] = y0
+    Y, _, F, res, iterations = _sweeps(system, K[:-1], 1.0, y0, Y0, Y, Z, F, False)
+    return Y, F, (K @ F)[-1], res, iterations
 
 
 def _sweeps(system, A, h, y0, Y0, Y, Z, F, polish):
@@ -222,10 +244,10 @@ def _sweeps(system, A, h, y0, Y0, Y, Z, F, polish):
     coefficients and h; a single tableau passes h A, rows :s of its
     operator K, and h = 1.0, which changes no value, so that the tuned
     stacks' sweep loop is the same operation for operation.  The caller
-    evaluates the start's fields `F`: `fixed_run` hands on a start whose
-    first check it made and failed, and so evaluates no field twice.  Returns
-    the last iterate, its increments, the stage fields the system's field
-    gave, its scaled residual and the sweep count."""
+    evaluates the start's fields `F`: `_single_solve` hands on a start
+    whose first check it made and failed, and so evaluates no field twice.
+    Returns the last iterate, its increments, the stage fields the system's
+    field gave, its scaled residual and the sweep count."""
     # the max-norms below read Python floats: on a few dozen values numpy's
     # reductions cost several times an element-wise operation
     scale = 1.0 + max(map(abs, y0.tolist()))
@@ -353,21 +375,20 @@ def fixed_run(system, tableau, states, iterations, cfg, last_cfg=None):
     single tableau.  Each full step after the first starts from the
     increments Z = (h E) @ W that the stage fields W of the last min(k, 5)
     full steps predict (`stage_predictor`, O(h^{s+5}) once five are kept),
-    with the stages y0 + Z, and makes the sweep loop's first check itself:
-    G = K @ F, the residual Z - G[:s], and, when that meets `STAGE_TOL`,
-    the state y0 + G[s] that `step` would give, after one sweep.  A step
-    whose first check fails goes on to the sweep loop of `step` with the
-    start and fields it has, and one that then converges is accepted as
-    y0 + (K @ F)[s].  The first step, a shortened last step and a step whose
-    predicted start does not converge are solved from y0 by `step`, and
-    count the sweeps of that cold solve.  The stage fields are kept in a
-    ring of `_FIELD_RING` steps, newest first, so that the last steps'
-    fields are one slice and no step shifts them.
+    with the stages y0 + Z, and is solved by `_single_solve`, as `step`
+    solves a single tableau: a start that meets `STAGE_TOL` at its first
+    check is accepted as y0 + (K @ F)[s] after one sweep, from the product
+    that check formed, and any other goes on to the sweep loop with the
+    start and fields it has.  The first step, a shortened last step and a
+    step whose predicted start does not converge are solved from y0 by
+    `step`, and count the sweeps of that cold solve.  The stage fields are
+    kept in a ring of `_FIELD_RING` steps, newest first, so that the last
+    steps' fields are one slice and no step shifts them.
 
     Returns None when every step converges, else the index of the step that
     failed and the cause: the unconverged `StepResult` of its cold solve,
     or the `SingularPotentialError` its start raised."""
-    s, h, field = tableau.s, cfg.h, system.vector_field
+    s, h = tableau.s, cfg.h
     K = h * np.vstack((tableau.A, tableau.b))
     predictors = [h * E for E in _fixed_predictors(tableau.perturbation)]
     n_full = iterations.size - (last_cfg is not None)
@@ -385,24 +406,13 @@ def fixed_run(system, tableau, states, iterations, cfg, last_cfg=None):
             if 0 < k < n_full:
                 m = min(k, _STAGE_HISTORY)
                 Z = predictors[m - 1] @ ring[top * s : (top + m) * s]
-                F = field(Y := y + Z)
-                # the first check of the sweep loop, from the one product that
-                # also gives the increment; only a start that fails it sweeps on
-                G = K @ F
-                values = (Z - G[:s]).ravel().tolist()
-                res, sweeps = max(map(abs, values)) / (1.0 + max(map(abs, y.tolist()))), 1
-                if not res <= STAGE_TOL or math.isnan(sum(values)):
-                    Y0[...] = y
-                    _, _, F, res, sweeps = _sweeps(system, K[:s], 1.0, y, Y0, Y, Z, F, False)
-                    G = K @ F
-            if res <= STAGE_TOL:
-                np.add(y, G[s], out=y1)  # StepResult.y1, y0 + (K @ F)[s]
-            else:
+                _, F, increment, res, sweeps = _single_solve(system, K, y, Y0, y + Z, Z)
+            if not res <= STAGE_TOL:
                 result = step(system, tableau, y, cfg if k < n_full else last_cfg)
                 if not result.converged:
                     return k, result
-                F, sweeps = result.stage_fields, result.iterations
-                np.add(y, result.increment, out=y1)
+                F, increment, sweeps = result.stage_fields, result.increment, result.iterations
+            np.add(y, increment, out=y1)  # StepResult.y1, y0 + increment
             if top == 0:
                 ring[-kept:] = ring[:kept]
                 top = _FIELD_RING - _STAGE_HISTORY + 1

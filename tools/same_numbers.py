@@ -40,10 +40,10 @@ from concurrent.futures import ThreadPoolExecutor
 TOOLS = pathlib.Path(__file__).resolve().parent
 SRC = TOOLS.parent / "src"
 # run_census, which names the census's methods and named runs, imports the
-# package; this checkout's serves when PYTHONPATH does not name one
+# package; this checkout's serves when PYTHONPATH does not name one.  It is
+# imported once both censuses have run, so that a package that does not
+# import fails its census first and is named as that census's side
 sys.path.append(str(SRC))
-
-import run_census  # noqa: E402
 
 
 class CensusFailed(Exception):
@@ -82,18 +82,21 @@ def census_method(run):
     """The method of census run `run`: the fourth field of a grid id
     (`problem e s method h`), or the method of a named run of
     `run_census.RUNS`."""
+    import run_census
+
     fields = run.split()
     return fields[3] if len(fields) == 5 else run_census.RUNS[run].method
 
 
-def report(name, other, this, method=None):
+def report(name, other, this):
     """Print each line that differs between the `other` and `this` census
     line lists, keyed by all fields but the last (a run id and an array),
-    marked with its side, then the summary line of `name`, then, given
-    `method` (the method of a run id), the number of runs with a differing
-    line for each method of `run_census.METHODS`, then one line per run
-    found on both sides whose outcome changed; returns the number of
-    differing keys."""
+    marked with its side, then the summary line of `name`, then the number
+    of runs with a differing line for each method of `run_census.METHODS`
+    (see `census_method`), then one line per run found on both sides whose
+    outcome changed; returns the number of differing keys."""
+    import run_census
+
     a, b = ({line.rsplit(" ", 1)[0]: line for line in lines} for lines in (other, this))
     diff = [key for key in {**a, **b} if a.get(key) != b.get(key)]
     for key in diff:
@@ -102,10 +105,9 @@ def report(name, other, this, method=None):
         if key in b:
             print(f"> {b[key]}")
     print(f"{name}: {max(len(other), len(this))} lines, {len(diff)} differ")
-    if method is not None:
-        runs = Counter(method(run) for run in {key.rpartition(" ")[0] for key in diff})
-        counts = ", ".join(f"{m} {runs[m]}" for m in run_census.METHODS)
-        print(f"runs differing by method: {counts}")
+    runs = Counter(census_method(run) for run in {key.rpartition(" ")[0] for key in diff})
+    counts = ", ".join(f"{m} {runs[m]}" for m in run_census.METHODS)
+    print(f"runs differing by method: {counts}")
     before, after = _outcomes(a), _outcomes(b)
     for run, outcome in before.items():
         if after.get(run, outcome) != outcome:
@@ -125,7 +127,7 @@ def main(argv):
         except CensusFailed as exc:
             print(f"same_numbers: {exc}", file=sys.stderr)
             return 2
-    return 1 if report("run_census", *lines, census_method) else 0
+    return 1 if report("run_census", *lines) else 0
 
 
 if __name__ == "__main__":
