@@ -127,9 +127,10 @@ def root_scale(h, r):
     return scale
 
 
-def _seed(h, r):
-    """The root scale 10 h^{2r} of perturbed index s - r, capped at _REACH."""
-    return min(10.0 * root_scale(h, r), _REACH)
+def _seed(scale):
+    """The search's seed, 10 times the root scale h^{2r} (`root_scale`),
+    capped at _REACH."""
+    return min(10.0 * scale, _REACH)
 
 
 @dataclass(frozen=True)
@@ -266,9 +267,8 @@ def solve_alpha(
     y0 = np.asarray(y0, dtype=float)
     q = gauss_quadrature(s)
     A0, D = affine_parts(q, perturb_index)
-    r = s - perturb_index
-    seed = _seed(h, r)
-    width = ALPHA_TOL * root_scale(h, r)
+    scale = root_scale(h, s - perturb_index)
+    seed, width = _seed(scale), ALPHA_TOL * scale
     evals = 0
     probes = _ProbeTable((s,) + np.shape(y0))
 
@@ -302,7 +302,13 @@ def solve_alpha(
     # 6.2e-15 to 2.9e-15.  Dropping it from both tables changes the quartic
     # and Kepler s=3 trajectories.
     points = {0.0: g0, _PROBE_FRACTION * seed: gp}
-    bracket = _find_bracket(g, points, seed, h, y0)
+    bracket = _find_bracket(g, points, seed)
+    if bracket is None:
+        state = ", ".join(repr(float(v)) for v in y0)
+        raise NoRootError(
+            f"no sign change of the energy defect within |alpha| <= {_BRACKET_MAX} "
+            f"at h={h!r} from state [{state}]"
+        )
     # the secant from g(0) to the end of the bracket across the root: its
     # defect difference is at least |g(0)|, so the defect's noise (round-off
     # and the stage solves' convergence error) stays small against it, where
@@ -341,9 +347,10 @@ def _sign_change(points):
     return best
 
 
-def _find_bracket(g, points, seed, h, y0):
+def _find_bracket(g, points, seed):
     """Probe pairs until a sign change of g shows among `points` (alpha ->
-    g, updated in place); returns the first one found, as (lo, hi).
+    g, updated in place); returns the first one found, as (lo, hi), or
+    None when the search is rootless.
 
     Each pair straddles the secant point x through the latest two probes:
     {x - d, x + d}, with d = _PAIR_FRACTION |x - x_latest| for the first
@@ -353,17 +360,18 @@ def _find_bracket(g, points, seed, h, y0):
     _REACH, a failed stage solve, or no sign change after the last pair), a
     scan probes +-seed * 2^k, k = 0, 1, ..., up to |alpha| = _BRACKET_MAX,
     one probe at a time; a probe whose stage solve fails closes that side of
-    the scan, and when neither side changes sign the search is declared
-    rootless."""
-    found = _sign_change(points)
+    the scan, and when neither side changes sign the search is rootless.
+    Each round of pairs, and the probes already in, is checked for a sign
+    change once."""
     try:
         latest = list(points)
-        for k in range(_SECANT_STEPS):
+        for k in range(_SECANT_STEPS + 1):
+            found = _sign_change(points)
             if found is not None:
                 return found
             xa, xb = latest[-2:]
             ga, gb = points[xa], points[xb]
-            if gb == ga:
+            if k == _SECANT_STEPS or gb == ga:
                 break
             x = xb - gb * (xb - xa) / (gb - ga)
             d = (_PAIR_FRACTION if k == 0 else _OVERSHOOT) * abs(x - xb)
@@ -371,9 +379,6 @@ def _find_bracket(g, points, seed, h, y0):
                 break
             latest = [x - d, x + d]
             points.update(zip(latest, g(latest)))
-            found = _sign_change(points)
-        if found is not None:
-            return found
     except StageSolveError:
         pass
 
@@ -391,12 +396,7 @@ def _find_bracket(g, points, seed, h, y0):
             if found is not None:
                 return found
         radius *= 2.0
-
-    state = ", ".join(repr(float(v)) for v in y0)
-    raise NoRootError(
-        f"no sign change of the energy defect within |alpha| <= {_BRACKET_MAX} "
-        f"at h={h!r} from state [{state}]"
-    )
+    return None
 
 
 def _bracketed_root(g, lo, hi, glo, ghi, width):

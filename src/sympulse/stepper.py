@@ -25,15 +25,15 @@ product.  A root search's stacks (k, s, s) keep h (A @ F) and h (b @ F),
 so that no h is folded into the numbers a search reads.
 
 `step` does its set-up per call and returns a `StepResult`; `fixed_run`
-takes the steps of a whole fixed-tableau run, doing the set-up once (the
-operator K, the start buffer, the ring of stage fields and the predictor
-matrices, cached per tableau and scaled by h per run).  Each predicted
-step forms its start from the predicted increments Z and goes to the
-single-tableau solve `step` uses, whose first check comes from the product
-K @ F that also gives y1; only a step whose first check fails goes on to
-the sweep loop.  Its cold solves (the first step, a shortened last step,
-and a step whose predicted start does not converge, solved once more from
-y0 and counted by the sweeps of that cold solve) go through `step`.
+takes the steps of a whole fixed-tableau run of the tableau it is given,
+doing the set-up once (the operator K, the start buffer, the ring of stage
+fields and the predictor matrices h E).  Each predicted step forms its
+start from the predicted increments Z and goes to the single-tableau solve
+`step` uses, whose first check comes from the product K @ F that also
+gives y1; only a step whose first check fails goes on to the sweep loop.
+Its cold solves (the first step, a shortened last step, and a step whose
+predicted start does not converge, solved once more from y0 and counted by
+the sweeps of that cold solve) go through `step`.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .problems import SingularPotentialError
-from .tableau import butcher, gauss_quadrature
 
 __all__ = ["StepConfig", "StepResult", "step"]
 
@@ -305,6 +304,25 @@ def _sweeps(system, A, h, y0, Y0, Y, Z, F, polish):
     return Y, Z, F, res, iterations
 
 
+@lru_cache(maxsize=64)
+def _history_blocks(q, history):
+    """The history blocks B_m of `stage_predictor`, m = `history`, on the
+    nodes of the quadrature rule `q`: an (s, m s) read-only matrix."""
+    c, s = q.c, q.s
+    L = np.empty((s, s))
+    for j in range(s):
+        others = np.delete(c, j)
+        L[:, j] = np.prod((1.0 + c[:, None] - others) / (c[j] - others), axis=1)
+
+    def w(j):
+        return (-1) ** (j % 2) * math.comb(history - 1, j + 1)
+
+    eye = np.eye(s)
+    B = np.hstack([w(j) * eye - w(j - 1) * L for j in range(history)])
+    B.setflags(write=False)
+    return B
+
+
 def stage_predictor(tableau, history=1) -> np.ndarray:
     """The (s, history s) matrix E that predicts the stages of the next step
     from the stage fields of the last `history` steps, stacked newest first.
@@ -322,24 +340,16 @@ def stage_predictor(tableau, history=1) -> np.ndarray:
     smooth along the solution, so the m-1 of them that m = `history` steps
     give extrapolate to the next step's miss with the binomial weights
     w_j = (-1)^j C(m-1, j+1), and each step of history gains one power of h:
-    y1 + h E F predicts to O(h^{s+m}).  Expanded, E = A [B_0, ..., B_{m-1}]
-    with B_j = w_j I - w_{j-1} L, where the same formula gives w_{-1} = -1
-    and w_{m-1} = 0; for m=5, A [L+4I, -(4L+6I), 6L+4I, -(4L+I), L].  The
-    extrapolation also amplifies the fields' own solve error, which bounds
-    how much history pays (see `_STAGE_HISTORY`).
+    y1 + h E F predicts to O(h^{s+m}).  Expanded, E = A B_m with the history
+    blocks B_m = [B_0, ..., B_{m-1}], B_j = w_j I - w_{j-1} L, where the
+    same formula gives w_{-1} = -1 and w_{m-1} = 0; for m=5,
+    B_5 = [L+4I, -(4L+6I), 6L+4I, -(4L+I), L].  B_m depends on the nodes
+    alone and is cached per quadrature rule (`_history_blocks`), so E is one
+    product with the tableau's A, whatever tableau of the rule it is given.
+    The extrapolation also amplifies the fields' own solve error, which
+    bounds how much history pays (see `_STAGE_HISTORY`).
     """
-    c = tableau.c
-    s = tableau.s
-    L = np.empty((s, s))
-    for j in range(s):
-        others = np.delete(c, j)
-        L[:, j] = np.prod((1.0 + c[:, None] - others) / (c[j] - others), axis=1)
-
-    def w(j):
-        return (-1) ** (j % 2) * math.comb(history - 1, j + 1)
-
-    eye = np.eye(s)
-    return tableau.A @ np.hstack([w(j) * eye - w(j - 1) * L for j in range(history)])
+    return tableau.A @ _history_blocks(tableau.quadrature, history)
 
 
 # steps of stage fields a fixed-tableau step is predicted from; six take more
@@ -352,26 +362,14 @@ _STAGE_HISTORY = 5
 _FIELD_RING = 64
 
 
-@lru_cache(maxsize=32)
-def _fixed_predictors(pert):
-    """`stage_predictor` of the tableau `butcher` builds for `pert`, for
-    1.._STAGE_HISTORY steps of history, read-only; built on the first run
-    of each tableau and shared by the runs after it."""
-    tab = butcher(gauss_quadrature(pert.s), pert)
-    predictors = tuple(stage_predictor(tab, m) for m in range(1, _STAGE_HISTORY + 1))
-    for E in predictors:
-        E.setflags(write=False)
-    return predictors
-
-
 def fixed_run(system, tableau, states, iterations, cfg, last_cfg=None):
     """Take the steps of a fixed-tableau run from states[0], writing the
     state after step k to states[k + 1] and its sweeps to iterations[k].
 
-    `tableau` is the one `butcher` builds for its perturbation.  The full
-    steps take `cfg`; `last_cfg`, when given, is the shortened last step.
-    The set-up is done once per run, the predictor matrices scaled by h
-    among it, and so is the operator K = h [A; b^T] that `step` forms for a
+    The full steps take `cfg`; `last_cfg`, when given, is the shortened
+    last step.  The set-up is done once per run: the predictor matrices
+    h E of `tableau` (`stage_predictor`) for 1.._STAGE_HISTORY steps of
+    history, and the operator K = h [A; b^T] that `step` forms for a
     single tableau.  Each full step after the first starts from the
     increments Z = (h E) @ W that the stage fields W of the last min(k, 5)
     full steps predict (`stage_predictor`, O(h^{s+5}) once five are kept),
@@ -390,7 +388,7 @@ def fixed_run(system, tableau, states, iterations, cfg, last_cfg=None):
     or the `SingularPotentialError` its start raised."""
     s, h = tableau.s, cfg.h
     K = h * np.vstack((tableau.A, tableau.b))
-    predictors = [h * E for E in _fixed_predictors(tableau.perturbation)]
+    predictors = [h * stage_predictor(tableau, m) for m in range(1, _STAGE_HISTORY + 1)]
     n_full = iterations.size - (last_cfg is not None)
     # the newest full step's fields are ring[top * s : (top + 1) * s], the
     # steps before it follow; a full ring keeps its newest history - 1

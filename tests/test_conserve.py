@@ -16,7 +16,7 @@ from sympulse.conserve import (
     solve_alpha,
 )
 from sympulse.experiments import RunSpec, integrate
-from sympulse.problems import harmonic, henon_heiles, kepler, quartic
+from sympulse.problems import harmonic, henon_heiles, kepler, kepler_reference, quartic
 from sympulse.stepper import StepConfig, step
 from sympulse.tableau import (
     PerturbationSpec,
@@ -44,10 +44,10 @@ class TestAlphaSearchConfig:
             AlphaSearchConfig(alpha_tol=1e-6)
 
     def test_seed_defaults_to_ten_h_squared(self):
-        assert conserve._seed(0.01, 1) == pytest.approx(10 * 0.01**2)
-        assert conserve._seed(0.25, 2) == pytest.approx(10 * 0.25**4)
+        assert conserve._seed(conserve.root_scale(0.01, 1)) == pytest.approx(10 * 0.01**2)
+        assert conserve._seed(conserve.root_scale(0.25, 2)) == pytest.approx(10 * 0.25**4)
         # capped well inside the scan ceiling for large h
-        assert conserve._seed(0.5, 1) == 0.0625 == conserve._BRACKET_MAX / 8
+        assert conserve._seed(conserve.root_scale(0.5, 1)) == 0.0625 == conserve._BRACKET_MAX / 8
 
 
 class TestEnergyDefect:
@@ -249,7 +249,7 @@ class TestSolveAlpha:
             system, 3, 2, y0, 0.25, AlphaSearchConfig(), StepConfig(h=0.25)
         )
         lo, hi = record.bracket
-        scan_radii = [conserve._seed(0.25, 1) * 2.0**k for k in range(4)]
+        scan_radii = [conserve._seed(conserve.root_scale(0.25, 1)) * 2.0**k for k in range(4)]
         assert hi in scan_radii
         assert 0.0 < record.alpha_star < 0.0625
         assert record.step.converged
@@ -427,6 +427,88 @@ class TestBracketedRoot:
 
         assert conserve._bracketed_root(g, 0.0, 1.0, 0.0, 2.0, 1e-16) == (0.0, 0.0)
         assert conserve._bracketed_root(g, -1.0, 0.5, -3.0, 0.0, 1e-16) == (0.5, 0.0)
+
+
+# the start states of steps 31-34 of the Kepler ep-gauss run (e=0.6, s=3,
+# h=2^-5), where the default coupling's defect slope crosses zero
+KEPLER_POLE = (
+    ("-0x1.3226d1aa985a5p-1", "0x1.9999615f1362bp-1",
+     "-0x1.005079c865b3dp+0", "0x1.adf0201abf9e0p-10"),
+    ("-0x1.42057ec951743p-1", "0x1.996da7e230c81p-1",
+     "-0x1.f70c4bef11b8fp-1", "-0x1.74f3a5d5319bfp-6"),
+    ("-0x1.5197ba3ba9fc9p-1", "0x1.98e0b1af269e2p-1",
+     "-0x1.ed850ce010e61p-1", "-0x1.77a5ac1293565p-5"),
+    ("-0x1.60ddfac4d4626p-1", "0x1.97f7ab9d1911ep-1",
+     "-0x1.e40df9c3f47b6p-1", "-0x1.156c421494313p-4"),
+)
+
+
+class TestKeplerPole:
+    def records(self, index):
+        system, _ = kepler(0.6)
+        return [
+            solve_alpha(
+                system, 3, index, np.array([float.fromhex(v) for v in state]),
+                H5, AlphaSearchConfig(), StepConfig(h=H5),
+            )
+            for state in KEPLER_POLE
+        ]
+
+    def test_the_default_coupling_meets_a_pole(self):
+        # the secant slope g'(alpha*) h^2 reads -1.01e-13, -3.77e-14,
+        # +1.75e-14, +3.63e-14: it changes sign between steps 32 and 33,
+        # and the root alpha* = O(h^2) leaves its scale there
+        records = self.records(2)
+        slopes = [r.slope * H5**2 for r in records]
+        assert slopes[0] < slopes[1] < 0.0 < slopes[2] < slopes[3]
+        assert all(abs(v) <= 2e-13 for v in slopes)
+        scaled = [r.alpha_star / H5**2 for r in records]
+        assert scaled[2] == pytest.approx(2.181, abs=1e-3)
+        assert max(abs(v) for v in scaled[:2] + scaled[3:]) <= 0.7
+
+    def test_the_first_coupling_is_well_conditioned_at_the_same_states(self):
+        # index 1: slope h^4 within [-1.8e-11, -1.1e-11] and |alpha*| /
+        # h^4 at most 0.0025 across the four steps
+        for r in self.records(1):
+            assert -1.8e-11 <= r.slope * H5**4 <= -1.1e-11
+            assert abs(r.alpha_star) / H5**4 <= 0.0025
+
+
+def symplecticity_defect(phi, y, d=1e-4):
+    """max |Phi'^T J Phi' - J| of the map `phi` at `y`, with Phi' from
+    central differences of step `d`, for a state (q, p) of two degrees of
+    freedom."""
+    J = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
+    shifts = d * np.eye(4)
+    M = np.column_stack([(phi(y + e) - phi(y - e)) / (2 * d) for e in shifts])
+    return np.max(np.abs(M.T @ J @ M - J))
+
+
+class TestTunedMapSymplecticity:
+    def test_tuned_map_is_symplectic_to_beyond_its_order(self):
+        # each member Psi_alpha is symplectic, the tuned map y -> Psi_{alpha(y)}(y)
+        # is not: its defect reads 2.15e-4, 9.52e-6, 3.57e-7 at h = 2^-3..2^-5
+        # (ratios 22.6, 26.7, more than 2^{2s} = 16), while the fixed-alpha map
+        # at the same alpha reads the difference quotients' floor, 3-4e-9
+        system, _ = kepler(0.6)
+        y0 = kepler_reference(0.6, 0.4)
+        tuned, fixed = [], []
+        for h in (2**-3, 2**-4, 2**-5):
+            cfg = StepConfig(h=h)
+
+            def tuned_map(y):
+                return solve_alpha(system, 2, 1, y, h, AlphaSearchConfig(), cfg).step.y1
+
+            alpha = solve_alpha(system, 2, 1, y0, h, AlphaSearchConfig(), cfg).alpha_star
+
+            def fixed_map(y):
+                return energy_defect(system, 2, 1, y, alpha, cfg)[1].y1
+
+            tuned.append(symplecticity_defect(tuned_map, y0))
+            fixed.append(symplecticity_defect(fixed_map, y0))
+        assert tuned[0] / tuned[1] > 16.0
+        assert tuned[1] / tuned[2] > 16.0
+        assert tuned[2] >= 10.0 * max(fixed)
 
 
 class TestLevelGrid:

@@ -566,28 +566,46 @@ class TestFixedRun:
         assert traj.states.tobytes() == states.tobytes()
         np.testing.assert_array_equal(traj.stage_iters, iters)
 
-    def test_predictors_are_read_only_and_shared_across_runs(self, monkeypatch):
-        built = []
-
-        def counted(tab, history=1, _original=stepper.stage_predictor):
-            built.append(history)
-            return _original(tab, history)
-
-        monkeypatch.setattr(stepper, "stage_predictor", counted)
-        stepper._fixed_predictors.cache_clear()
+    def test_history_blocks_are_built_once_per_rule_and_read_only(self):
+        # the blocks depend on the nodes alone: runs of different alpha on
+        # one rule, the Gauss run among them, build them once per history
+        stepper._history_blocks.cache_clear()
         spec = RunSpec("kepler", "fixed-alpha", 2, 2**-5, 0.5, e=0.6, alpha=2e-3)
         first = integrate(spec)
         second = integrate(dataclasses.replace(spec, t_end=1.0))
-        assert built == [1, 2, 3, 4, 5]
+        integrate(dataclasses.replace(spec, alpha=-1e-3))
+        integrate(dataclasses.replace(spec, method="gauss", alpha=0.0))
+        info = stepper._history_blocks.cache_info()
+        assert (info.misses, info.hits) == (5, 15)
         assert second.states[: first.states.shape[0]].tobytes() == first.states.tobytes()
-        predictors = stepper._fixed_predictors(spec.perturbation)
-        assert stepper._fixed_predictors(spec.perturbation) is predictors
-        tab = butcher(gauss_quadrature(2), spec.perturbation)
-        for m, E in enumerate(predictors, start=1):
-            assert not E.flags.writeable
-            np.testing.assert_array_equal(E, stepper.stage_predictor(tab, m))
+        q = gauss_quadrature(2)
+        for m in range(1, 6):
+            B = stepper._history_blocks(q, m)
+            assert B is stepper._history_blocks(q, m)
+            assert B.shape == (2, 2 * m)
+            assert not B.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
-                E[0, 0] = 0.0
+                B[0, 0] = 0.0
+            for alpha in (2e-3, -1e-3):
+                tab = butcher(q, PerturbationSpec.single(2, 1, alpha))
+                assert stage_predictor(tab, m).tobytes() == (tab.A @ B).tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.0, 1e-3])
+    def test_run_needs_no_perturbation_record(self, alpha):
+        # fixed_run predicts from the A it is given: the bare (c, A, b) of a
+        # tableau, with no perturbation record, runs as the tableau butcher
+        # builds
+        system, ic = problems_mod.get_problem("kepler", e=0.6)
+        pert = PerturbationSpec.single(2, 1, alpha)
+        tab = butcher(gauss_quadrature(2), pert)
+        runs = []
+        for tableau in (tab, tab._replace(perturbation=None)):
+            states, iters = np.empty((41, system.dim)), np.zeros(40, dtype=int)
+            states[0] = ic.y0
+            assert stepper.fixed_run(system, tableau, states, iters, StepConfig(h=2**-5)) is None
+            runs.append((states.tobytes(), iters.tolist()))
+        assert runs[0] == runs[1]
+        assert max(runs[0][1][1:]) < runs[0][1][0]  # the later steps were predicted
 
 
 class TestEnergyBookkeeping:

@@ -789,6 +789,25 @@ class TestStagePredictor:
         for m, expected in blocks.items():
             assert np.max(np.abs(stage_predictor(tab, m) - np.hstack(expected))) <= 1e-14
 
+    @pytest.mark.parametrize("alpha", [0.0, 1e-3, -0.05])
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+    def test_predictor_is_the_node_formula_bit_for_bit(self, s, alpha):
+        # L from the Lagrange basis node by node, then A times the blocks
+        # w_j I - w_{j-1} L, all formed for each tableau; the cached blocks
+        # must give the same bits for every perturbation of the rule (s=1
+        # has no coupling to perturb, so it checks the Gauss tableau only)
+        tab = make_tableau(s, s - 1 if s > 1 else None, alpha if s > 1 else 0.0)
+        c = tab.c
+        L = np.empty((s, s))
+        for j in range(s):
+            others = np.delete(c, j)
+            L[:, j] = np.prod((1.0 + c[:, None] - others) / (c[j] - others), axis=1)
+        for m in range(1, 6):
+            w = [(-1) ** (j % 2) * math.comb(m - 1, j + 1) for j in range(-1, m)]
+            blocks = [w[j + 1] * np.eye(s) - w[j] * L for j in range(m)]
+            expected = tab.A @ np.hstack(blocks)
+            assert stage_predictor(tab, m).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("s", [2, 3])
     def test_predicted_stages_are_accurate_to_order_s_plus_1(self, s):
         system, ic = kepler(0.6)

@@ -1,7 +1,10 @@
-"""No module of the package imports or reads another's private names.
+"""The package's import structure.
 
-A name that opens with an underscore (dunders aside) belongs to its
-module; what another module needs from it is exported under a public name.
+No module imports or reads another's private names: a name that opens
+with an underscore (dunders aside) belongs to its module, and what another
+module needs from it is exported under a public name.  And the modules
+import one another in layers, so that no import runs both ways and the
+stage solver stays apart from how tableaux are built.
 """
 
 import ast
@@ -80,3 +83,57 @@ def test_finds_private_names_of_the_package(source, found):
 )
 def test_allows_dunders_own_names_and_other_packages(source):
     assert private_uses(source) == []
+
+
+# the package's modules in layer order, `__init__` standing for the package
+# itself: each imports only modules before it, except that `tableau` and
+# `problems` import none and `stepper` only `problems`, so that a solve
+# takes whatever tableau it is given, however it was built
+LAYERS = ("tableau", "problems", "stepper", "conserve", "experiments", "__init__", "cli")
+ALLOWED = {name: set(LAYERS[:i]) for i, name in enumerate(LAYERS)}
+ALLOWED["problems"] = set()
+ALLOWED["stepper"] = {"problems"}
+
+
+def package_imports(source):
+    """The sympulse modules that `source` imports, `__init__` for the
+    package itself (as `from . import __version__` does)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and _from_package(node):
+            module = (node.module or "").removeprefix("sympulse").lstrip(".")
+            if module:
+                found.add(module.split(".")[0])
+            else:
+                found.update(a.name if a.name in LAYERS else "__init__" for a in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "sympulse":
+                    found.add(parts[1] if len(parts) > 1 else "__init__")
+    return found
+
+
+def test_every_module_has_a_layer():
+    assert sorted(p.stem for p in SRC.glob("*.py")) == sorted(LAYERS)
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_modules_import_only_the_layers_below(name):
+    assert package_imports((SRC / f"{name}.py").read_text()) <= ALLOWED[name]
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("from .tableau import butcher\n", {"tableau"}),
+        ("from . import problems as problems_mod\n", {"problems"}),
+        ("from . import __version__\n", {"__init__"}),
+        ("from sympulse.stepper import step\n", {"stepper"}),
+        ("import sympulse.conserve\nimport sympulse\n", {"conserve", "__init__"}),
+        ("def late():\n    from .experiments import integrate\n", {"experiments"}),
+        ("import numpy as np\nfrom math import comb\n", set()),
+    ],
+)
+def test_finds_the_package_modules_a_source_imports(source, found):
+    assert package_imports(source) == found
