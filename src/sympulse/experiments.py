@@ -1,10 +1,11 @@
 """Multi-step integrations with per-step conservation tuning, plus the
 convergence and defect-order studies used to validate the method family.
 
-An `integrate` run walks the grid t0, t0+h, ... collecting states, invariant
-errors and the per-step perturbation roots: a tuned method's steps one root
-search each, a fixed tableau's in one `stepper.fixed_run` call, which maps
-back to the same typed errors; `convergence_table` turns a list
+An `integrate` run walks the grid t0, t0+h, ... in one loop, collecting
+states, invariant errors and the per-step perturbation roots: a tuned
+method's steps one root search each, a fixed tableau's one stage solve
+each, and a failed step of either kind ends the run with an
+`IntegrationError`; `convergence_table` turns a list
 of stepsizes into global errors, observed orders and the width delta(h) of
 the band containing all per-step roots, scaled by the predicted power of h.
 """
@@ -26,8 +27,7 @@ from .conserve import (
     root_scale,
     solve_alpha,
 )
-# `step` is not called here, but perfbench's tracer wraps experiments.step
-from .stepper import StepConfig, fixed_run, step  # noqa: F401
+from .stepper import STAGE_TOL, StepConfig, single_solve, stage_predictor, step
 from .tableau import PerturbationSpec, butcher, gauss_quadrature
 
 __all__ = [
@@ -47,6 +47,14 @@ METHODS = ("gauss", "fixed-alpha", "ep-gauss", "ep-gauss-type2")
 # tolerance for "h divides the interval": the final step is shortened and
 # flagged when the remainder exceeds this fraction of h
 _PARTIAL_STEP_REL = 1e-9
+# steps of stage fields a fixed-tableau step is predicted from; six take more
+# sweeps at large h (Kepler s=2, h=2^-2: 12.96 a step against 12.83; quartic
+# s=3, h=2^-3: 12.31 against 12.13)
+_STAGE_HISTORY = 5
+# steps of stage fields a fixed-tableau run's ring holds, at least
+# _STAGE_HISTORY; it moves its newest steps back once every
+# _FIELD_RING - _STAGE_HISTORY + 1 steps
+_FIELD_RING = 64
 
 class IntegrationError(RuntimeError):
     """A step of a run failed; carries `step_index`, `time` and `state`."""
@@ -243,25 +251,37 @@ def _raise_at_first_singular_state(system, times, states):
 
 @np.errstate(all="ignore")
 def integrate(spec: RunSpec) -> TrajectoryRecord:
-    """Run one integration.  Energy-tuned methods accept, as each step, the
-    stage solve that the root search made at the located root; each search
-    conserves the energy of the state it starts from, so such a run depends
-    only on its start state.  Fixed-tableau methods run in
-    `stepper.fixed_run`, which starts each full step k after the first from
-    the stages that the stage fields of the last min(k, 5) full steps
-    predict (`stepper.stage_predictor`, O(h^{s+5}) once five are kept); the
-    first and a shortened last step start from y0.  At extreme h the
-    predicted start can land outside the fixed point's basin: a step whose
-    solve from it does not converge is solved once more from y0, and
-    raises only if that fails too.
+    """Run one integration, every step of it in one loop.
+
+    A tuned step accepts the stage solve that the root search
+    (`conserve.solve_alpha`) made at the located root; each search
+    conserves the energy of the state it starts from, so a tuned run
+    depends only on its start state.  A fixed-tableau step solves the run's
+    one tableau.  Its set-up is done once per run: the operator
+    K = h [A; b^T], the predictors h E of `stepper.stage_predictor` for
+    1.._STAGE_HISTORY steps of history, a ring of `_FIELD_RING` steps of
+    stage fields, newest first, so that the last steps' fields are one
+    slice and no step shifts them, and the start buffer.  Each full step
+    after the first starts from the increments Z = (h E) @ W that the stage
+    fields W of the last min(k, 5) full steps predict (O(h^{s+5}) once five
+    are kept), with the stages y0 + Z, and is solved by
+    `stepper.single_solve`, as `step` solves a single tableau: a start
+    that meets `STAGE_TOL` at its first check is accepted as
+    y0 + (K @ F)[s] after one sweep.  The first step and a shortened last
+    step are solved from y0 by `step`.  At extreme h the predicted start
+    can land outside the fixed point's basin: such a step is solved once
+    more from y0 by `step`, and fails only if that fails too.
 
     The time grid is laid out before the first step: t0 itself, then
-    t0 + k h for the full steps, and t_end for a shortened last step; a
-    failed step reports its start time from it.  H and the invariants are
-    evaluated once, over all states after the last step, and their errors
-    are taken against states[0]; a singular start fails in the solve of
-    step 0.  A stage iterate that overflows ends its solve unconverged,
-    and a run fails by its typed error, without numpy warnings."""
+    t0 + k h for the full steps, and t_end for a shortened last step.  A
+    failed step of either kind (`StageSolveError`, `NoRootError` or a
+    `SingularPotentialError` of its start) raises the `IntegrationError`
+    that names its index, start time and start state.  H and the
+    invariants are evaluated once, over all states after the last step,
+    and their errors are taken against states[0]; a singular start fails
+    in the solve of step 0.  A stage iterate that overflows ends its solve
+    unconverged, and a run fails by its typed error, without numpy
+    warnings."""
     system, ic = problems_mod.get_problem(spec.problem, e=spec.e, y0=spec.y0)
     y = np.asarray(ic.y0, float)
 
@@ -282,24 +302,44 @@ def integrate(spec: RunSpec) -> TrajectoryRecord:
     # one StepConfig per distinct step size: the full steps and the partial one
     full_cfg = StepConfig(h=spec.h)
     last_cfg = StepConfig(h=remainder) if partial else None
-    if spec.tunes_alpha:
-        for k in range(n_steps):
-            cfg = full_cfg if k < n_full else last_cfg
-            try:
-                record = solve_alpha(system, spec.s, pert.index, y, cfg.h, spec.search, cfg)
-            except (StageSolveError, NoRootError, problems_mod.SingularPotentialError) as exc:
-                raise _step_error(k, times, y, exc) from exc
-            alpha_trace[k], g_evals[k] = record.alpha_star, record.g_evals
-            g_residual[k], stage_iters[k] = record.g_residual, record.step.iterations
-            states[k + 1] = y = record.step.y1
-    else:
-        tab = butcher(gauss_quadrature(spec.s), pert)
-        failure = fixed_run(system, tab, states, stage_iters, full_cfg, last_cfg)
-        if failure is not None:
-            k, cause = failure
-            if not isinstance(cause, Exception):  # the StepResult of a failed solve
-                cause = StageSolveError(cause, spec.alpha)
-            raise _step_error(k, times, states[k], cause) from cause
+    s, h, tuned = spec.s, spec.h, spec.tunes_alpha
+    tableau = butcher(gauss_quadrature(s), pert)
+    K = h * np.vstack((tableau.A, tableau.b))
+    predictors = [h * stage_predictor(tableau, m) for m in range(1, _STAGE_HISTORY + 1)]
+    # the newest full step's fields are ring[top * s : (top + 1) * s], the
+    # steps before it follow; a full ring keeps its newest history - 1
+    # steps, moved to its end
+    ring = np.empty((_FIELD_RING * s, system.dim))
+    top, kept = _FIELD_RING, (_STAGE_HISTORY - 1) * s
+    Y0 = np.empty((s, system.dim))
+    for k in range(n_steps):
+        cfg = full_cfg if k < n_full else last_cfg
+        try:
+            if tuned:
+                record = solve_alpha(system, s, pert.index, y, cfg.h, spec.search, cfg)
+                alpha_trace[k], g_evals[k] = record.alpha_star, record.g_evals
+                g_residual[k], stage_iters[k] = record.g_residual, record.step.iterations
+                states[k + 1] = y = record.step.y1
+                continue
+            res = math.inf
+            if 0 < k < n_full:
+                m = min(k, _STAGE_HISTORY)
+                Z = predictors[m - 1] @ ring[top * s : (top + m) * s]
+                _, F, increment, res, sweeps = single_solve(system, K, y, Y0, y + Z, Z)
+            if not res <= STAGE_TOL:
+                result = step(system, tableau, y, cfg)
+                if not result.converged:
+                    raise StageSolveError(result, spec.alpha)
+                F, increment, sweeps = result.stage_fields, result.increment, result.iterations
+        except (StageSolveError, NoRootError, problems_mod.SingularPotentialError) as exc:
+            raise _step_error(k, times, y, exc) from exc
+        y = np.add(y, increment, out=states[k + 1])  # StepResult.y1, y0 + increment
+        if top == 0:
+            ring[-kept:] = ring[:kept]
+            top = _FIELD_RING - _STAGE_HISTORY + 1
+        top -= 1
+        ring[top * s : (top + 1) * s] = F
+        stage_iters[k] = sweeps
 
     try:
         energy = system.energy(states)

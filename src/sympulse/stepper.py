@@ -24,16 +24,12 @@ h b^T F, so a step that converges at its first check takes both from one
 product.  A root search's stacks (k, s, s) keep h (A @ F) and h (b @ F),
 so that no h is folded into the numbers a search reads.
 
-`step` does its set-up per call and returns a `StepResult`; `fixed_run`
-takes the steps of a whole fixed-tableau run of the tableau it is given,
-doing the set-up once (the operator K, the start buffer, the ring of stage
-fields and the predictor matrices h E).  Each predicted step forms its
-start from the predicted increments Z and goes to the single-tableau solve
-`step` uses, whose first check comes from the product K @ F that also
-gives y1; only a step whose first check fails goes on to the sweep loop.
-Its cold solves (the first step, a shortened last step, and a step whose
-predicted start does not converge, solved once more from y0 and counted by
-the sweeps of that cold solve) go through `step`.
+`step` does its set-up per call and returns a `StepResult`.
+`single_solve` is the stage solve of a single tableau alone, from a start
+and an operator K the caller has formed: `experiments.integrate` forms K
+once per fixed-tableau run and solves each predicted step with it, and
+only a step whose first check fails goes on to the sweep loop.  The
+stepper takes no run; `integrate` takes every step of both run kinds.
 """
 
 from __future__ import annotations
@@ -90,7 +86,7 @@ class StepResult(NamedTuple):
     at return, in the increments Z = stages - y0 the solve iterates on,
     max|Z - h A F(y0 + Z)| / (1 + |y0|_inf) with h A F formed as
     h (A @ F) for a stack and from K for a single tableau (see
-    `_single_solve`), and
+    `single_solve`), and
     `converged` says whether it meets `STAGE_TOL`; the
     caller decides what to do when it does not.  A batched solve (see
     `step`) gives `increment`, `stages` and `stage_fields` a leading
@@ -148,8 +144,9 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     are the batch's.  A stack sweeps with h (A @ F) and takes its increment
     as h (b @ F); a single tableau makes its first check and its
     increment from one product K @ F, K = h [A; b^T], and sweeps on with
-    rows :s of K (`_single_solve`, which `fixed_run` solves its predicted
-    steps with too, so that a run is bit for bit a loop of `step` calls).
+    rows :s of K (`single_solve`, which also solves the predicted steps of
+    a fixed-tableau run, so that a run is bit for bit a loop of `step`
+    calls).
     At a stepsize whose products with A are exact (a power of two), a
     stack of one started cold makes the same sweeps as its single tableau,
     to the same stages, fields, iteration count and residual, and only the
@@ -161,7 +158,7 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     Z = guess - y0: in a root search, the stages extrapolated through the
     two nearest converged probes from the same y0 (see
     `conserve.solve_alpha`).  (A fixed-tableau run hands its predicted
-    increments to the single-tableau solve itself; see `fixed_run`.)  A
+    increments to `single_solve` itself; see `experiments.integrate`.)  A
     stack started from a guess takes one more sweep after its residual
     first meets `STAGE_TOL`.  Every probe of a root search is a stack, and
     there the error left at that point depends on where the guess came
@@ -202,15 +199,15 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
         Y, _, F, res, iterations = _sweeps(system, A, h, y0, Y0, Y, Z, field(Y), polish)
         increment = h * (b @ F)
     else:
-        K = h * np.vstack((A, b))  # as fixed_run forms it
+        K = h * np.vstack((A, b))  # as integrate forms it for a run
         with np.errstate(all="ignore"):
-            Y, F, increment, res, iterations = _single_solve(system, K, y0, Y0, Y, Z)
+            Y, F, increment, res, iterations = single_solve(system, K, y0, Y0, Y, Z)
     return StepResult(increment, Y, iterations, bool(res <= STAGE_TOL), float(res), y0, h, F)
 
 
-def _single_solve(system, K, y0, Y0, Y, Z):
-    """The stage solve of a single tableau, for `step` and `fixed_run`
-    alike, from the start `Y` and its increments `Z` = `Y` - y0, with the
+def single_solve(system, K, y0, Y0, Y, Z):
+    """The stage solve of a single tableau, for `step` and the predicted
+    steps of `experiments.integrate` alike, from the start `Y` and its increments `Z` = `Y` - y0, with the
     operator K = h [A; b^T].  It evaluates the start's fields F and forms
     G = K @ F once: the residual Z - G[:s] is the sweep loop's first check,
     and a start that meets `STAGE_TOL` there is accepted after one sweep,
@@ -243,7 +240,7 @@ def _sweeps(system, A, h, y0, Y0, Y, Z, F, polish):
     coefficients and h; a single tableau passes h A, rows :s of its
     operator K, and h = 1.0, which changes no value, so that the tuned
     stacks' sweep loop is the same operation for operation.  The caller
-    evaluates the start's fields `F`: `_single_solve` hands on a start
+    evaluates the start's fields `F`: `single_solve` hands on a start
     whose first check it made and failed, and so evaluates no field twice.
     Returns the last iterate, its increments, the stage fields the system's
     field gave, its scaled residual and the sweep count."""
@@ -347,76 +344,6 @@ def stage_predictor(tableau, history=1) -> np.ndarray:
     alone and is cached per quadrature rule (`_history_blocks`), so E is one
     product with the tableau's A, whatever tableau of the rule it is given.
     The extrapolation also amplifies the fields' own solve error, which
-    bounds how much history pays (see `_STAGE_HISTORY`).
+    bounds how much history pays (see `experiments._STAGE_HISTORY`).
     """
     return tableau.A @ _history_blocks(tableau.quadrature, history)
-
-
-# steps of stage fields a fixed-tableau step is predicted from; six take more
-# sweeps at large h (Kepler s=2, h=2^-2: 12.96 a step against 12.83; quartic
-# s=3, h=2^-3: 12.31 against 12.13)
-_STAGE_HISTORY = 5
-# steps of stage fields a fixed-tableau run's ring holds, at least
-# _STAGE_HISTORY; it moves its newest steps back once every
-# _FIELD_RING - _STAGE_HISTORY + 1 steps
-_FIELD_RING = 64
-
-
-def fixed_run(system, tableau, states, iterations, cfg, last_cfg=None):
-    """Take the steps of a fixed-tableau run from states[0], writing the
-    state after step k to states[k + 1] and its sweeps to iterations[k].
-
-    The full steps take `cfg`; `last_cfg`, when given, is the shortened
-    last step.  The set-up is done once per run: the predictor matrices
-    h E of `tableau` (`stage_predictor`) for 1.._STAGE_HISTORY steps of
-    history, and the operator K = h [A; b^T] that `step` forms for a
-    single tableau.  Each full step after the first starts from the
-    increments Z = (h E) @ W that the stage fields W of the last min(k, 5)
-    full steps predict (`stage_predictor`, O(h^{s+5}) once five are kept),
-    with the stages y0 + Z, and is solved by `_single_solve`, as `step`
-    solves a single tableau: a start that meets `STAGE_TOL` at its first
-    check is accepted as y0 + (K @ F)[s] after one sweep, from the product
-    that check formed, and any other goes on to the sweep loop with the
-    start and fields it has.  The first step, a shortened last step and a
-    step whose predicted start does not converge are solved from y0 by
-    `step`, and count the sweeps of that cold solve.  The stage fields are
-    kept in a ring of `_FIELD_RING` steps, newest first, so that the last
-    steps' fields are one slice and no step shifts them.
-
-    Returns None when every step converges, else the index of the step that
-    failed and the cause: the unconverged `StepResult` of its cold solve,
-    or the `SingularPotentialError` its start raised."""
-    s, h = tableau.s, cfg.h
-    K = h * np.vstack((tableau.A, tableau.b))
-    predictors = [h * stage_predictor(tableau, m) for m in range(1, _STAGE_HISTORY + 1)]
-    n_full = iterations.size - (last_cfg is not None)
-    # the newest full step's fields are ring[top * s : (top + 1) * s], the
-    # steps before it follow; a full ring keeps its newest history - 1
-    # steps, moved to its end
-    ring = np.empty((_FIELD_RING * s, system.dim))
-    top, kept = _FIELD_RING, (_STAGE_HISTORY - 1) * s
-    Y0 = np.empty((s, system.dim))
-    y = states[0]
-    try:
-        for k in range(iterations.size):
-            y1 = states[k + 1]
-            res = math.inf
-            if 0 < k < n_full:
-                m = min(k, _STAGE_HISTORY)
-                Z = predictors[m - 1] @ ring[top * s : (top + m) * s]
-                _, F, increment, res, sweeps = _single_solve(system, K, y, Y0, y + Z, Z)
-            if not res <= STAGE_TOL:
-                result = step(system, tableau, y, cfg if k < n_full else last_cfg)
-                if not result.converged:
-                    return k, result
-                F, increment, sweeps = result.stage_fields, result.increment, result.iterations
-            np.add(y, increment, out=y1)  # StepResult.y1, y0 + increment
-            if top == 0:
-                ring[-kept:] = ring[:kept]
-                top = _FIELD_RING - _STAGE_HISTORY + 1
-            top -= 1
-            ring[top * s : (top + 1) * s] = F
-            iterations[k] = sweeps
-            y = y1
-    except SingularPotentialError as exc:
-        return k, exc

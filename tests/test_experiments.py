@@ -279,12 +279,12 @@ class TestIntegrate:
     def test_partial_final_step_has_its_own_step_config(self, monkeypatch, method):
         # the full steps share one StepConfig; the shortened last step gets
         # one of its own, with its own h.  A fixed-tableau run's cold solves
-        # (its first and last steps) go through stepper.step, a tuned run's
-        # probes through conserve.step
+        # (its first and last steps) go through experiments.step, a tuned
+        # run's probes through conserve.step
         import sympulse.conserve as conserve_mod
 
         seen = []
-        for module in (conserve_mod, stepper):
+        for module in (conserve_mod, experiments):
             original = module.step
 
             def spy(system, tab, y0, cfg, guess=None, _original=original):
@@ -497,7 +497,7 @@ def step_loop(spec):
     """A fixed-tableau run as a loop of `stepper.step` calls, each full step
     after the first started from the stages y0 + (h E) @ W that the stage
     fields W of the last min(k, 5) full steps predict, formed as
-    `stepper.fixed_run` forms them, and solved once more from y0 if that
+    `experiments.integrate` forms them, and solved once more from y0 if that
     start fails: the states, the sweeps of each accepted solve and the
     number of retries."""
     system, ic = problems_mod.get_problem(spec.problem, e=spec.e)
@@ -558,7 +558,7 @@ class TestFixedRun:
     def test_field_ring_that_wraps_on_every_step_keeps_the_run(self, monkeypatch):
         # a ring of _STAGE_HISTORY steps moves its newest steps back before
         # every write from the sixth step on, retried steps included
-        monkeypatch.setattr(stepper, "_FIELD_RING", stepper._STAGE_HISTORY)
+        monkeypatch.setattr(experiments, "_FIELD_RING", experiments._STAGE_HISTORY)
         spec = RunSpec(problem="quartic", method="gauss", s=2, h=0.6, t_end=20.0)
         states, iters, retries = step_loop(spec)
         traj = integrate(spec)
@@ -592,18 +592,27 @@ class TestFixedRun:
 
     @pytest.mark.parametrize("alpha", [0.0, 1e-3])
     def test_run_needs_no_perturbation_record(self, alpha):
-        # fixed_run predicts from the A it is given: the bare (c, A, b) of a
-        # tableau, with no perturbation record, runs as the tableau butcher
-        # builds
+        # stage_predictor and single_solve read only A, b and the rule: the
+        # bare (c, A, b) of a tableau, with no perturbation record, runs as
+        # the tableau butcher builds
         system, ic = problems_mod.get_problem("kepler", e=0.6)
-        pert = PerturbationSpec.single(2, 1, alpha)
-        tab = butcher(gauss_quadrature(2), pert)
+        h = 2**-5
+        tab = butcher(gauss_quadrature(2), PerturbationSpec.single(2, 1, alpha))
         runs = []
         for tableau in (tab, tab._replace(perturbation=None)):
-            states, iters = np.empty((41, system.dim)), np.zeros(40, dtype=int)
-            states[0] = ic.y0
-            assert stepper.fixed_run(system, tableau, states, iters, StepConfig(h=2**-5)) is None
-            runs.append((states.tobytes(), iters.tolist()))
+            K = h * np.vstack((tableau.A, tableau.b))
+            first = step(system, tableau, ic.y0, StepConfig(h=h))
+            y, fields, iters = first.y1, [first.stage_fields], [first.iterations]
+            for k in range(1, 40):
+                m = min(k, 5)
+                Z = (h * stage_predictor(tableau, m)) @ np.concatenate(fields[::-1][:m])
+                Y0 = np.empty((2, system.dim))
+                _, F, increment, res, sweeps = stepper.single_solve(system, K, y, Y0, y + Z, Z)
+                assert res <= stepper.STAGE_TOL
+                y = y + increment
+                fields.append(F)
+                iters.append(sweeps)
+            runs.append((y.tobytes(), iters))
         assert runs[0] == runs[1]
         assert max(runs[0][1][1:]) < runs[0][1][0]  # the later steps were predicted
 

@@ -2,9 +2,11 @@
 
 No module imports or reads another's private names: a name that opens
 with an underscore (dunders aside) belongs to its module, and what another
-module needs from it is exported under a public name.  And the modules
+module needs from it is exported under a public name.  The modules
 import one another in layers, so that no import runs both ways and the
-stage solver stays apart from how tableaux are built.
+stage solver stays apart from how tableaux are built.  And every name a
+module imports from the package is used there, so that no name is kept
+only for something outside the module to patch.
 """
 
 import ast
@@ -83,6 +85,55 @@ def test_finds_private_names_of_the_package(source, found):
 )
 def test_allows_dunders_own_names_and_other_packages(source):
     assert private_uses(source) == []
+
+
+def unused_imports(source):
+    """(line, name) for every name that `source` imports from the package
+    and neither reads as a name nor lists in `__all__`."""
+    imported, used = [], set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and _from_package(node):
+            imported += [(node.lineno, a.asname or a.name) for a in node.names if a.name != "*"]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "sympulse":
+                    imported.append((node.lineno, alias.asname or "sympulse"))
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(target, ast.Name) and target.id == "__all__" for target in targets):
+                used.update(
+                    c.value for c in ast.walk(node.value)
+                    if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                )
+    return [(line, name) for line, name in imported if name not in used]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_name_a_module_imports_from_the_package_is_used(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("from .stepper import step\n", [(1, "step")]),
+        # a name in a comment or a string is not a use
+        ("from .stepper import step  # for a patcher\nx = 'step'\n", [(1, "step")]),
+        ("from . import tableau as t\n", [(1, "t")]),
+        ("import sympulse.conserve\n", [(1, "sympulse")]),
+        ("from .stepper import step\nstep(1)\n", []),
+        ("from .tableau import butcher as b\nx = b\n", []),
+        ("from . import tableau\ntableau.butcher(1)\n", []),
+        ("from .tableau import butcher\n__all__ = ['butcher']\n", []),
+        ("from .tableau import butcher\n__all__ = []\n__all__ += ['butcher']\n", []),
+        ("from .tableau import *\n", []),
+        ("from numpy import pi\n", []),
+    ],
+)
+def test_finds_names_imported_from_the_package_and_not_used(source, found):
+    assert unused_imports(source) == found
 
 
 # the package's modules in layer order, `__init__` standing for the package
