@@ -186,8 +186,8 @@ class TrajectoryRecord:
     solve of the probe round that holds the root, with the polish sweep
     `stepper.step` takes after a guessed start; for a `gauss` or
     `fixed-alpha` step, the solve of its single tableau, which takes none;
-    for a step whose guessed start failed and was solved again from y0,
-    only the sweeps of that cold solve.  When the interval is not an
+    for a step whose predicted start failed and was solved again from y0,
+    the sweeps of both solves, the failed one and the cold one.  When the interval is not an
     integer multiple of h the trailing partial step is flagged and excluded
     from the root-band statistics.
     """
@@ -270,7 +270,8 @@ def integrate(spec: RunSpec) -> TrajectoryRecord:
     y0 + (K @ F)[s] after one sweep.  The first step and a shortened last
     step are solved from y0 by `step`.  At extreme h the predicted start
     can land outside the fixed point's basin: such a step is solved once
-    more from y0 by `step`, and fails only if that fails too.
+    more from y0 by `step`, counts the sweeps of both solves, and fails
+    only if the second fails too.
 
     The time grid is laid out before the first step: t0 itself, then
     t0 + k h for the full steps, and t_end for a shortened last step.  A
@@ -321,7 +322,7 @@ def integrate(spec: RunSpec) -> TrajectoryRecord:
                 g_residual[k], stage_iters[k] = record.g_residual, record.step.iterations
                 states[k + 1] = y = record.step.y1
                 continue
-            res = math.inf
+            res, sweeps = math.inf, 0
             if 0 < k < n_full:
                 m = min(k, _STAGE_HISTORY)
                 Z = predictors[m - 1] @ ring[top * s : (top + m) * s]
@@ -330,7 +331,8 @@ def integrate(spec: RunSpec) -> TrajectoryRecord:
                 result = step(system, tableau, y, cfg)
                 if not result.converged:
                     raise StageSolveError(result, spec.alpha)
-                F, increment, sweeps = result.stage_fields, result.increment, result.iterations
+                F, increment = result.stage_fields, result.increment
+                sweeps += result.iterations
         except (StageSolveError, NoRootError, problems_mod.SingularPotentialError) as exc:
             raise _step_error(k, times, y, exc) from exc
         y = np.add(y, increment, out=states[k + 1])  # StepResult.y1, y0 + increment

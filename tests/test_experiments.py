@@ -441,7 +441,7 @@ class TestFixedTableauWarmStart:
 
     def test_step_whose_predicted_start_fails_is_solved_from_y0(self, monkeypatch):
         # at h=0.6 some predicted starts land outside the fixed point's
-        # basin; those steps are solved again from y0 and count that solve
+        # basin; those steps are solved again from y0 and count both solves
         calls = []  # (predicted start, converged, sweeps) of each sweep loop
 
         def spy(system, A, h, y0, Y0, Y, Z, F, polish, _original=stepper._sweeps):
@@ -459,10 +459,32 @@ class TestFixedTableauWarmStart:
             assert not calls[i + 1][0] and calls[i + 1][1]
         # a predicted start that meets STAGE_TOL at its first check is
         # accepted without the sweep loop, after one sweep; every other
-        # step is accepted from a loop that took more
-        accepted = [sweeps for i, (_, _, sweeps) in enumerate(calls) if i not in retried]
-        np.testing.assert_array_equal(traj.stage_iters[traj.stage_iters > 1], accepted)
-        assert (traj.stage_iters == 1).sum() + len(accepted) == traj.stage_iters.size
+        # step counts the loops it took: one, or a failed one and the cold
+        # one after it
+        loops = [sweeps for _, _, sweeps in calls]
+        for i in reversed(retried):
+            loops[i : i + 2] = [loops[i] + loops[i + 1]]
+        np.testing.assert_array_equal(traj.stage_iters[traj.stage_iters > 1], loops)
+        assert (traj.stage_iters == 1).sum() + len(loops) == traj.stage_iters.size
+
+    def test_retried_step_counts_the_sweeps_of_both_its_solves(self, monkeypatch):
+        # the sweeps of a predicted solve that fails are not dropped: the
+        # step counts them with those of its cold solve from y0
+        loops = []  # (start state, converged, sweeps) of each sweep loop
+
+        def spy(system, A, h, y0, Y0, Y, Z, F, polish, _original=stepper._sweeps):
+            _, _, _, res, sweeps = out = _original(system, A, h, y0, Y0, Y, Z, F, polish)
+            loops.append((y0.tobytes(), res <= stepper.STAGE_TOL, sweeps))
+            return out
+
+        monkeypatch.setattr(stepper, "_sweeps", spy)
+        traj = integrate(RunSpec(problem="quartic", method="gauss", s=2, h=0.6, t_end=20.0))
+        starts = {y.tobytes(): k for k, y in enumerate(traj.states[:-1])}
+        failed = [(start, sweeps) for start, converged, sweeps in loops if not converged]
+        assert failed
+        for start, sweeps in failed:
+            (cold,) = [n for y0, converged, n in loops if y0 == start and converged]
+            assert traj.stage_iters[starts[start]] == sweeps + cold
 
 
 def field_calls(monkeypatch):
@@ -498,8 +520,8 @@ def step_loop(spec):
     after the first started from the stages y0 + (h E) @ W that the stage
     fields W of the last min(k, 5) full steps predict, formed as
     `experiments.integrate` forms them, and solved once more from y0 if that
-    start fails: the states, the sweeps of each accepted solve and the
-    number of retries."""
+    start fails: the states, the sweeps of each step (both solves of a
+    retried one) and the number of retries."""
     system, ic = problems_mod.get_problem(spec.problem, e=spec.e)
     tab = butcher(gauss_quadrature(spec.s), spec.perturbation)
     n_full, remainder, partial = experiments._step_grid(spec.t0, spec.t_end, spec.h)
@@ -512,14 +534,16 @@ def step_loop(spec):
             m = min(k, 5)
             guess = y + (spec.h * stage_predictor(tab, m)) @ np.concatenate(fields[::-1][:m])
         result = step(system, tab, y, cfg, guess)
+        sweeps = result.iterations
         if guess is not None and not result.converged:
             retries += 1
             result = step(system, tab, y, cfg)
+            sweeps += result.iterations
         assert result.converged
         fields.append(result.stage_fields)
         y = result.y1
         states.append(y)
-        iters.append(result.iterations)
+        iters.append(sweeps)
     return np.array(states), np.array(iters), retries
 
 
