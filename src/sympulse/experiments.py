@@ -56,6 +56,7 @@ _STAGE_HISTORY = 5
 # _FIELD_RING - _STAGE_HISTORY + 1 steps
 _FIELD_RING = 64
 
+
 class IntegrationError(RuntimeError):
     """A step of a run failed; carries `step_index`, `time` and `state`."""
 
@@ -187,9 +188,9 @@ class TrajectoryRecord:
     `stepper.step` takes after a guessed start; for a `gauss` or
     `fixed-alpha` step, the solve of its single tableau, which takes none;
     for a step whose predicted start failed and was solved again from y0,
-    the sweeps of both solves, the failed one and the cold one.  When the interval is not an
-    integer multiple of h the trailing partial step is flagged and excluded
-    from the root-band statistics.
+    the sweeps of both solves, the failed one and the cold one.  When the
+    interval is not an integer multiple of h the trailing partial step is
+    flagged and excluded from the root-band statistics.
     """
 
     spec: RunSpec
@@ -303,6 +304,7 @@ def integrate(spec: RunSpec) -> TrajectoryRecord:
     # one StepConfig per distinct step size: the full steps and the partial one
     full_cfg = StepConfig(h=spec.h)
     last_cfg = StepConfig(h=remainder) if partial else None
+    # a fixed tableau's set-up, done once per run (a tuned run reads none of it)
     s, h, tuned = spec.s, spec.h, spec.tunes_alpha
     tableau = butcher(gauss_quadrature(s), pert)
     K = h * np.vstack((tableau.A, tableau.b))

@@ -157,9 +157,7 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
     (s, n) array ((k, s, n) for a stack) taken as the stages exactly, with
     Z = guess - y0: in a root search, the stages extrapolated through the
     two nearest converged probes from the same y0 (see
-    `conserve.solve_alpha`).  (A fixed-tableau run hands its predicted
-    increments to `single_solve` itself; see `experiments.integrate`.)  A
-    stack started from a guess takes one more sweep after its residual
+    `conserve.solve_alpha`).  A stack started from a guess takes one more sweep after its residual
     first meets `STAGE_TOL`.  Every probe of a root search is a stack, and
     there the error left at that point depends on where the guess came
     from; the extra sweep shrinks it by the contraction factor, so that y1
@@ -207,14 +205,15 @@ def step(system, tableau, y0, cfg: StepConfig, guess=None) -> StepResult:
 
 def single_solve(system, K, y0, Y0, Y, Z):
     """The stage solve of a single tableau, for `step` and the predicted
-    steps of `experiments.integrate` alike, from the start `Y` and its increments `Z` = `Y` - y0, with the
-    operator K = h [A; b^T].  It evaluates the start's fields F and forms
-    G = K @ F once: the residual Z - G[:s] is the sweep loop's first check,
-    and a start that meets `STAGE_TOL` there is accepted after one sweep,
-    with the increment G[s].  Any other start goes on to `_sweeps`, with
-    h A = K[:s], h = 1.0 (which changes no value), the fields it has and
-    the buffer `Y0` filled with y0 at every stage, and takes row s of K @ F
-    at the fields the sweeps end on.  Returns the stages, their fields, the
+    steps of `experiments.integrate` alike, from the start `Y` and its
+    increments `Z` = `Y` - y0, with the operator K = h [A; b^T].  It
+    evaluates the start's fields F and forms G = K @ F once: the residual
+    Z - G[:s] is the sweep loop's first check, and a start that meets
+    `STAGE_TOL` there is accepted after one sweep, with the increment
+    G[s].  Any other start goes on to `_sweeps`, with h A = K[:s], h = 1.0
+    (which changes no value), the fields it has and the buffer `Y0` filled
+    with y0 at every stage, and takes row s of K @ F at the fields the
+    sweeps end on.  Returns the stages, their fields, the
     increment, the scaled residual and the sweep count."""
     F = system.vector_field(Y)
     G = K @ F

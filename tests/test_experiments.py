@@ -627,10 +627,10 @@ class TestFixedRun:
             K = h * np.vstack((tableau.A, tableau.b))
             first = step(system, tableau, ic.y0, StepConfig(h=h))
             y, fields, iters = first.y1, [first.stage_fields], [first.iterations]
+            Y0 = np.empty((2, system.dim))
             for k in range(1, 40):
                 m = min(k, 5)
                 Z = (h * stage_predictor(tableau, m)) @ np.concatenate(fields[::-1][:m])
-                Y0 = np.empty((2, system.dim))
                 _, F, increment, res, sweeps = stepper.single_solve(system, K, y, Y0, y + Z, Z)
                 assert res <= stepper.STAGE_TOL
                 y = y + increment
